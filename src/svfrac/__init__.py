@@ -20,10 +20,10 @@ from .regularity import (
     total_variation,
 )
 from .rl import (
-    QuadratureWeights,
     chattering_hull,
     gamma_fn,
     quadrature_weights,
+    rl_apply,
     rl_scalar,
     rl_selection_oracle,
     rl_setvalued,
@@ -45,7 +45,6 @@ __all__ = [
     "GridMap",
     "Interval",
     "NonConvergenceError",
-    "QuadratureWeights",
     "RegularityReport",
     "Selection",
     "SelectionCertificate",
@@ -67,6 +66,7 @@ __all__ = [
     "midpoint_selection",
     "quadrature_weights",
     "regular_selection",
+    "rl_apply",
     "rl_scalar",
     "rl_selection_oracle",
     "rl_setvalued",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 parameter error,
-4 non-convergence. No computation result is written on exit codes 2-3.
+Exit codes: 0 ok, 1 verification failure, 2 input error, 3 parameter error
+(including a result beyond the float range), 4 non-convergence. No
+computation result is written on exit codes 2-3.
 """
 
 from __future__ import annotations
@@ -47,10 +48,7 @@ def _load_map(args) -> GridMap:
             return GridMap.from_json(obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed map spec: {exc}") from exc
-    try:
-        return GridMap.from_builtin(args.builtin, args.a, args.b, args.grid)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    return GridMap.from_builtin(args.builtin, args.a, args.b, args.grid)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -62,8 +60,6 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_integrate(args) -> int:
-    if args.rho <= 0:
-        raise ParameterError(f"fractional order rho must be > 0, got {args.rho}")
     f = _load_map(args)
     g = rl_setvalued(f, args.rho)
     if args.format == "json":
@@ -75,8 +71,6 @@ def cmd_integrate(args) -> int:
 
 def cmd_verify(args) -> int:
     rhos = tuple(args.rho) if args.rho else DEFAULT_RHOS
-    if any(r <= 0 for r in rhos):
-        raise ParameterError("fractional orders must be > 0")
     fixtures = None
     if args.input:
         obj = _load_json(args.input)
@@ -98,8 +92,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selections(args) -> int:
-    if args.rho <= 0:
-        raise ParameterError(f"fractional order rho must be > 0, got {args.rho}")
     f = _load_map(args)
     g = rl_setvalued(f, args.rho)
     lo_cert, hi_cert = certify_extremals(g)
@@ -112,19 +104,14 @@ def cmd_selections(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        out = {"bound_sup": bound_sup(args.rho, args.M, args.a, args.b)}
-        if args.rho > 1:
-            out["bound_L0"] = bound_l0(args.rho, args.M, args.a, args.b)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    out = {"bound_sup": bound_sup(args.rho, args.M, args.a, args.b)}
+    if args.rho > 1:
+        out["bound_L0"] = bound_l0(args.rho, args.M, args.a, args.b)
     _write(args.output, json.dumps(out, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_inclusion(args) -> int:
-    if args.alpha is not None and not 1.0 < args.alpha < 2.0:
-        raise ParameterError(f"order alpha must lie in (1, 2), got {args.alpha}")
     if not args.input:
         raise InputError("inclusion requires --input with a problem JSON")
     obj = _load_json(args.input)
@@ -134,8 +121,6 @@ def cmd_inclusion(args) -> int:
         problem = CaputoProblem.from_json(obj)
     except KeyError as exc:
         raise InputError(f"malformed problem spec: missing {exc}") from exc
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
     try:
         if args.funnel:
             g = solution_funnel(problem, n=args.grid, max_iter=args.max_iter, tol=args.tol)
@@ -214,15 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "grid", 1) < 1:
+            raise ParameterError(f"--grid must be >= 1, got {args.grid}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ParameterError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_PARAM
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
+        return EXIT_PARAM
+    except OverflowError as exc:
+        print(f"parameter error: result beyond the float range ({exc})", file=sys.stderr)
         return EXIT_PARAM
 
 

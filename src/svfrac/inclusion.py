@@ -18,7 +18,7 @@ import numpy as np
 
 from .gridmap import GridMap
 from .interval import Interval
-from .rl import gamma_fn, rl_weight_matrix
+from .rl import gamma_fn, positive, quadrature_weights, rl_apply
 
 POLICIES = ("lower", "upper", "midpoint")
 
@@ -73,8 +73,7 @@ class CaputoProblem:
             raise ValueError(f"order alpha must lie in (1, 2), got {self.alpha}")
         if not self.t0 < self.T:
             raise ValueError(f"time domain requires t0 < T, got [{self.t0}, {self.T}]")
-        if self.rhs_lipschitz_u < 0:
-            raise ValueError("declared Lipschitz constant must be nonnegative")
+        positive("declared Lipschitz constant", self.rhs_lipschitz_u, strict=False)
 
     def contraction_factor(self) -> float:
         return (
@@ -156,22 +155,23 @@ def solve_with_policy(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    positive("tolerance", tol)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if p.contraction_factor() >= 1.0:
         warnings.warn(
             "declared Lipschitz constant gives contraction factor "
             f"{p.contraction_factor():.3g} >= 1; Picard iteration may diverge",
             stacklevel=2,
         )
+    weights = quadrature_weights(p.t0, p.T, n, p.alpha)
     ts = np.linspace(p.t0, p.T, n + 1)
-    w = rl_weight_matrix(p.t0, p.T, n, p.alpha)
     init = p.u0 + p.u1 * (ts - p.t0)
     us = init.copy()
     residuals: list[float] = []
     for it in range(1, max_iter + 1):
         v = _policy_values(p, ts, us, policy)
-        nxt = init + w @ v
+        nxt = init + rl_apply(weights, v)
         res = float(np.abs(nxt - us).max())
         residuals.append(res)
         us = nxt

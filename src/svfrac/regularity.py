@@ -8,12 +8,13 @@ originals they lower-bound the true values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gridmap import GridMap
-from .rl import gamma_fn, kernel_hat_weights
+from .rl import kernel_hat_weights, positive
 
 
 def total_variation(f: GridMap) -> float:
@@ -33,27 +34,30 @@ def lipschitz_constant(f: GridMap) -> float:
     return float(np.maximum(np.abs(np.diff(f.lo)), np.abs(np.diff(f.hi))).max() / du)
 
 
+def _scaled_power(m: float, a: float, b: float, power: float, gamma_arg: float) -> float:
+    """m * (b-a)^power / Gamma(gamma_arg), through logs; OverflowError when
+    the value is beyond the float range."""
+    m = positive("sup-norm bound M", m, strict=False)
+    if not (a < b and math.isfinite(b - a)):
+        raise ValueError(f"domain requires finite a < b, got [{a}, {b}]")
+    if m == 0.0:
+        return 0.0
+    return math.exp(math.log(m) + power * math.log(b - a) - math.lgamma(gamma_arg))
+
+
 def bound_sup(rho: float, m: float, a: float, b: float) -> float:
     """Uniform bound M*(b-a)^rho / (Gamma(rho)*rho) on the integral map."""
-    if rho <= 0:
-        raise ValueError(f"fractional order must be positive, got {rho}")
-    if m < 0:
-        raise ValueError(f"sup-norm bound must be nonnegative, got {m}")
-    if not a < b:
-        raise ValueError(f"domain requires a < b, got [{a}, {b}]")
-    return m * (b - a) ** rho / (gamma_fn(rho) * rho)
+    rho = positive("fractional order rho", rho)
+    return _scaled_power(m, a, b, rho, rho + 1.0)
 
 
 def bound_l0(rho: float, m: float, a: float, b: float) -> float:
     """Lipschitz constant M*(b-a)^(rho-1) / Gamma(rho) of the integral map,
     valid for rho > 1 (differentiation under the integral sign)."""
+    rho = positive("fractional order rho", rho)
     if rho <= 1:
         raise ValueError(f"Lipschitz inheritance requires rho > 1, got {rho}")
-    if m < 0:
-        raise ValueError(f"sup-norm bound must be nonnegative, got {m}")
-    if not a < b:
-        raise ValueError(f"domain requires a < b, got [{a}, {b}]")
-    return m * (b - a) ** (rho - 1.0) / gamma_fn(rho)
+    return _scaled_power(m, a, b, rho - 1.0, rho)
 
 
 def _breakpoints(f: GridMap, left: float, right: float) -> np.ndarray:
@@ -75,8 +79,7 @@ def continuity_modulus(f: GridMap, rho: float, u: float, v: float) -> float:
     positive for rho < 1, zero for rho = 1), so its absolute integral is the
     absolute difference of the two product integrals.
     """
-    if rho <= 0:
-        raise ValueError(f"fractional order must be positive, got {rho}")
+    rho = positive("fractional order rho", rho)
     if not (f.a <= u <= v <= f.b):
         raise ValueError(f"need a <= u <= v <= b, got u={u}, v={v} on [{f.a}, {f.b}]")
     if u == v:
@@ -87,7 +90,6 @@ def continuity_modulus(f: GridMap, rho: float, u: float, v: float) -> float:
     def h_at(ts):
         return np.interp(ts, nodes, henv)
 
-    g = gamma_fn(rho)
     total = 0.0
     if u > f.a:
         ts1 = _breakpoints(f, f.a, u)
@@ -97,7 +99,7 @@ def continuity_modulus(f: GridMap, rho: float, u: float, v: float) -> float:
         total += abs(i_v - i_u)
     ts2 = _breakpoints(f, u, v)
     total += float(kernel_hat_weights(v, rho, ts2) @ h_at(ts2))
-    return total / g
+    return total * math.exp(-math.lgamma(rho))
 
 
 @dataclass

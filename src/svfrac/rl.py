@@ -4,24 +4,36 @@ The kernel (u - t)^(rho - 1) is integrated in closed form against the hat
 basis of the piecewise-linear representation, segment by segment, in the
 variable s = u - t. No singular point is ever sampled, and the resulting
 quadrature is exact (to roundoff) on the whole representation class.
+
+On a uniform grid the weight of node j for target node n depends only on
+n - j, except in column 0. The whole operator is therefore one Toeplitz
+kernel plus one column, built in O(N) and applied by FFT in O(N log N) time
+and O(N) memory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # at module scope, so that no operation pays for the import
 
 from .gridmap import GridMap, Selection
 from .interval import Interval
 
 
+def positive(name: str, value: float, *, strict: bool = True) -> float:
+    """`value` as a float; ValueError unless it is finite and > 0
+    (>= 0 when `strict` is False). NaN and infinities are rejected."""
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0 or (not strict and value == 0))):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {value}")
+    return value
+
+
 def gamma_fn(x: float) -> float:
     """Euler gamma on the positive half-line."""
-    if x <= 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
+    return math.gamma(positive("gamma_fn argument", x))
 
 
 def _pow_diff(s0: np.ndarray, s1: np.ndarray, p: float) -> np.ndarray:
@@ -37,6 +49,14 @@ def _pow_diff(s0: np.ndarray, s1: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def _hat_moments(s0: np.ndarray, s1: np.ndarray, h, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of s^(rho-1) over segments [s1, s0] of length h against the
+    two hat functions of each segment: (weight of the node at s0, at s1)."""
+    m0 = _pow_diff(s0, s1, rho) / rho
+    d1 = _pow_diff(s0, s1, rho + 1.0) / (rho + 1.0)
+    return (d1 - s1 * m0) / h, (s0 * m0 - d1) / h
+
+
 def kernel_hat_weights(c: float, rho: float, ts: np.ndarray) -> np.ndarray:
     """Weights w with sum_i w_i * f(ts_i) = integral of (c - t)^(rho-1) * f(t)
     over [ts[0], ts[-1]] for piecewise-linear f on breakpoints ts.
@@ -48,57 +68,71 @@ def kernel_hat_weights(c: float, rho: float, ts: np.ndarray) -> np.ndarray:
         return np.zeros(ts.size)
     if c < ts[-1] - 1e-15 * max(1.0, abs(ts[-1])):
         raise ValueError("kernel target must lie at or beyond the last breakpoint")
-    s0 = c - ts[:-1]
-    s1 = np.maximum(c - ts[1:], 0.0)
-    h = np.diff(ts)
-    m0 = _pow_diff(s0, s1, rho) / rho
-    d1 = _pow_diff(s0, s1, rho + 1.0) / (rho + 1.0)
-    w_left = (d1 - s1 * m0) / h
-    w_right = (s0 * m0 - d1) / h
+    w_left, w_right = _hat_moments(c - ts[:-1], np.maximum(c - ts[1:], 0.0), np.diff(ts), rho)
     w = np.zeros(ts.size)
     w[:-1] += w_left
     w[1:] += w_right
     return w
 
 
-@dataclass(frozen=True)
-class QuadratureWeights:
-    """Product-integration weights for one target node of a uniform grid.
-
-    sum_j weights[j] * f(u_j) equals (1/Gamma(rho)) * int_a^{u_n}
-    (u_n - t)^(rho-1) f(t) dt exactly for piecewise-linear f.
-    """
-
-    rho: float
-    target_index: int
-    weights: np.ndarray
-
-
 def quadrature_weights(
-    a: float, b: float, n_segments: int, rho: float, n: int
-) -> QuadratureWeights:
-    if rho <= 0:
-        raise ValueError(f"fractional order must be positive, got {rho}")
-    if not 0 <= n <= n_segments:
-        raise ValueError(f"target index {n} outside 0..{n_segments}")
-    nodes = np.linspace(a, b, n_segments + 1)
-    if n == 0:
-        w = np.zeros(1)
-    else:
-        w = kernel_hat_weights(float(nodes[n]), rho, nodes[: n + 1]) / gamma_fn(rho)
-    return QuadratureWeights(rho=rho, target_index=n, weights=w)
+    a: float, b: float, n_segments: int, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The RL operator of order rho on the uniform grid of [a, b], as
+    (kernel, col0).
+
+    For target node n >= 1 the exact product-integration weight of node j is
+    kernel[n - j] for 1 <= j <= n and col0[n] for j = 0, so that
+    sum_j w_j * f(u_j) = (1/Gamma(rho)) * int_a^{u_n} (u_n - t)^(rho-1) f(t) dt
+    for piecewise-linear f. kernel holds b_0..b_{N-1}; col0 holds c_0..c_N
+    with c_0 = 0, so row 0 is zero. The moments are taken in s / (b - a) and
+    scaled by (b - a)^rho / Gamma(rho) through logs, so large orders
+    underflow to 0 instead of overflowing.
+    """
+    rho = positive("fractional order rho", rho)
+    if n_segments < 1:
+        raise ValueError(f"grid needs at least 1 segment, got {n_segments}")
+    if not (a < b and math.isfinite(b - a)):
+        raise ValueError(f"domain requires finite a < b, got [{a}, {b}]")
+    x = np.arange(n_segments + 1) / n_segments
+    w_left, w_right = _hat_moments(x[1:], x[:-1], 1.0 / n_segments, rho)
+    scale = math.exp(rho * math.log(b - a) - math.lgamma(rho))
+    kernel = np.concatenate((w_right[:1], w_left[:-1] + w_right[1:]))
+    col0 = np.concatenate(([0.0], w_left))
+    return kernel * scale, col0 * scale
+
+
+def rl_apply(weights: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
+    """The operator `weights` (from quadrature_weights) applied to each row of
+    `values`, of shape (..., N+1), by one zero-padded FFT convolution."""
+    kernel, col0 = weights
+    values = np.asarray(values, dtype=float)
+    n = kernel.size
+    size = 1 << (2 * n - 2).bit_length()  # power of two >= 2n - 1
+    spec = numpy.fft.rfft(kernel, size) * numpy.fft.rfft(values[..., 1:], size)
+    out = np.zeros(values.shape)
+    out[..., 1:] = numpy.fft.irfft(spec, size)[..., :n] + col0[1:] * values[..., :1]
+    return out
+
+
+def _row(weights: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """Weights of nodes 0..n for target node n."""
+    kernel, col0 = weights
+    if not 0 <= n < col0.size:
+        raise ValueError(f"target index {n} outside 0..{col0.size - 1}")
+    return np.concatenate(([col0[n]], kernel[:n][::-1]))
 
 
 def rl_scalar(f: Selection, rho: float, n: int) -> float:
     """Riemann-Liouville integral of order rho of f, evaluated at node n."""
-    qw = quadrature_weights(f.a, f.b, f.n_segments, rho, n)
-    return float(qw.weights @ f.values[: n + 1])
+    row = _row(quadrature_weights(f.a, f.b, f.n_segments, rho), n)
+    return float(row @ f.values[: n + 1])
 
 
 def rl_weight_matrix(a: float, b: float, n_segments: int, rho: float) -> np.ndarray:
-    """Lower-triangular matrix W with (W @ f_values)[n] = rl_scalar(f, rho, n)."""
-    if rho <= 0:
-        raise ValueError(f"fractional order must be positive, got {rho}")
+    """Dense lower-triangular W with (W @ f_values)[n] = rl_scalar(f, rho, n),
+    built row by row from kernel_hat_weights. O(N^2) time and memory: a
+    reference for tests, not used by any computation in the package."""
     nodes = np.linspace(a, b, n_segments + 1)
     g = gamma_fn(rho)
     w = np.zeros((n_segments + 1, n_segments + 1))
@@ -112,9 +146,14 @@ def rl_setvalued(f: GridMap, rho: float) -> GridMap:
     two extremal selections. Node values are exact for the representation;
     between nodes the result is the piecewise-linear interpolant (the true
     endpoint functions are smoother, so this is an O(step) approximation).
+
+    The upper endpoint is the lower one plus the integral of the width
+    hi - lo >= 0. The kernel is nonnegative, so that integral is clamped at
+    0 against FFT roundoff; point-valued maps give lo == hi exactly.
     """
-    w = rl_weight_matrix(f.a, f.b, f.n_segments, rho)
-    return GridMap(f.a, f.b, w @ f.lo, w @ f.hi)
+    weights = quadrature_weights(f.a, f.b, f.n_segments, rho)
+    lo, width = rl_apply(weights, np.stack((f.lo, f.hi - f.lo)))
+    return GridMap(f.a, f.b, lo, lo + np.maximum(width, 0.0))
 
 
 def rl_selection_oracle(
@@ -128,13 +167,13 @@ def rl_selection_oracle(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    qw = quadrature_weights(f.a, f.b, f.n_segments, rho, n).weights
+    row = _row(quadrature_weights(f.a, f.b, f.n_segments, rho), n)
     vals = {
-        float(qw @ f.lo[: n + 1]),
-        float(qw @ f.hi[: n + 1]),
+        float(row @ f.lo[: n + 1]),
+        float(row @ f.hi[: n + 1]),
     }
     for k in range(samples):
-        vals.add(float(qw @ f.random_selection(seed + k).values[: n + 1]))
+        vals.add(float(row @ f.random_selection(seed + k).values[: n + 1]))
     return tuple(sorted(vals))
 
 

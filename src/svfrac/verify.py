@@ -116,7 +116,8 @@ def check_continuity(f: GridMap, name: str, rho: float, seed: int, pairs: int = 
         # nonnegative kernel integral); for rho < 1 only decay is guaranteed.
         shrinks = all(phis[k + 1] <= phis[k] + EXACT_TOL for k in range(len(phis) - 1))
     else:
-        shrinks = phis[-1] < phis[0]
+        # An identically zero modulus (the zero map) cannot decay further.
+        shrinks = phis[-1] < phis[0] or max(phis) <= EXACT_TOL
     ok = worst <= MODULUS_TOL and shrinks
     return _report(
         "3.4", name, rho, worst, MODULUS_TOL, ok,

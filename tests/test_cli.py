@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -194,3 +195,80 @@ class TestBoundsAndSelections:
         kinds = {c["kind"] for c in certs}
         assert kinds == {"lower-extremal", "upper-extremal", "midpoint"}
         assert all(c["membership_checked"] for c in certs)
+
+
+class TestParameterRobustness:
+    """Inputs that used to raise tracebacks or give wrong exit codes end with
+    exit 0 or the documented parameter-error exit 3."""
+
+    def test_large_order_integrates_to_closed_form(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["integrate", "--rho", "200", "--grid", "16", "--output", str(out)]) == 0
+        for row in out.read_text().strip().split("\n")[1:]:
+            u, lo, hi = map(float, row.split(","))
+            # J^200 [-u, u] = [-1, 1] * u^201 / Gamma(202)
+            expected = math.exp(201 * math.log(u) - math.lgamma(202)) if u > 0 else 0.0
+            assert abs(hi - expected) <= 1e-12 and abs(lo + expected) <= 1e-12
+
+    def test_large_order_verifies(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--rho", "200", "--grid", "8", "--output", str(out)]) == 0
+        assert all(r["pass"] for r in json.loads(out.read_text()))
+
+    def test_bounds_beyond_float_range(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        assert main(["bounds", "--rho", "200", "--M", "1", "--b", "1e5", "--output", str(out)]) == 3
+        assert not out.exists()
+        assert "float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integrate", "--rho", "nan"],
+            ["integrate", "--rho", "inf"],
+            ["selections", "--rho", "nan"],
+            ["verify", "--rho", "nan"],
+            ["bounds", "--rho", "nan", "--M", "1"],
+            ["bounds", "--rho", "1.5", "--M", "nan"],
+            ["bounds", "--rho", "1.5", "--M", "1", "--b", "inf"],
+            ["integrate", "--rho", "0.5", "--grid", "0"],
+            ["integrate", "--rho", "0.5", "--grid", "-3"],
+            ["verify", "--grid", "0"],
+        ],
+    )
+    def test_non_finite_or_empty_inputs(self, argv, capsys):
+        assert main(argv) == 3
+        assert "parameter error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--tol", "nan"], ["--tol", "-1"], ["--alpha", "nan"], ["--grid", "0"], ["--grid", "-3"], ["--max-iter", "0"]],
+    )
+    def test_inclusion_parameters(self, tmp_path, problem_file, extra, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["inclusion", "--input", problem_file, "--output", str(out)] + extra) == 3
+        assert not out.exists()
+        assert "parameter error" in capsys.readouterr().err
+
+
+class TestZeroMapContinuity:
+    """An identically zero continuity modulus is not a failure to shrink."""
+
+    def test_verify_single_segment_grid(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--grid", "1", "--output", str(out)]) == 0
+        assert all(r["pass"] for r in json.loads(out.read_text()))
+
+    def test_zero_constant_fixture_file(self, tmp_path):
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(
+            json.dumps(
+                {"zero": {"a": 0, "b": 1, "segments": 16, "kind": "constant",
+                          "params": {"lo": 0.0, "hi": 0.0}}}
+            )
+        )
+        out = tmp_path / "report.json"
+        assert main(["verify", "--input", str(fixtures), "--output", str(out)]) == 0
+        reports = json.loads(out.read_text())
+        assert {r["rho"] for r in reports if r["theorem"] == "3.4"} == {0.5, 1.0, 1.5, 2.7}
+        assert all(r["pass"] for r in reports)

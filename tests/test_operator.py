@@ -1,0 +1,131 @@
+"""The O(N) Toeplitz/FFT RL operator against independent references: the
+dense row-by-row matrix, an mpmath hat-basis quadrature, and truncated-power
+closed forms."""
+
+import math
+import tracemalloc
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from svfrac import GridMap, gamma_fn, quadrature_weights, rl_apply, rl_setvalued, rl_weight_matrix
+from svfrac.rl import _row
+
+ORDERS = (1e-3, 0.3, 1.0, 2.7, 50.0)
+
+
+@pytest.mark.parametrize("rho", ORDERS)
+@pytest.mark.parametrize("n_segments", [1, 2, 7, 64, 1024])
+def test_matches_dense_matrix(n_segments, rho):
+    dense = rl_weight_matrix(0.0, 1.0, n_segments, rho)
+    weights = quadrature_weights(0.0, 1.0, n_segments, rho)
+    rng = np.random.default_rng(n_segments)
+    u = np.linspace(0.0, 1.0, n_segments + 1)
+    for f in (rng.uniform(-1.0, 1.0, n_segments + 1), np.ones(n_segments + 1), u):
+        ref = dense @ f
+        got = rl_apply(weights, f)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    tol = 1e-13 * np.abs(dense).max()
+    for n in range(n_segments + 1):
+        assert np.abs(_row(weights, n) - dense[n, : n + 1]).max() <= tol
+
+
+def test_batched_rows_match_single_applies():
+    weights = quadrature_weights(-1.0, 2.0, 50, 0.7)
+    values = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 51))
+    batched = rl_apply(weights, values)
+    for v, got in zip(values, batched):
+        assert np.array_equal(got, rl_apply(weights, v))
+
+
+@pytest.mark.parametrize("rho", ORDERS)
+def test_row_zero_is_exactly_zero(rho):
+    f = GridMap.from_builtin("sin_envelope", 0.0, 1.0, 333)
+    g = rl_setvalued(f, rho)
+    assert g.lo[0] == 0.0 and g.hi[0] == 0.0
+
+
+@pytest.mark.parametrize("rho", ORDERS)
+@pytest.mark.parametrize("kind", ["sym_linear", "constant", "affine", "abs_envelope", "sin_envelope", "hat"])
+def test_lower_endpoint_never_above_upper(kind, rho):
+    g = rl_setvalued(GridMap.from_builtin(kind, 0.0, 1.0, 257), rho)
+    assert (g.lo <= g.hi).all()
+
+
+@pytest.mark.parametrize("rho", ORDERS)
+def test_point_valued_map_gives_point_values(rho):
+    vals = np.random.default_rng(4).uniform(-3.0, 3.0, 130)
+    g = rl_setvalued(GridMap(0.0, 2.0, vals, vals), rho)
+    assert np.array_equal(g.lo, g.hi)
+
+
+def _hat_weight(n_segments, rho, n, j):
+    """mpmath weight of node j for target node n on the uniform grid of
+    [0, 1], from quadrature of s^(rho-1) against the hat function of node j
+    (s = (u_n - t) / h in step units)."""
+    rho = mp.mpf(rho)
+
+    def seg(lo, phi):
+        if lo == 0:  # s = r^(1/rho) removes the endpoint singularity
+            return mp.quad(lambda r: phi(r ** (1 / rho)), [0, 1]) / rho
+        return mp.quad(lambda s: s ** (rho - 1) * phi(s), [lo, lo + 1])
+
+    k = n - j
+    total = mp.mpf(0)
+    if j >= 1:
+        total += seg(k, lambda s: (k + 1) - s)
+    if j <= n - 1:
+        total += seg(k - 1, lambda s: s - (k - 1))
+    return total * mp.power(mp.mpf(n_segments), -rho) / mp.gamma(rho)
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.5, 2.7, 50.0])
+@pytest.mark.parametrize("n_segments", [64, 65536])
+def test_rows_against_mpmath_hat_quadrature(n_segments, rho):
+    weights = quadrature_weights(0.0, 1.0, n_segments, rho)
+    with mp.workdps(30):
+        for n in (1, 2, n_segments // 2, n_segments):
+            row = _row(weights, n)
+            row_sum = (n / n_segments) ** rho / gamma_fn(rho + 1.0)
+            for j in sorted({0, 1, n // 2, n - 1, n}):
+                ref = _hat_weight(n_segments, rho, n, j)
+                err = abs(mp.mpf(row[j]) - ref)
+                # The moment differences cancel to about (n - j) ulps.
+                assert err <= 1e-10 * abs(ref)
+                assert err <= 1e-13 * row_sum
+
+
+def test_fine_grid_truncated_powers_in_linear_memory():
+    n, rho = 65536, 0.5
+    u = np.linspace(0.0, 1.0, n + 1)
+    f = GridMap(0.0, 1.0, -np.maximum(u - 0.25, 0.0), np.maximum(u - 0.5, 0.0))
+    tracemalloc.start()
+    try:
+        g = rl_setvalued(f, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # J^rho (u - c)_+ = (u - c)_+^(rho + 1) / Gamma(rho + 2)
+    scale = 1.0 / math.gamma(rho + 2.0)
+    assert np.abs(g.lo + scale * np.maximum(u - 0.25, 0.0) ** (rho + 1.0)).max() <= 1e-9
+    assert np.abs(g.hi - scale * np.maximum(u - 0.5, 0.0) ** (rho + 1.0)).max() <= 1e-9
+    assert peak < 50e6
+
+
+def test_large_order_underflows_instead_of_overflowing():
+    weights = quadrature_weights(0.0, 1.0, 16, 200.0)
+    assert all(np.isfinite(w).all() for w in weights)
+    g = rl_setvalued(GridMap.from_builtin("sym_linear", 0.0, 1.0, 16), 200.0)
+    assert np.abs(g.hi).max() <= 1e-300
+
+
+def test_invalid_arguments():
+    with pytest.raises(ValueError):
+        quadrature_weights(0.0, 1.0, 0, 0.5)
+    with pytest.raises(ValueError):
+        quadrature_weights(0.0, 1.0, 8, float("nan"))
+    with pytest.raises(ValueError):
+        quadrature_weights(1.0, 1.0, 8, 0.5)
+    with pytest.raises(OverflowError):
+        quadrature_weights(0.0, 1e200, 8, 5.0)

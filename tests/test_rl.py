@@ -16,6 +16,7 @@ from svfrac import (
     rl_setvalued,
     rl_weight_matrix,
 )
+from svfrac.rl import _row
 
 RHOS = (0.3, 0.5, 1.0, 1.5, 2.7)
 
@@ -44,33 +45,39 @@ class TestGamma:
             gamma_fn(-1.0)
 
 
+def weight_row(a, b, n_segments, rho, n):
+    """Weights of nodes 0..n for target node n."""
+    return _row(quadrature_weights(a, b, n_segments, rho), n)
+
+
 class TestWeights:
     @pytest.mark.parametrize("rho", RHOS)
     @pytest.mark.parametrize("n", [1, 7, 64])
     def test_nonnegative_and_sum_rule(self, rho, n):
-        qw = quadrature_weights(0.0, 1.0, 64, rho, n)
-        assert (qw.weights >= -1e-15).all()
+        w = weight_row(0.0, 1.0, 64, rho, n)
+        assert (w >= -1e-15).all()
         u_n = n / 64
         expected = u_n**rho / gamma_fn(rho + 1.0)
-        assert abs(qw.weights.sum() - expected) <= 1e-12 * expected
+        assert abs(w.sum() - expected) <= 1e-12 * expected
 
     def test_target_zero_is_zero(self):
-        qw = quadrature_weights(0.0, 1.0, 8, 0.5, 0)
-        assert qw.weights.sum() == 0.0
+        w = weight_row(0.0, 1.0, 8, 0.5, 0)
+        assert w.sum() == 0.0
 
     def test_rho_one_reproduces_trapezoid(self):
         n = 16
-        qw = quadrature_weights(0.0, 1.0, n, 1.0, n)
+        w = weight_row(0.0, 1.0, n, 1.0, n)
         h = 1.0 / n
         trap = np.full(n + 1, h)
         trap[0] = trap[-1] = h / 2
-        assert np.allclose(qw.weights, trap, atol=1e-15)
+        assert np.allclose(w, trap, atol=1e-15)
 
     def test_invalid_parameters(self):
+        f = Selection(0, 1, np.ones(9))
         with pytest.raises(ValueError):
-            quadrature_weights(0, 1, 8, -0.5, 4)
+            rl_scalar(f, -0.5, 4)
         with pytest.raises(ValueError):
-            quadrature_weights(0, 1, 8, 0.5, 9)
+            rl_scalar(f, 0.5, 9)
 
 
 class TestRlScalar:
