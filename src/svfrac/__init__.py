@@ -2,7 +2,7 @@
 via selections, Hausdorff-metric regularity verification, and Caputo
 differential inclusion solving."""
 
-from .gridmap import GridMap, Selection, lipschitz_selection, variation_selection
+from .gridmap import GridMap, Selection
 from .inclusion import (
     CaputoProblem,
     NonConvergenceError,
@@ -62,7 +62,6 @@ __all__ = [
     "hausdorff",
     "hausdorff_to_zero",
     "lipschitz_constant",
-    "lipschitz_selection",
     "midpoint_selection",
     "quadrature_weights",
     "regular_selection",
@@ -75,5 +74,4 @@ __all__ = [
     "solution_funnel",
     "solve_with_policy",
     "total_variation",
-    "variation_selection",
 ]

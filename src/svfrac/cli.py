@@ -25,10 +25,6 @@ EXIT_PARAM = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-class ParameterError(ValueError):
-    pass
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -148,11 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, output=True):
+    def common(sp):
         sp.add_argument("--input", help="input JSON path")
         sp.add_argument("--output", help="output path (default: stdout)")
         sp.add_argument("--grid", type=int, default=256)
-        sp.add_argument("--seed", type=int, default=42)
 
     sp = sub.add_parser("integrate", help="set-valued RL integral of a map, CSV/JSON out")
     common(sp)
@@ -166,6 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the theorem verification suite, JSON report out")
     common(sp)
     sp.add_argument("--rho", type=float, action="append", help="restrict to these orders")
+    sp.add_argument("--seed", type=int, default=42, help="seed of the random draws")
     sp.set_defaults(func=cmd_verify, grid=64)
 
     sp = sub.add_parser("selections", help="selection certificates of the integral map")
@@ -200,7 +196,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "grid", 1) < 1:
-            raise ParameterError(f"--grid must be >= 1, got {args.grid}")
+            raise ValueError(f"--grid must be >= 1, got {args.grid}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

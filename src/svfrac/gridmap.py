@@ -9,7 +9,7 @@ A Selection is a single-valued piecewise-linear function on the same grid.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,8 +93,7 @@ class GridMap:
 
     def random_selection(self, seed: int) -> "Selection":
         """Node values drawn uniformly from [lo_i, hi_i]; pure in (self, seed)."""
-        rng = np.random.default_rng(seed)
-        y = self.lo + rng.random(self.lo.size) * (self.hi - self.lo)
+        y = self.lo + selection_draws(self.lo.size, [seed])[0] * (self.hi - self.lo)
         return Selection(self.a, self.b, y)
 
     def scaled(self, c: float) -> "GridMap":
@@ -103,18 +102,6 @@ class GridMap:
         return GridMap(self.a, self.b, c * self.lo, c * self.hi)
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_functions(
-        cls,
-        lo_fn: Callable[[float], float],
-        hi_fn: Callable[[float], float],
-        a: float,
-        b: float,
-        n_segments: int,
-    ) -> "GridMap":
-        u = np.linspace(a, b, n_segments + 1)
-        return cls(a, b, [lo_fn(x) for x in u], [hi_fn(x) for x in u])
 
     @classmethod
     def from_builtin(
@@ -229,9 +216,7 @@ class Selection:
         return float(np.abs(np.diff(self.values)).max() / du)
 
 
-def variation_selection(f: Selection) -> float:
-    return f.variation()
-
-
-def lipschitz_selection(f: Selection) -> float:
-    return f.lipschitz()
+def selection_draws(n_nodes: int, seeds) -> np.ndarray:
+    """One row of uniform [0, 1) draws per seed: GridMap.random_selection(s)
+    takes the node values lo + row * (hi - lo) from the row of seed s."""
+    return np.array([np.random.default_rng(s).random(n_nodes) for s in seeds])

@@ -22,38 +22,31 @@ from .rl import gamma_fn, positive, quadrature_weights, rl_apply
 
 POLICIES = ("lower", "upper", "midpoint")
 
-_RHS_BUILTINS = {}
 
-
-def rhs_builtin(name):
-    def register(factory):
-        _RHS_BUILTINS[name] = factory
-        return factory
-
-    return register
-
-
-@rhs_builtin("constant")
 def _rhs_constant(lo: float = 1.0, hi: float | None = None):
     hi = lo if hi is None else hi
     box = Interval(lo, hi)
     return lambda t, u: box
 
 
-@rhs_builtin("symmetric")
 def _rhs_symmetric(k: float = 1.0):
-    box = Interval(-k, k)
-    return lambda t, u: box
+    return _rhs_constant(-k, k)
 
 
-@rhs_builtin("time_identity")
 def _rhs_time_identity(width: float = 0.0):
     return lambda t, u: Interval(t - width, t + width)
 
 
-@rhs_builtin("affine")
 def _rhs_affine(p: float = 0.0, q_lo: float = 0.0, q_hi: float = 0.0):
     return lambda t, u: Interval(p * u + q_lo, p * u + q_hi)
+
+
+_RHS_BUILTINS = {
+    "constant": _rhs_constant,
+    "symmetric": _rhs_symmetric,
+    "time_identity": _rhs_time_identity,
+    "affine": _rhs_affine,
+}
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridmap import GridMap
-from .rl import kernel_hat_weights, positive
+from .rl import _hat_moments, positive
 
 
 def total_variation(f: GridMap) -> float:
@@ -60,13 +60,31 @@ def bound_l0(rho: float, m: float, a: float, b: float) -> float:
     return _scaled_power(m, a, b, rho - 1.0, rho)
 
 
-def _breakpoints(f: GridMap, left: float, right: float) -> np.ndarray:
-    nodes = f.nodes
-    inner = nodes[(nodes > left) & (nodes < right)]
-    return np.concatenate(([left], inner, [right]))
+# Pair x segment entries per temporary array in continuity_modulus, so that
+# its memory stays bounded whatever the number of pairs.
+_BLOCK_ENTRIES = 1024
 
 
-def continuity_modulus(f: GridMap, rho: float, u: float, v: float) -> float:
+def _clip(x, h, lo, hi):
+    """Every segment of the nodes x clipped to [lo, hi] (columns): its ends
+    and the values there of the piecewise-linear function with node values h."""
+    left, right = np.minimum(np.maximum(x[:-1], lo), hi), np.minimum(np.maximum(x[1:], lo), hi)
+    return left, right, np.interp(left, x, h), np.interp(right, x, h)
+
+
+def _kernel_integrals(c, segments, rho: float) -> np.ndarray:
+    """Per row, the integral of (c - t)^(rho-1) times the piecewise-linear
+    function over the clipped `segments` of _clip, for a column c at or
+    beyond their right ends. Zero-length segments contribute 0."""
+    left, right, h_left, h_right = segments
+    length = right - left
+    w_left, w_right = _hat_moments(
+        c - left, np.maximum(c - right, 0.0), np.where(length > 0, length, 1.0), rho
+    )
+    return (w_left * h_left + w_right * h_right).sum(axis=1)
+
+
+def continuity_modulus(f: GridMap, rho: float, u, v):
     """Modulus dominating H_d between integral values at u and v (u <= v):
 
         (1/Gamma(rho)) * ( int_a^u |(v-t)^(rho-1) - (u-t)^(rho-1)| h(t) dt
@@ -78,28 +96,31 @@ def continuity_modulus(f: GridMap, rho: float, u: float, v: float) -> float:
     The kernel difference has a single sign on [a, u] (negative for rho > 1,
     positive for rho < 1, zero for rho = 1), so its absolute integral is the
     absolute difference of the two product integrals.
+
+    u and v may be arrays, broadcast against each other; the result has
+    their shape (a float for scalars). Every grid segment is clipped to
+    [a, u] and to [u, v] and integrated in closed form, for blocks of pairs
+    of at most about _BLOCK_ENTRIES pair x segment entries.
     """
     rho = positive("fractional order rho", rho)
-    if not (f.a <= u <= v <= f.b):
-        raise ValueError(f"need a <= u <= v <= b, got u={u}, v={v} on [{f.a}, {f.b}]")
-    if u == v:
-        return 0.0
-    nodes = f.nodes
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    shape = np.broadcast(u, v).shape
+    us, vs = np.broadcast_to(u, shape).ravel(), np.broadcast_to(v, shape).ravel()
+    bad = np.flatnonzero(~((f.a <= us) & (us <= vs) & (vs <= f.b)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"need a <= u <= v <= b, got u={us[k]}, v={vs[k]} on [{f.a}, {f.b}]")
+    x = f.nodes
     henv = np.maximum(np.abs(f.lo), np.abs(f.hi))
-
-    def h_at(ts):
-        return np.interp(ts, nodes, henv)
-
-    total = 0.0
-    if u > f.a:
-        ts1 = _breakpoints(f, f.a, u)
-        hv = h_at(ts1)
-        i_v = float(kernel_hat_weights(v, rho, ts1) @ hv)
-        i_u = float(kernel_hat_weights(u, rho, ts1) @ hv)
-        total += abs(i_v - i_u)
-    ts2 = _breakpoints(f, u, v)
-    total += float(kernel_hat_weights(v, rho, ts2) @ h_at(ts2))
-    return total * math.exp(-math.lgamma(rho))
+    step = max(1, _BLOCK_ENTRIES // f.n_segments)
+    out = np.empty(us.size)
+    for k in range(0, out.size, step):
+        uk, vk = us[k : k + step, None], vs[k : k + step, None]
+        head = _clip(x, henv, f.a, uk)
+        i_v, i_u = _kernel_integrals(vk, head, rho), _kernel_integrals(uk, head, rho)
+        out[k : k + step] = np.abs(i_v - i_u) + _kernel_integrals(vk, _clip(x, henv, uk, vk), rho)
+    out *= math.exp(-math.lgamma(rho))
+    return out.reshape(shape) if shape else float(out[0])
 
 
 @dataclass

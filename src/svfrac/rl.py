@@ -18,7 +18,7 @@ import math
 import numpy as np
 import numpy.fft  # at module scope, so that no operation pays for the import
 
-from .gridmap import GridMap, Selection
+from .gridmap import GridMap, Selection, selection_draws
 from .interval import Interval
 
 
@@ -123,10 +123,14 @@ def _row(weights: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
     return np.concatenate(([col0[n]], kernel[:n][::-1]))
 
 
+def node_row(f: GridMap | Selection, rho: float, n: int) -> np.ndarray:
+    """Weights of nodes 0..n of f's grid in the RL integral of order rho at node n."""
+    return _row(quadrature_weights(f.a, f.b, f.n_segments, rho), n)
+
+
 def rl_scalar(f: Selection, rho: float, n: int) -> float:
     """Riemann-Liouville integral of order rho of f, evaluated at node n."""
-    row = _row(quadrature_weights(f.a, f.b, f.n_segments, rho), n)
-    return float(row @ f.values[: n + 1])
+    return float(node_row(f, rho, n) @ f.values[: n + 1])
 
 
 def rl_weight_matrix(a: float, b: float, n_segments: int, rho: float) -> np.ndarray:
@@ -156,6 +160,16 @@ def rl_setvalued(f: GridMap, rho: float) -> GridMap:
     return GridMap(f.a, f.b, lo, lo + np.maximum(width, 0.0))
 
 
+def selection_integrals(f: GridMap, row: np.ndarray, draws: np.ndarray) -> tuple[float, ...]:
+    """Sorted, deduplicated RL integrals, at the target node of `row` (the
+    weights of nodes 0..n), of both extremal selections of f and of the
+    selection lo + r * (hi - lo) for each row r of `draws`."""
+    m = row.size
+    base = float(row @ f.lo[:m])
+    sampled = base + draws[:, :m] @ (row * (f.hi[:m] - f.lo[:m]))
+    return tuple(sorted({base, float(row @ f.hi[:m]), *sampled.tolist()}))
+
+
 def rl_selection_oracle(
     f: GridMap, rho: float, n: int, samples: int, seed: int
 ) -> tuple[float, ...]:
@@ -167,14 +181,8 @@ def rl_selection_oracle(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    row = _row(quadrature_weights(f.a, f.b, f.n_segments, rho), n)
-    vals = {
-        float(row @ f.lo[: n + 1]),
-        float(row @ f.hi[: n + 1]),
-    }
-    for k in range(samples):
-        vals.add(float(row @ f.random_selection(seed + k).values[: n + 1]))
-    return tuple(sorted(vals))
+    draws = selection_draws(f.n_segments + 1, range(seed, seed + samples))
+    return selection_integrals(f, node_row(f, rho, n), draws)
 
 
 # -- nonconvex demo -----------------------------------------------------------

@@ -3,15 +3,17 @@ set-valued fractional integral, over a built-in fixture catalog.
 
 Each entry compares a measured quantity against its analytic bound and is
 reported as a RegularityReport. Runs are deterministic: fixture catalog,
-random draws, and report order are all fixed by the seed.
+random draws, and report order are all fixed by the seed. run_verification
+integrates each (fixture, rho) pair once and hands the integral map `g`, and
+the oracle values `vals` at node N, to the checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gridmap import GridMap
-from .interval import contains, hausdorff, hausdorff_to_zero
+from .gridmap import GridMap, selection_draws
+from .interval import Interval, hausdorff
 from .regularity import (
     RegularityReport,
     bound_l0,
@@ -20,7 +22,7 @@ from .regularity import (
     lipschitz_constant,
     total_variation,
 )
-from .rl import rl_selection_oracle, rl_setvalued
+from .rl import node_row, rl_selection_oracle, rl_setvalued, selection_integrals
 from .selections import certify_extremals
 
 DEFAULT_RHOS = (0.5, 1.0, 1.5, 2.7)
@@ -28,6 +30,11 @@ DEFAULT_RHOS = (0.5, 1.0, 1.5, 2.7)
 BOUND_TOL = 1e-9  # additive: quadrature exactness class
 MODULUS_TOL = 1e-8
 EXACT_TOL = 1e-12
+
+# Random selections drawn by the oracle checks; 3.2 uses fixed seeds 7..14.
+CONVEXITY_SAMPLES = 64
+ENDPOINT_SAMPLES = 200
+NONEMPTY_SEED, NONEMPTY_SAMPLES = 7, 8
 
 
 def fixture_catalog(n_segments: int = 64) -> dict[str, GridMap]:
@@ -60,76 +67,66 @@ def _skip(theorem, fixture, rho):
     return _report(theorem, fixture, rho, 0.0, 0.0, True, status="skipped (requires rho>1)")
 
 
-def check_convexity(f: GridMap, name: str, rho: float, seed: int, trials: int = 100):
-    """Thm 3.1: convex combinations of oracle values stay in the node interval."""
-    n = f.n_segments
-    g = rl_setvalued(f, rho)
-    vals = rl_selection_oracle(f, rho, n, samples=64, seed=seed)
-    box = g.interval_at(n)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        y1, y2 = rng.choice(vals, size=2)
-        for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            y = lam * y1 + (1.0 - lam) * y2
-            worst = max(worst, box.lo - y, y - box.hi)
+def check_convexity(f: GridMap, name: str, rho: float, seed: int, trials: int = 100, *,
+                    g: GridMap, vals: tuple[float, ...]):
+    """Thm 3.1: convex combinations of oracle values stay in the node interval.
+    The pairs combined are drawn from `vals` with the generator of `seed`."""
+    box = g.interval_at(f.n_segments)
+    picks = np.random.default_rng(seed).choice(vals, size=(trials, 2))
+    lam = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    y = lam * picks[:, :1] + (1.0 - lam) * picks[:, 1:]
+    worst = max(0.0, box.lo - y.min(), y.max() - box.hi)
     return _report("3.1", name, rho, worst, BOUND_TOL, worst <= BOUND_TOL)
 
 
-def check_nonempty(f: GridMap, name: str, rho: float):
+def check_nonempty(f: GridMap, name: str, rho: float, *,
+                   g: GridMap | None = None, vals: tuple[float, ...] = ()):
     """Thm 3.2: the integral map is made of valid (nonempty) intervals, and a
-    sampled selection integral lands inside them."""
-    g = rl_setvalued(f, rho)
-    vals = rl_selection_oracle(f, rho, f.n_segments, samples=8, seed=7)
-    box = g.interval_at(f.n_segments)
-    worst = max(max(box.lo - y, y - box.hi) for y in vals)
-    ok = all(g.lo[i] <= g.hi[i] for i in range(f.n_segments + 1)) and worst <= BOUND_TOL
+    sampled selection integral lands inside them. Called alone, it integrates
+    f and draws its oracle values (seeds 7..14) itself."""
+    n = f.n_segments
+    g = rl_setvalued(f, rho) if g is None else g
+    vals = vals or rl_selection_oracle(f, rho, n, samples=NONEMPTY_SAMPLES, seed=NONEMPTY_SEED)
+    box = g.interval_at(n)
+    worst = max(box.lo - vals[0], vals[-1] - box.hi)
+    ok = bool(np.all(g.lo <= g.hi)) and worst <= BOUND_TOL
     return _report("3.2", name, rho, worst, BOUND_TOL, ok)
 
 
-def check_boundedness(f: GridMap, name: str, rho: float):
+def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap):
     """Thm 3.3: sup-node distance of the integral map to {0} vs the bound."""
-    g = rl_setvalued(f, rho)
-    measured = max(
-        hausdorff_to_zero(g.interval_at(i)) for i in range(g.n_segments + 1)
-    )
+    measured = g.sup_bound()
     bound = bound_sup(rho, f.sup_bound(), f.a, f.b)
     return _report("3.3", name, rho, measured, bound, measured <= bound + BOUND_TOL)
 
 
-def check_continuity(f: GridMap, name: str, rho: float, seed: int, pairs: int = 100):
+def check_continuity(f: GridMap, name: str, rho: float, seed: int, pairs: int = 100, *,
+                     g: GridMap):
     """Thm 3.4: Hausdorff increments dominated by the modulus, and the
     modulus vanishes along a shrinking interval."""
-    g = rl_setvalued(f, rho)
-    nodes = g.nodes
     rng = np.random.default_rng(seed)
-    worst = -np.inf
-    for _ in range(pairs):
-        i, j = sorted(rng.integers(0, g.n_segments + 1, size=2))
-        hd = hausdorff(g.interval_at(i), g.interval_at(j))
-        phi = continuity_modulus(f, rho, float(nodes[i]), float(nodes[j]))
-        worst = max(worst, hd - phi)
-    u = float(f.a)
-    phis = [continuity_modulus(f, rho, u, u + (f.b - f.a) * 2.0**-k) for k in range(1, 13)]
+    i, j = np.sort(rng.integers(0, g.n_segments + 1, size=(pairs, 2)), axis=1).T
+    hd = np.maximum(np.abs(g.lo[i] - g.lo[j]), np.abs(g.hi[i] - g.hi[j]))
+    worst = float(np.max(hd - continuity_modulus(f, rho, g.nodes[i], g.nodes[j])))
+    phis = continuity_modulus(f, rho, f.a, f.a + (f.b - f.a) * 2.0 ** -np.arange(1, 13))
     if rho >= 1.0:
         # Phi(u, .) is monotone in v for rho >= 1 (its v-derivative is a
         # nonnegative kernel integral); for rho < 1 only decay is guaranteed.
-        shrinks = all(phis[k + 1] <= phis[k] + EXACT_TOL for k in range(len(phis) - 1))
+        shrinks = bool(np.all(phis[1:] <= phis[:-1] + EXACT_TOL))
     else:
         # An identically zero modulus (the zero map) cannot decay further.
-        shrinks = phis[-1] < phis[0] or max(phis) <= EXACT_TOL
+        shrinks = bool(phis[-1] < phis[0] or phis.max() <= EXACT_TOL)
     ok = worst <= MODULUS_TOL and shrinks
     return _report(
         "3.4", name, rho, worst, MODULUS_TOL, ok,
-        shrink_first=phis[0], shrink_last=phis[-1], shrink_ok=shrinks,
+        shrink_first=float(phis[0]), shrink_last=float(phis[-1]), shrink_ok=shrinks,
     )
 
 
-def check_bounded_variation(f: GridMap, name: str, rho: float):
+def check_bounded_variation(f: GridMap, name: str, rho: float, *, g: GridMap):
     """Thm 3.5 (rho > 1): V(G) between max and sum of extremal variations."""
     if rho <= 1.0:
         return _skip("3.5", name, rho)
-    g = rl_setvalued(f, rho)
     va = g.extremal_lower().variation()
     vb = g.extremal_upper().variation()
     vg = total_variation(g)
@@ -137,45 +134,35 @@ def check_bounded_variation(f: GridMap, name: str, rho: float):
     return _report("3.5", name, rho, vg, va + vb, ok, lower=max(va, vb))
 
 
-def check_lipschitz(f: GridMap, name: str, rho: float):
+def check_lipschitz(f: GridMap, name: str, rho: float, *, g: GridMap):
     """Thm 3.6 (rho > 1): measured Lipschitz constant of G vs L0."""
     if rho <= 1.0:
         return _skip("3.6", name, rho)
-    g = rl_setvalued(f, rho)
     measured = lipschitz_constant(g)
     bound = bound_l0(rho, f.sup_bound(), f.a, f.b)
     return _report("3.6", name, rho, measured, bound, measured <= bound + BOUND_TOL)
 
 
-def check_selections(f: GridMap, name: str, rho: float):
+def check_selections(f: GridMap, name: str, rho: float, *, g: GridMap):
     """Thms 3.7/3.8: extremal selections are members and inherit variation
     and Lipschitz bounds from the integral map."""
     if rho <= 1.0:
         return _skip("3.7/3.8", name, rho)
-    g = rl_setvalued(f, rho)
     certs = certify_extremals(g)
-    worst = 0.0
-    ok = True
-    for c in certs:
-        ok = ok and c.membership_checked
-        worst = max(
-            worst,
-            c.variation - c.parent_variation,
-            c.lipschitz - c.parent_lipschitz,
-        )
-    ok = ok and worst <= EXACT_TOL
+    worst = max(
+        0.0, *(max(c.variation - c.parent_variation, c.lipschitz - c.parent_lipschitz) for c in certs)
+    )
+    ok = all(c.membership_checked for c in certs) and worst <= EXACT_TOL
     return _report("3.7/3.8", name, rho, worst, EXACT_TOL, ok)
 
 
-def check_endpoint_identity(f: GridMap, name: str, rho: float, seed: int, samples: int = 200):
+def check_endpoint_identity(f: GridMap, name: str, rho: float, *,
+                            g: GridMap, vals: tuple[float, ...]):
     """Endpoint identity: hull of the selection-integral oracle equals the
     interval spanned by the extremal integrals."""
-    n = f.n_segments
-    g = rl_setvalued(f, rho)
-    box = g.interval_at(n)
-    vals = rl_selection_oracle(f, rho, n, samples=samples, seed=seed)
-    hull_err = hausdorff(box, type(box)(min(vals), max(vals)))
-    inside = max(max(box.lo - y, y - box.hi) for y in vals)
+    box = g.interval_at(f.n_segments)
+    hull_err = hausdorff(box, Interval(vals[0], vals[-1]))
+    inside = max(box.lo - vals[0], vals[-1] - box.hi)
     ok = hull_err <= BOUND_TOL and inside <= BOUND_TOL
     return _report("3.5-endpoint-identity", name, rho, hull_err, BOUND_TOL, ok)
 
@@ -186,18 +173,38 @@ def run_verification(
     seed: int = 42,
     n_segments: int = 64,
 ) -> list[RegularityReport]:
+    """Every check for every (fixture, rho) pair. Each pair integrates its
+    fixture and builds its node-N weight row once; the oracle's random
+    selections depend only on the seeds and the grid, so they are drawn once
+    per grid size."""
     if fixtures is None:
         fixtures = fixture_catalog(n_segments)
+    draws: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     reports: list[RegularityReport] = []
     for name in sorted(fixtures):
         f = fixtures[name]
+        n = f.n_segments
+        if n not in draws:
+            draws[n] = (
+                selection_draws(n + 1, range(seed, seed + ENDPOINT_SAMPLES)),
+                selection_draws(n + 1, range(NONEMPTY_SEED, NONEMPTY_SEED + NONEMPTY_SAMPLES)),
+            )
+        sampled, fixed = draws[n]
         for rho in rhos:
-            reports.append(check_convexity(f, name, rho, seed))
-            reports.append(check_nonempty(f, name, rho))
-            reports.append(check_boundedness(f, name, rho))
-            reports.append(check_continuity(f, name, rho, seed))
-            reports.append(check_bounded_variation(f, name, rho))
-            reports.append(check_lipschitz(f, name, rho))
-            reports.append(check_selections(f, name, rho))
-            reports.append(check_endpoint_identity(f, name, rho, seed))
+            g = rl_setvalued(f, rho)
+            row = node_row(f, rho, n)
+            # The convexity oracle's seeds seed..seed+63 are the first rows
+            # of the endpoint oracle's seed..seed+199.
+            convex_vals = selection_integrals(f, row, sampled[:CONVEXITY_SAMPLES])
+            reports += [
+                check_convexity(f, name, rho, seed, g=g, vals=convex_vals),
+                check_nonempty(f, name, rho, g=g, vals=selection_integrals(f, row, fixed)),
+                check_boundedness(f, name, rho, g=g),
+                check_continuity(f, name, rho, seed, g=g),
+                check_bounded_variation(f, name, rho, g=g),
+                check_lipschitz(f, name, rho, g=g),
+                check_selections(f, name, rho, g=g),
+                check_endpoint_identity(f, name, rho, g=g,
+                                        vals=selection_integrals(f, row, sampled)),
+            ]
     return reports

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from svfrac import gamma_fn
 from svfrac.cli import main
@@ -272,3 +276,91 @@ class TestZeroMapContinuity:
         reports = json.loads(out.read_text())
         assert {r["rho"] for r in reports if r["theorem"] == "3.4"} == {0.5, 1.0, 1.5, 2.7}
         assert all(r["pass"] for r in reports)
+
+
+class TestSeedOnlyOnVerify:
+    @pytest.mark.parametrize(
+        "argv", [["integrate", "--rho", "1"], ["selections", "--rho", "1"], ["inclusion"]]
+    )
+    def test_seed_is_rejected_where_it_has_no_effect(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def property_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli_property")
+    # rhs independent of u: Picard stops after 2 sweeps whatever --tol or --max-iter
+    (path / "problem.json").write_text(json.dumps(
+        {"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 0.5, "u1": 0.0,
+         "rhs": {"kind": "symmetric", "params": {"k": 1.0}}}
+    ))
+    return path
+
+
+FLOAT_VALUES = st.one_of(
+    st.sampled_from(["0.5", "1", "1.5", "2.7", "0", "-0.5", "-1", "nan", "-nan", "inf", "-inf",
+                     "1e308", "-1e308", "1e-320", "200", "1e6"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+# Grids stay <= 64; a too-large or non-integer grid is given only as text
+# that argparse rejects.
+GRID_VALUES = st.one_of(
+    st.integers(-3, 64).map(str), st.sampled_from(["nan", "inf", "-inf", "1e9", "2.5"])
+)
+# Huge iteration caps are safe: the property problem converges in 2 sweeps.
+ITER_VALUES = st.one_of(
+    st.integers(-3, 10**18).map(str), st.sampled_from(["nan", "inf", "-inf", "1e999"])
+)
+
+
+@st.composite
+def cli_argv(draw):
+    cmd = draw(st.sampled_from(["integrate", "verify", "selections", "bounds", "inclusion"]))
+    argv = [cmd]
+
+    def opt(name, values, required=False):
+        if required or draw(st.booleans()):
+            argv.append(f"{name}={draw(values)}")
+
+    n_rho = draw(st.integers(0, 2)) if cmd == "verify" else int(cmd != "inclusion")
+    for _ in range(n_rho):
+        opt("--rho", FLOAT_VALUES, required=True)
+    if cmd == "bounds":
+        opt("--M", FLOAT_VALUES, required=True)
+    else:
+        opt("--grid", GRID_VALUES)
+    if cmd == "inclusion":
+        opt("--alpha", FLOAT_VALUES)
+        opt("--tol", FLOAT_VALUES)
+        opt("--max-iter", ITER_VALUES)
+        if draw(st.booleans()):
+            argv.append("--funnel")
+    return argv
+
+
+class TestExitCodeProperty:
+    """Every argument list ends with a documented exit code, never a traceback."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(argv=cli_argv())
+    @example(argv=["integrate", "--rho=1e308"])  # lgamma overflows: exit 3
+    @example(argv=["bounds", "--rho=1e308", "--M=1"])
+    @example(argv=["selections", "--rho=-inf", "--grid=64"])
+    @example(argv=["verify", "--rho=1e-10", "--grid=8"])  # exit 1, see CHANGES.md
+    @example(argv=["inclusion", "--max-iter=0", "--tol=nan"])
+    def test_documented_exit_codes(self, property_dir, argv):
+        if argv[0] == "inclusion":
+            argv += ["--input", str(property_dir / "problem.json")]
+        argv += ["--output", str(property_dir / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejecting the arguments
+                code = exc.code
+        allowed = {0, 1, 2, 3, 4} if argv[0] == "verify" else {0, 2, 3, 4}
+        assert code in allowed, (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from svfrac import GridMap, Interval, Selection, hausdorff_to_zero
+from svfrac.gridmap import selection_draws
 
 RNG = np.random.default_rng(0)
 
@@ -99,6 +100,15 @@ class TestSelections:
         f = sym_linear(32)
         s1, s2 = f.random_selection(99), f.random_selection(99)
         assert np.array_equal(s1.values, s2.values)
+
+    def test_random_selection_draw_recipe(self):
+        # The verification oracle draws the same rows for many selections at once.
+        f = GridMap.from_builtin("sin_envelope", 0, 1, 16)
+        draws = selection_draws(17, range(40, 43))
+        for k, seed in enumerate(range(40, 43)):
+            expected = f.lo + np.random.default_rng(seed).random(17) * (f.hi - f.lo)
+            assert np.array_equal(f.random_selection(seed).values, expected)
+            assert np.array_equal(draws[k], np.random.default_rng(seed).random(17))
 
     def test_degenerate_unique_selection(self):
         f = GridMap(0, 1, [1, 2, 3], [1, 2, 3])

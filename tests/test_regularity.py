@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,6 +17,8 @@ from svfrac import (
     rl_setvalued,
     total_variation,
 )
+from svfrac import verify
+from svfrac.rl import kernel_hat_weights
 from svfrac.verify import fixture_catalog, run_verification
 
 RNG = np.random.default_rng(1)
@@ -136,6 +139,103 @@ class TestContinuityModulus:
         f = GridMap.from_builtin("sym_linear", 0, 1, 8)
         with pytest.raises(ValueError):
             continuity_modulus(f, 0.5, 0.7, 0.3)
+        with pytest.raises(ValueError, match="u=0.7, v=0.3"):
+            continuity_modulus(f, 0.5, [0.1, 0.7], [0.2, 0.3])
+        with pytest.raises(ValueError):
+            continuity_modulus(f, 0.5, 0.1, [0.2, 1.5])
+
+
+def modulus_reference(f, rho, u, v):
+    """The modulus pair by pair: kernel_hat_weights over the breakpoints
+    a, the nodes strictly inside (a, u), u, and u, the nodes inside (u, v), v."""
+    if u == v:
+        return 0.0
+    nodes = f.nodes
+    henv = np.maximum(np.abs(f.lo), np.abs(f.hi))
+
+    def breakpoints(left, right):
+        return np.concatenate(([left], nodes[(nodes > left) & (nodes < right)], [right]))
+
+    total = 0.0
+    if u > f.a:
+        ts = breakpoints(f.a, u)
+        hv = np.interp(ts, nodes, henv)
+        total += abs(kernel_hat_weights(v, rho, ts) @ hv - kernel_hat_weights(u, rho, ts) @ hv)
+    ts = breakpoints(u, v)
+    total += kernel_hat_weights(v, rho, ts) @ np.interp(ts, nodes, henv)
+    return total / gamma_fn(rho)
+
+
+def modulus_pairs(f):
+    """Node, non-node and mixed pairs, pairs at u = a and pairs with u = v."""
+    x = f.nodes
+    n = f.n_segments
+    return [
+        (0.0, 0.0), (0.0, 1.0), (0.0, 0.37), (0.0, x[1]), (x[0], x[n // 2]),
+        (x[n // 3], x[n]), (x[1], x[n]), (0.123, 0.877), (0.3, 0.3), (x[n], x[n]),
+        (0.41, x[n]), (x[n // 2], 0.93), (0.5, 0.51), (x[n // 2], x[n // 2]),
+    ]
+
+
+class TestArrayContinuityModulus:
+    """The array modulus (segments clipped to [a, u] and [u, v], in blocks)
+    against the pair-by-pair breakpoint reference and the defining integral."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 1.0, 1.5, 2.7])
+    def test_matches_breakpoint_reference(self, n, rho):
+        for kind in ("sin_envelope", "hat", "affine"):
+            f = GridMap.from_builtin(kind, 0, 1, n)
+            us, vs = np.array(modulus_pairs(f)).T
+            got = continuity_modulus(f, rho, us, vs)
+            assert got.shape == us.shape
+            for u, v, phi in zip(us, vs, got):
+                ref = modulus_reference(f, rho, u, v)
+                assert abs(phi - ref) <= 1e-13 * abs(ref), (kind, u, v, phi, ref)
+                assert continuity_modulus(f, rho, u, v) == phi  # the scalar call
+                if u == v:
+                    assert phi == 0.0
+
+    def test_blocks_and_broadcasting(self):
+        # 300 pairs on 64 segments span 19 blocks; u broadcasts against v.
+        f = GridMap.from_builtin("abs_envelope", 0, 1, 64)
+        rng = np.random.default_rng(3)
+        uv = np.sort(rng.uniform(0, 1, (300, 2)), axis=1)
+        got = continuity_modulus(f, 1.5, uv[:, 0], uv[:, 1])
+        assert np.array_equal(got, [continuity_modulus(f, 1.5, u, v) for u, v in uv])
+        grid = continuity_modulus(f, 0.5, 0.25, np.array([[0.25, 0.5], [0.75, 1.0]]))
+        assert grid.shape == (2, 2) and grid[0, 0] == 0.0
+        assert grid[1, 1] == continuity_modulus(f, 0.5, 0.25, 1.0)
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 1.0, 1.5, 2.7])
+    def test_against_mpmath_defining_integral(self, rho):
+        f = GridMap.from_builtin("sin_envelope", 0, 1, 8)
+        nodes = [mpmath.mpf(float(t)) for t in f.nodes]
+        henv = np.maximum(np.abs(f.lo), np.abs(f.hi))
+
+        def h(t):
+            return mpmath.mpf(float(np.interp(float(t), f.nodes, henv)))
+
+        def integral(kernel, left, right):
+            # h is linear between consecutive points, so integrate piece by piece
+            pts = [left] + [t for t in nodes if left < t < right] + [right]
+            total = mpmath.mpf(0)
+            for p, q in zip(pts[:-1], pts[1:]):
+                hp, hq = h(p), h(q)
+                total += mpmath.quad(
+                    lambda t: kernel(t) * (hp + (hq - hp) * (t - p) / (q - p)), [p, q]
+                )
+            return total
+
+        with mpmath.workdps(30):
+            for u, v in [(0.0, 0.6), (0.25, 0.5), (0.3, 0.95)]:
+                u_, v_, r = mpmath.mpf(u), mpmath.mpf(v), mpmath.mpf(rho)
+                first = 0
+                if u > 0:
+                    first = integral(lambda t: abs((v_ - t) ** (r - 1) - (u_ - t) ** (r - 1)), 0, u_)
+                second = integral(lambda t: (v_ - t) ** (r - 1), u_, v_)
+                ref = float((first + second) / mpmath.gamma(r))
+                assert abs(continuity_modulus(f, rho, u, v) - ref) <= 1e-10 * ref, (u, v)
 
 
 class TestScaleEquivariance:
@@ -172,6 +272,15 @@ class TestTheoremSuites:
         skipped = [r for r in reports if r.status.startswith("skipped")]
         assert skipped
         assert {r.theorem for r in skipped} == {"3.5", "3.6", "3.7/3.8"}
+
+    def test_one_integral_per_fixture_and_order(self, monkeypatch):
+        calls = []
+        real = verify.rl_setvalued
+        monkeypatch.setattr(
+            verify, "rl_setvalued", lambda f, rho: calls.append(rho) or real(f, rho)
+        )
+        reports = run_verification()
+        assert len(calls) == 24 == len(reports) // 8
 
     def test_report_serialization(self):
         r = run_verification(rhos=(1.5,), n_segments=16)[0]

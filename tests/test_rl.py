@@ -16,7 +16,8 @@ from svfrac import (
     rl_setvalued,
     rl_weight_matrix,
 )
-from svfrac.rl import _row
+from svfrac.gridmap import selection_draws
+from svfrac.rl import _row, node_row, selection_integrals
 
 RHOS = (0.3, 0.5, 1.0, 1.5, 2.7)
 
@@ -184,6 +185,23 @@ class TestSelectionOracle:
         assert abs(min(vals) - g.lo[-1]) < 1e-9
         assert abs(max(vals) - g.hi[-1]) < 1e-9
         assert all(g.lo[-1] - 1e-9 <= v <= g.hi[-1] + 1e-9 for v in vals)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.7])
+    @pytest.mark.parametrize("n", [20, 48])
+    def test_values_are_random_selection_integrals(self, rho, n):
+        f = GridMap.from_builtin("sin_envelope", 0, 1, 48)
+        seed, samples = 11, 30
+        expected = sorted(
+            {rl_scalar(f.random_selection(seed + k), rho, n) for k in range(samples)}
+            | {rl_scalar(f.extremal_lower(), rho, n), rl_scalar(f.extremal_upper(), rho, n)}
+        )
+        vals = rl_selection_oracle(f, rho, n, samples=samples, seed=seed)
+        assert len(vals) == len(expected) == samples + 2
+        assert np.abs(np.subtract(vals, expected)).max() <= 1e-13
+        # the shared draws of the verification suite: more seeds, first rows used
+        shared = selection_draws(49, range(seed, seed + 200))[:samples]
+        vals = selection_integrals(f, node_row(f, rho, n), shared)
+        assert np.abs(np.subtract(vals, expected)).max() <= 1e-13
 
     def test_cardinality_with_one_sample(self):
         f = GridMap.from_builtin("constant", 0, 1, 8, lo=-1.0, hi=1.0)
