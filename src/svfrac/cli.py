@@ -12,7 +12,7 @@ import json
 import sys
 
 from .gridmap import GridMap
-from .inclusion import CaputoProblem, NonConvergenceError, funnel_to_csv, solution_funnel, solve_with_policy
+from .inclusion import POLICIES, CaputoProblem, NonConvergenceError, funnel_to_csv, solution_funnel, solve_with_policy
 from .regularity import bound_l0, bound_sup
 from .rl import rl_setvalued
 from .selections import certify_extremals, certify_midpoint
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("inclusion", help="solve a Caputo inclusion by selection policy")
     common(sp)
     sp.add_argument("--alpha", type=float, help="override problem order")
-    sp.add_argument("--policy", choices=("lower", "upper", "midpoint"), default="midpoint")
+    sp.add_argument("--policy", choices=POLICIES, default="midpoint")
     sp.add_argument("--funnel", action="store_true", help="emit lower/upper envelope CSV")
     sp.add_argument("--max-iter", type=int, default=50)
     sp.add_argument("--tol", type=float, default=1e-10)

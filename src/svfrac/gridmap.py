@@ -163,10 +163,7 @@ class GridMap:
         return cls.from_builtin(kind, a, b, n, **obj.get("params", {}))
 
     def to_csv(self) -> str:
-        lines = ["u,lo,hi"]
-        for u, lo, hi in zip(self.nodes, self.lo, self.hi):
-            lines.append(f"{u:.12g},{lo:.12g},{hi:.12g}")
-        return "\n".join(lines) + "\n"
+        return _csv("u,lo,hi", self.nodes, self.lo, self.hi)
 
 
 class Selection:
@@ -214,6 +211,12 @@ class Selection:
         """Smallest Lipschitz constant; exact for piecewise-linear functions."""
         du = (self.b - self.a) / self.n_segments
         return float(np.abs(np.diff(self.values)).max() / du)
+
+
+def _csv(header: str, *columns) -> str:
+    """The header line, then one CSV line of `.12g` values per row of the columns."""
+    row = ",".join(["%.12g"] * len(columns))
+    return "\n".join([header, *[row % values for values in zip(*columns)]]) + "\n"
 
 
 def selection_draws(n_nodes: int, seeds) -> np.ndarray:

@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gridmap import GridMap
-from .interval import Interval
+from .gridmap import GridMap, _csv
 from .rl import gamma_fn, positive, quadrature_weights, rl_apply
 
 POLICIES = ("lower", "upper", "midpoint")
@@ -25,8 +24,7 @@ POLICIES = ("lower", "upper", "midpoint")
 
 def _rhs_constant(lo: float = 1.0, hi: float | None = None):
     hi = lo if hi is None else hi
-    box = Interval(lo, hi)
-    return lambda t, u: box
+    return lambda t, u: (lo, hi)
 
 
 def _rhs_symmetric(k: float = 1.0):
@@ -34,11 +32,11 @@ def _rhs_symmetric(k: float = 1.0):
 
 
 def _rhs_time_identity(width: float = 0.0):
-    return lambda t, u: Interval(t - width, t + width)
+    return lambda t, u: (t - width, t + width)
 
 
 def _rhs_affine(p: float = 0.0, q_lo: float = 0.0, q_hi: float = 0.0):
-    return lambda t, u: Interval(p * u + q_lo, p * u + q_hi)
+    return lambda t, u: (p * u + q_lo, p * u + q_hi)
 
 
 _RHS_BUILTINS = {
@@ -51,14 +49,14 @@ _RHS_BUILTINS = {
 
 @dataclass
 class CaputoProblem:
-    """Data of the fractional inclusion of order alpha in (1, 2)."""
+    """Inclusion of order alpha in (1, 2) with the elementwise field rhs(ts, us) -> (lo, hi)."""
 
     alpha: float
     t0: float
     T: float
     u0: float
     u1: float
-    rhs: Callable[[float, float], Interval]
+    rhs: Callable[[np.ndarray, np.ndarray], tuple]
     rhs_lipschitz_u: float = 0.0
 
     def __post_init__(self):
@@ -103,10 +101,7 @@ class Trajectory:
     residual: float
 
     def to_csv(self) -> str:
-        lines = ["t,u"]
-        for t, u in zip(self.ts, self.us):
-            lines.append(f"{t:.12g},{u:.12g}")
-        return "\n".join(lines) + "\n"
+        return _csv("t,u", self.ts, self.us)
 
 
 class NonConvergenceError(RuntimeError):
@@ -120,17 +115,26 @@ class NonConvergenceError(RuntimeError):
         )
 
 
+def _endpoints(p: CaputoProblem, ts, us) -> tuple[np.ndarray, np.ndarray]:
+    """The field's endpoint arrays on the broadcast points (ts, us), from one call;
+    ValueError at the first node, in flat order, where not finite lo <= hi."""
+    ts, us = np.broadcast_arrays(ts, us)
+    lo, hi = (np.broadcast_to(np.asarray(x, dtype=float), ts.shape) for x in p.rhs(ts, us))
+    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"rhs must give finite lo <= hi, got [{lo.flat[k]}, {hi.flat[k]}] "
+                         f"at node {k} (t={ts.flat[k]}, u={us.flat[k]})")
+    return lo, hi
+
+
 def _policy_values(p: CaputoProblem, ts: np.ndarray, us: np.ndarray, policy: str) -> np.ndarray:
-    out = np.empty(ts.size)
-    for i, (t, u) in enumerate(zip(ts, us)):
-        box = p.rhs(float(t), float(u))
-        if policy == "lower":
-            out[i] = box.lo
-        elif policy == "upper":
-            out[i] = box.hi
-        else:
-            out[i] = box.midpoint
-    return out
+    lo, hi = _endpoints(p, ts, us)
+    if policy == "lower":
+        return lo
+    if policy == "upper":
+        return hi
+    return 0.5 * (lo + hi)
 
 
 def solve_with_policy(
@@ -177,14 +181,10 @@ def rhs_monotone_in_u(p: CaputoProblem, n_t: int = 17, n_u: int = 17, span: floa
     """Probe whether both endpoint functions of the field are nondecreasing
     in u on a sample grid; the funnel is a guaranteed enclosure of
     policy-constant solutions only in that case."""
-    ts = np.linspace(p.t0, p.T, n_t)
+    ts = np.linspace(p.t0, p.T, n_t)[:, None]
     us = np.linspace(p.u0 - span, p.u0 + span, n_u)
-    for t in ts:
-        los = [p.rhs(float(t), float(u)).lo for u in us]
-        his = [p.rhs(float(t), float(u)).hi for u in us]
-        if np.any(np.diff(los) < -1e-12) or np.any(np.diff(his) < -1e-12):
-            return False
-    return True
+    lo, hi = _endpoints(p, ts, us)
+    return not (np.any(np.diff(lo) < -1e-12) or np.any(np.diff(hi) < -1e-12))
 
 
 def solution_funnel(
@@ -210,7 +210,4 @@ def solution_funnel(
 
 
 def funnel_to_csv(g: GridMap) -> str:
-    lines = ["t,lo,hi"]
-    for t, lo, hi in zip(g.nodes, g.lo, g.hi):
-        lines.append(f"{t:.12g},{lo:.12g},{hi:.12g}")
-    return "\n".join(lines) + "\n"
+    return _csv("t,lo,hi", g.nodes, g.lo, g.hi)

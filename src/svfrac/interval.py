@@ -28,10 +28,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def to_json(self) -> dict:
         return {"lo": self.lo, "hi": self.hi}
 

@@ -37,16 +37,13 @@ def gamma_fn(x: float) -> float:
 
 
 def _pow_diff(s0: np.ndarray, s1: np.ndarray, p: float) -> np.ndarray:
-    """s0**p - s1**p for 0 <= s1 < s0, stable for small p via expm1."""
+    """s0**p - s1**p for 0 <= s1 <= s0 as s1**p * expm1(p * log(s0/s1)), stable for
+    small p; s0**p where that is not finite (s1 = 0, or 0 * inf at huge p)."""
     s0 = np.asarray(s0, dtype=float)
     s1 = np.asarray(s1, dtype=float)
-    out = s0**p
-    pos = s1 > 0
-    if pos.any():
-        r = np.empty_like(out)
-        r[pos] = s1[pos] ** p * np.expm1(p * np.log(s0[pos] / s1[pos]))
-        out = np.where(pos, r, out)
-    return out
+    with np.errstate(all="ignore"):  # log(0), 0/0 and 0 * inf are replaced below
+        d = s1**p * np.expm1(p * np.log(s0 / s1))
+        return np.where(np.isfinite(d), d, s0**p)
 
 
 def _hat_moments(s0: np.ndarray, s1: np.ndarray, h, rho: float) -> tuple[np.ndarray, np.ndarray]:

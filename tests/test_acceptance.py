@@ -9,6 +9,7 @@ import pytest
 
 from svfrac import (
     GridMap,
+    Interval,
     Selection,
     chattering_hull,
     contains,
@@ -23,7 +24,7 @@ from svfrac import (
     total_variation,
 )
 from svfrac.cli import main
-from svfrac.inclusion import CaputoProblem, Interval, solve_with_policy
+from svfrac.inclusion import CaputoProblem, solve_with_policy
 from svfrac.regularity import bound_l0, bound_sup
 from svfrac.verify import fixture_catalog
 
@@ -187,12 +188,12 @@ class TestCriterion8ExtremalSelections:
 
 class TestCriterion9InclusionSolver:
     def test_constant_rhs(self):
-        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: Interval(1.0, 1.0))
+        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: (1.0, 1.0))
         traj = solve_with_policy(p, "midpoint", n=1024)
         assert abs(traj.us[-1] - 1.0 / gamma_fn(2.5)) <= 1e-4
 
     def test_linear_time_rhs(self):
-        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: Interval(t, t))
+        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: (t, t))
         traj = solve_with_policy(p, "midpoint", n=1024)
         assert abs(traj.us[-1] - 1.0 / gamma_fn(3.5)) <= 1e-4
 
@@ -200,12 +201,12 @@ class TestCriterion9InclusionSolver:
         fixtures = [
             CaputoProblem(
                 1.5, 0.0, 1.0, 1.0, 0.0,
-                rhs=lambda t, u: Interval(-0.4 * u - 0.1, -0.4 * u + 0.1),
+                rhs=lambda t, u: (-0.4 * u - 0.1, -0.4 * u + 0.1),
                 rhs_lipschitz_u=0.4,
             ),
             CaputoProblem(
                 1.2, 0.0, 1.0, 0.0, 1.0,
-                rhs=lambda t, u: Interval(0.3 * u, 0.3 * u + 0.5),
+                rhs=lambda t, u: (0.3 * u, 0.3 * u + 0.5),
                 rhs_lipschitz_u=0.3,
             ),
         ]

@@ -1,7 +1,10 @@
 import contextlib
+import importlib
 import io
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -166,6 +169,26 @@ class TestInclusion:
             )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "rhs",
+        [
+            {"kind": "constant", "params": {"lo": 2.0, "hi": 1.0}},
+            {"kind": "affine", "params": {"p": 1.0, "q_lo": 0.5, "q_hi": 0.1}},
+            {"kind": "time_identity", "params": {"width": float("nan")}},
+        ],
+        ids=["constant_lo_above_hi", "affine_lo_above_hi", "time_identity_nan"],
+    )
+    @pytest.mark.parametrize("mode", [["--policy", "lower"], ["--funnel"]], ids=["policy", "funnel"])
+    def test_invalid_rhs_is_parameter_error(self, tmp_path, rhs, mode, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 0.0, "u1": 0.0, "rhs": rhs}
+        ))
+        out = tmp_path / "never.csv"
+        assert main(["inclusion", "--input", str(path), "--output", str(out)] + mode) == 3
+        assert not out.exists()
+        assert "rhs must give finite lo <= hi" in capsys.readouterr().err
+
     def test_funnel_output(self, tmp_path, problem_file):
         out = tmp_path / "funnel.csv"
         assert main(
@@ -213,6 +236,21 @@ class TestParameterRobustness:
             # J^200 [-u, u] = [-1, 1] * u^201 / Gamma(202)
             expected = math.exp(201 * math.log(u) - math.lgamma(202)) if u > 0 else 0.0
             assert abs(hi - expected) <= 1e-12 and abs(lo + expected) <= 1e-12
+
+    def test_huge_order_underflows_to_zero(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["integrate", "--rho", "1e6", "--grid", "16", "--output", str(out)]) == 0
+        for row in out.read_text().strip().split("\n")[1:]:
+            u, lo, hi = map(float, row.split(","))
+            # J^rho [-u, u] = [-1, 1] * u^(rho+1) / Gamma(rho+2), below the float range
+            expected = math.exp(1000001 * math.log(u) - math.lgamma(1000002)) if u > 0 else 0.0
+            assert hi == expected == -lo
+
+    @pytest.mark.parametrize("rho", ["1e-10", "1e-3"])
+    def test_tiny_order_verifies(self, tmp_path, rho):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--rho", rho, "--grid", "16", "--output", str(out)]) == 0
+        assert all(r["pass"] for r in json.loads(out.read_text()))
 
     def test_large_order_verifies(self, tmp_path):
         out = tmp_path / "report.json"
@@ -276,6 +314,26 @@ class TestZeroMapContinuity:
         reports = json.loads(out.read_text())
         assert {r["rho"] for r in reports if r["theorem"] == "3.4"} == {0.5, 1.0, 1.5, 2.7}
         assert all(r["pass"] for r in reports)
+
+
+class TestConsoleScript:
+    """The packaged `svfrac` script resolves to an entry point that exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--grid", "16"], ["integrate", "--rho", "0.5", "--grid", "64", "--output", "g.csv"]]
+    )
+    def test_entry_point_exits_zero(self, tmp_path, monkeypatch, argv):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["svfrac"]
+        assert target == "svfrac.cli:console_main"
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["svfrac", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 0
 
 
 class TestSeedOnlyOnVerify:
@@ -349,7 +407,7 @@ class TestExitCodeProperty:
     @example(argv=["integrate", "--rho=1e308"])  # lgamma overflows: exit 3
     @example(argv=["bounds", "--rho=1e308", "--M=1"])
     @example(argv=["selections", "--rho=-inf", "--grid=64"])
-    @example(argv=["verify", "--rho=1e-10", "--grid=8"])  # exit 1, see CHANGES.md
+    @example(argv=["verify", "--rho=1e-10", "--grid=8"])  # the modulus rises as v -> a
     @example(argv=["inclusion", "--max-iter=0", "--tol=nan"])
     def test_documented_exit_codes(self, property_dir, argv):
         if argv[0] == "inclusion":

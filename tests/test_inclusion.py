@@ -3,8 +3,9 @@ import pytest
 
 from svfrac import (
     CaputoProblem,
-    Interval,
+    GridMap,
     NonConvergenceError,
+    Trajectory,
     gamma_fn,
     solution_funnel,
     solve_with_policy,
@@ -15,7 +16,7 @@ from svfrac.inclusion import funnel_to_csv, rhs_monotone_in_u
 def constant_problem(c=1.0, alpha=1.5):
     return CaputoProblem(
         alpha=alpha, t0=0.0, T=1.0, u0=0.0, u1=0.0,
-        rhs=lambda t, u: Interval(c, c), rhs_lipschitz_u=0.0,
+        rhs=lambda t, u: (c, c), rhs_lipschitz_u=0.0,
     )
 
 
@@ -27,7 +28,7 @@ class TestProblemValidation:
 
     def test_time_ordering(self):
         with pytest.raises(ValueError):
-            CaputoProblem(1.5, 1.0, 0.0, 0.0, 0.0, lambda t, u: Interval(0, 0))
+            CaputoProblem(1.5, 1.0, 0.0, 0.0, 0.0, lambda t, u: (0, 0))
 
     def test_from_json(self):
         p = CaputoProblem.from_json(
@@ -37,7 +38,7 @@ class TestProblemValidation:
                 "lipschitz_u": 0.0,
             }
         )
-        assert p.rhs(0.3, 7.0) == Interval(1.0, 1.0)
+        assert p.rhs(0.3, 7.0) == (1.0, 1.0)
 
     def test_unknown_rhs_kind(self):
         with pytest.raises(ValueError):
@@ -61,7 +62,7 @@ class TestSolveWithPolicy:
 
     def test_symmetric_rhs_midpoint_one_iteration(self):
         p = CaputoProblem(
-            1.5, 0.0, 1.0, 0.5, 2.0, lambda t, u: Interval(-3.0, 3.0)
+            1.5, 0.0, 1.0, 0.5, 2.0, lambda t, u: (-3.0, 3.0)
         )
         traj = solve_with_policy(p, "midpoint", n=64)
         assert traj.iterations_used == 1
@@ -69,12 +70,12 @@ class TestSolveWithPolicy:
 
     def test_time_dependent_rhs_closed_form(self):
         # v(t) = t: u(1) = Gamma(2)/Gamma(alpha + 2) = 1/Gamma(3.5)
-        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: Interval(t, t))
+        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: (t, t))
         traj = solve_with_policy(p, "lower", n=256)
         assert abs(traj.us[-1] - 1.0 / gamma_fn(3.5)) < 1e-10
 
     def test_initial_conditions_and_linear_part(self):
-        p = CaputoProblem(1.2, 0.0, 2.0, -1.0, 3.0, lambda t, u: Interval(0.0, 0.0))
+        p = CaputoProblem(1.2, 0.0, 2.0, -1.0, 3.0, lambda t, u: (0.0, 0.0))
         traj = solve_with_policy(p, "midpoint", n=32)
         assert traj.us[0] == -1.0
         assert np.allclose(traj.us, -1.0 + 3.0 * traj.ts)
@@ -94,7 +95,7 @@ class TestSolveWithPolicy:
     def test_contraction_converges_quickly(self):
         p = CaputoProblem(
             1.5, 0.0, 1.0, 1.0, 0.0,
-            rhs=lambda t, u: Interval(-0.4 * u - 0.1, -0.4 * u + 0.1),
+            rhs=lambda t, u: (-0.4 * u - 0.1, -0.4 * u + 0.1),
             rhs_lipschitz_u=0.4,
         )
         assert p.contraction_factor() <= 0.5
@@ -105,7 +106,7 @@ class TestSolveWithPolicy:
     def test_nonconvergence_raises_with_history(self):
         p = CaputoProblem(
             1.5, 0.0, 1.0, 1.0, 0.0,
-            rhs=lambda t, u: Interval(10.0 * u, 10.0 * u),
+            rhs=lambda t, u: (10.0 * u, 10.0 * u),
             rhs_lipschitz_u=10.0,
         )
         with pytest.warns(UserWarning, match="contraction"):
@@ -120,14 +121,14 @@ class TestSolveWithPolicy:
 
 class TestSolutionFunnel:
     def test_symmetric_constant_rhs(self):
-        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: Interval(-1.0, 1.0))
+        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: (-1.0, 1.0))
         g = solution_funnel(p, n=256)
         expected = 1.0 / gamma_fn(2.5)
         assert abs(g.hi[-1] - expected) < 1e-10
         assert abs(g.lo[-1] + expected) < 1e-10
 
     def test_degenerate_rhs_gives_degenerate_funnel(self):
-        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: Interval(t, t))
+        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: (t, t))
         g = solution_funnel(p, n=256)
         assert np.allclose(g.lo, g.hi, atol=1e-12)
         assert abs(g.hi[-1] - 1.0 / gamma_fn(3.5)) < 1e-10
@@ -135,7 +136,7 @@ class TestSolutionFunnel:
     def test_funnel_ordering_for_monotone_rhs(self):
         p = CaputoProblem(
             1.5, 0.0, 1.0, 0.0, 0.0,
-            rhs=lambda t, u: Interval(0.2 * u, 0.2 * u + 1.0),
+            rhs=lambda t, u: (0.2 * u, 0.2 * u + 1.0),
             rhs_lipschitz_u=0.2,
         )
         assert rhs_monotone_in_u(p)
@@ -146,7 +147,7 @@ class TestSolutionFunnel:
     def test_nonmonotone_rhs_warns(self):
         p = CaputoProblem(
             1.5, 0.0, 1.0, 0.0, 0.0,
-            rhs=lambda t, u: Interval(-abs(u) - 1.0, abs(u) + 1.0),
+            rhs=lambda t, u: (-abs(u) - 1.0, abs(u) + 1.0),
             rhs_lipschitz_u=1.0,
         )
         with pytest.warns(UserWarning, match="not a guaranteed enclosure"):
@@ -158,3 +159,50 @@ class TestSolutionFunnel:
         lines = text.strip().split("\n")
         assert lines[0] == "t,lo,hi"
         assert len(lines) == 6
+
+    def test_csv_writers_print_twelve_significant_digits(self):
+        g = GridMap(0.0, 1.0, [-1 / 3, 1e-20], [2 / 3, 1e20])
+        rows = "0,-0.333333333333,0.666666666667\n1,1e-20,1e+20\n"
+        assert g.to_csv() == "u,lo,hi\n" + rows
+        assert funnel_to_csv(g) == "t,lo,hi\n" + rows
+        traj = Trajectory(np.array([0.0, 1 / 3]), np.array([2 / 3, -1e-20]), 1, 0.0)
+        assert traj.to_csv() == "t,u\n0,0.666666666667\n0.333333333333,-1e-20\n"
+
+
+class TestArrayProtocol:
+    """The field is called once per sweep on the whole grid, and once on the
+    monotonicity probe grid; its endpoints are checked on every call."""
+
+    def test_one_call_per_sweep_and_probe(self):
+        shapes = []
+
+        def rhs(t, u):
+            shapes.append(np.broadcast(t, u).shape)
+            return 0.4 * u - 0.1, 0.4 * u + 0.1
+
+        p = CaputoProblem(1.5, 0.0, 1.0, 1.0, 0.0, rhs, rhs_lipschitz_u=0.4)
+        sweeps = [solve_with_policy(p, policy, n=64).iterations_used for policy in ("lower", "upper")]
+        assert shapes == [(65,)] * sum(sweeps)
+        shapes.clear()
+        solution_funnel(p, n=64)
+        assert shapes == [(65,)] * sum(sweeps) + [(17, 17)]
+
+    @pytest.mark.parametrize(
+        "rhs, node",
+        [
+            (lambda t, u: (np.where(np.arange(t.size) == 5, 2.0, 0.0), 1.0), 5),
+            (lambda t, u: (0.0, np.where(t > 0.5, np.nan, 1.0)), 9),
+        ],
+        ids=["lo_above_hi", "nan_hi"],
+    )
+    def test_invalid_endpoints_name_the_node(self, rhs, node):
+        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, rhs)
+        with pytest.raises(ValueError, match=f"at node {node} "):
+            solve_with_policy(p, "midpoint", n=16)
+
+    def test_probe_checks_endpoints(self):
+        # valid near the solution (|u| < 1), invalid on the probe grid's u > 5
+        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: (np.where(u > 5, 2.0, 0.0), 1.0))
+        solve_with_policy(p, "upper", n=16)
+        with pytest.raises(ValueError, match="u=6.25"):
+            rhs_monotone_in_u(p)
