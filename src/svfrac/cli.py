@@ -111,12 +111,14 @@ def cmd_inclusion(args) -> int:
     if not args.input:
         raise InputError("inclusion requires --input with a problem JSON")
     obj = _load_json(args.input)
-    if args.alpha is not None:
-        obj["alpha"] = args.alpha
     try:
+        if args.alpha is not None:
+            obj["alpha"] = args.alpha
         problem = CaputoProblem.from_json(obj)
     except KeyError as exc:
         raise InputError(f"malformed problem spec: missing {exc}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise InputError(f"malformed problem spec: {exc}") from exc
     try:
         if args.funnel:
             g = solution_funnel(problem, n=args.grid, max_iter=args.max_iter, tol=args.tol)

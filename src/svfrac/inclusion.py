@@ -62,6 +62,9 @@ class CaputoProblem:
     def __post_init__(self):
         if not 1.0 < self.alpha < 2.0:
             raise ValueError(f"order alpha must lie in (1, 2), got {self.alpha}")
+        for name in ("t0", "T", "u0", "u1"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t0 < self.T:
             raise ValueError(f"time domain requires t0 < T, got [{self.t0}, {self.T}]")
         positive("declared Lipschitz constant", self.rhs_lipschitz_u, strict=False)
@@ -75,13 +78,16 @@ class CaputoProblem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CaputoProblem":
+        """The problem of a problem-file object. The rhs params become floats
+        here, so an ill-typed one fails on reading, not at the first sweep."""
         rhs_spec = obj["rhs"]
         kind = rhs_spec["kind"]
         if kind not in _RHS_BUILTINS:
             raise ValueError(
                 f"unknown rhs kind {kind!r}; known: {sorted(_RHS_BUILTINS)}"
             )
-        rhs = _RHS_BUILTINS[kind](**rhs_spec.get("params", {}))
+        params = {name: float(x) for name, x in rhs_spec.get("params", {}).items()}
+        rhs = _RHS_BUILTINS[kind](**params)
         return cls(
             alpha=float(obj["alpha"]),
             t0=float(obj["t0"]),
@@ -109,10 +115,12 @@ class NonConvergenceError(RuntimeError):
 
     def __init__(self, residuals: list[float], max_iter: int, tol: float):
         self.residuals = residuals
-        super().__init__(
-            f"no convergence after {max_iter} iterations: last residual "
-            f"{residuals[-1]:.3e} > tol {tol:.3e}"
+        last = residuals[-1]
+        reason = (
+            f"last residual {last:.3e} > tol {tol:.3e}" if np.isfinite(last)
+            else f"the iterate left the float range (last residual {last})"
         )
+        super().__init__(f"no convergence after {max_iter} iterations: {reason}")
 
 
 def _endpoints(p: CaputoProblem, ts, us) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +156,9 @@ def solve_with_policy(
 
     The integrand is sampled at the grid nodes and treated as piecewise
     linear, the same representation-class approximation used everywhere else.
-    Non-convergence raises NonConvergenceError carrying the residual history.
+    Non-convergence raises NonConvergenceError carrying the residual history,
+    also when an iterate leaves the float range: the sweep stops there, before
+    the field is evaluated on it, with a non-finite last residual.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
@@ -168,9 +178,12 @@ def solve_with_policy(
     residuals: list[float] = []
     for it in range(1, max_iter + 1):
         v = _policy_values(p, ts, us, policy)
-        nxt = init + rl_apply(weights, v)
-        res = float(np.abs(nxt - us).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging iterate stops below
+            nxt = init + rl_apply(weights, v)
+            res = float(np.abs(nxt - us).max())
         residuals.append(res)
+        if not np.isfinite(res):
+            raise NonConvergenceError(residuals, it, tol)
         us = nxt
         if res <= tol:
             return Trajectory(ts=ts, us=us, iterations_used=it, residual=res)

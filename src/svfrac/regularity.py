@@ -60,28 +60,25 @@ def bound_l0(rho: float, m: float, a: float, b: float) -> float:
     return _scaled_power(m, a, b, rho - 1.0, rho)
 
 
-# Pair x segment entries per temporary array in continuity_modulus, so that
-# its memory stays bounded whatever the number of pairs.
+# Entries per temporary array in continuity_modulus, and target x segment
+# entries of its moment table, so that its memory stays bounded whatever the
+# number of pairs.
 _BLOCK_ENTRIES = 1024
+_TABLE_ENTRIES = 16 * _BLOCK_ENTRIES
 
 
-def _clip(x, h, lo, hi):
-    """Every segment of the nodes x clipped to [lo, hi] (columns): its ends
-    and the values there of the piecewise-linear function with node values h."""
-    left, right = np.minimum(np.maximum(x[:-1], lo), hi), np.minimum(np.maximum(x[1:], lo), hi)
-    return left, right, np.interp(left, x, h), np.interp(right, x, h)
-
-
-def _kernel_integrals(c, segments, rho: float) -> np.ndarray:
-    """Per row, the integral of (c - t)^(rho-1) times the piecewise-linear
-    function over the clipped `segments` of _clip, for a column c at or
-    beyond their right ends. Zero-length segments contribute 0."""
-    left, right, h_left, h_right = segments
+def _segment_terms(x, h, j, lo, hi, c, rho: float) -> np.ndarray:
+    """Per entry (broadcast), the integral of (c - t)^(rho-1) times the
+    piecewise-linear function with node values h over segment j of the
+    nodes x clipped to [lo, hi], for c at or beyond hi. Zero-length clips
+    give 0."""
+    left = np.minimum(np.maximum(x[j], lo), hi)
+    right = np.minimum(np.maximum(x[j + 1], lo), hi)
     length = right - left
     w_left, w_right = _hat_moments(
         c - left, np.maximum(c - right, 0.0), np.where(length > 0, length, 1.0), rho
     )
-    return (w_left * h_left + w_right * h_right).sum(axis=1)
+    return w_left * np.interp(left, x, h) + w_right * np.interp(right, x, h)
 
 
 def continuity_modulus(f: GridMap, rho: float, u, v):
@@ -98,9 +95,22 @@ def continuity_modulus(f: GridMap, rho: float, u, v):
     absolute difference of the two product integrals.
 
     u and v may be arrays, broadcast against each other; the result has
-    their shape (a float for scalars). Every grid segment is clipped to
-    [a, u] and to [u, v] and integrated in closed form, for blocks of pairs
-    of at most about _BLOCK_ENTRIES pair x segment entries.
+    their shape (a float for scalars). Each of the three integrals is a sum
+    of closed-form hat moments over the grid segments clipped to [a, u] or
+    [u, v]. The terms of the integral over [a, c] at c depend only on the
+    target c (a u or a v), so they are taken once per distinct target, as a
+    row of a (targets x segments) table. The row at u is the integral at u.
+    The row at v, masked to the segments left of u or right of u, gives the
+    two integrals at v once the segment holding u is put in, clipped to
+    [a, u] or to [u, v]: the only terms taken per pair. Every integral thus
+    sums the same terms in the same order as a clip of every segment for
+    each pair would, and gives the same bits.
+
+    Memory stays bounded whatever the number of pairs. Pairs are taken in
+    chunks of _TABLE_ENTRIES / 2N (at least 1, and at most _BLOCK_ENTRIES / 2,
+    since a chunk's per-pair terms are one array), so the table has at most
+    max(_TABLE_ENTRIES, 2N) entries; the table and the masked rows are
+    computed in blocks of about _BLOCK_ENTRIES entries.
     """
     rho = positive("fractional order rho", rho)
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
@@ -110,15 +120,36 @@ def continuity_modulus(f: GridMap, rho: float, u, v):
     if bad.size:
         k = bad[0]
         raise ValueError(f"need a <= u <= v <= b, got u={us[k]}, v={vs[k]} on [{f.a}, {f.b}]")
-    x = f.nodes
+    x, n = f.nodes, f.n_segments
     henv = np.maximum(np.abs(f.lo), np.abs(f.hi))
-    step = max(1, _BLOCK_ENTRIES // f.n_segments)
+    chunk = max(1, min(_BLOCK_ENTRIES // 2, _TABLE_ENTRIES // (2 * n)))
+    step = max(1, _BLOCK_ENTRIES // n)
     out = np.empty(us.size)
-    for k in range(0, out.size, step):
-        uk, vk = us[k : k + step, None], vs[k : k + step, None]
-        head = _clip(x, henv, f.a, uk)
-        i_v, i_u = _kernel_integrals(vk, head, rho), _kernel_integrals(uk, head, rho)
-        out[k : k + step] = np.abs(i_v - i_u) + _kernel_integrals(vk, _clip(x, henv, uk, vk), rho)
+    for c0 in range(0, out.size, chunk):
+        uc, vc, oc = us[c0 : c0 + chunk], vs[c0 : c0 + chunk], out[c0 : c0 + chunk]
+        targets, inverse = np.unique(np.concatenate((uc, vc)), return_inverse=True)
+        iu, iv = inverse[: uc.size], inverse[uc.size :]
+        table = np.zeros((targets.size, n))
+        for k in range(0, targets.size, step):
+            c = targets[k : k + step, None]
+            m = min(n, np.searchsorted(x, c[-1, 0], side="right"))  # segments from a to c
+            table[k : k + step, :m] = _segment_terms(x, henv, np.arange(m), f.a, c, c, rho)
+        # The segment holding u (the last one for u = b), clipped to [a, u]
+        # and to [u, v], at v.
+        ju = np.minimum(np.searchsorted(x, uc, side="right") - 1, n - 1)
+        head, tail_u = _segment_terms(
+            x, henv, np.concatenate((ju, ju)), np.concatenate((np.full(uc.size, f.a), uc)),
+            np.concatenate((uc, vc)), np.concatenate((vc, vc)), rho,
+        ).reshape(2, -1)
+        for k in range(0, uc.size, step):
+            b = slice(k, k + step)
+            uk = uc[b, None]
+            at = np.arange(len(uk))
+            i_u, row_v = table[iu[b]], table[iv[b]]
+            i_v = np.where(x[1:] <= uk, row_v, 0.0)
+            tail = np.where(x[:-1] >= uk, row_v, 0.0)
+            i_v[at, ju[b]], tail[at, ju[b]] = head[b], tail_u[b]
+            oc[b] = np.abs(i_v.sum(axis=1) - i_u.sum(axis=1)) + tail.sum(axis=1)
     out *= math.exp(-math.lgamma(rho))
     return out.reshape(shape) if shape else float(out[0])
 

@@ -103,13 +103,17 @@ def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap):
 def check_continuity(f: GridMap, name: str, rho: float, seed: int, pairs: int = 100, *,
                      g: GridMap):
     """Thm 3.4: Hausdorff increments dominated by the modulus, and the
-    modulus vanishes along a shrinking interval."""
+    modulus vanishes along a shrinking interval. One modulus call takes the
+    random node pairs and the shrinking pairs (a, a + (b - a) 2^-m) together."""
     rng = np.random.default_rng(seed)
     i, j = np.sort(rng.integers(0, g.n_segments + 1, size=(pairs, 2)), axis=1).T
     hd = np.maximum(np.abs(g.lo[i] - g.lo[j]), np.abs(g.hi[i] - g.hi[j]))
-    worst = float(np.max(hd - continuity_modulus(f, rho, g.nodes[i], g.nodes[j])))
     vs = f.a + (f.b - f.a) * 2.0 ** -np.arange(1, 13)
-    phis = continuity_modulus(f, rho, f.a, vs)
+    nodes = g.nodes
+    phi = continuity_modulus(
+        f, rho, np.concatenate((nodes[i], np.full(vs.size, f.a))), np.concatenate((nodes[j], vs))
+    )
+    worst, phis = float(np.max(hd - phi[:pairs])), phi[pairs:]
     if rho >= 1.0:
         # Phi(u, .) is monotone in v for rho >= 1 (its v-derivative is a
         # nonnegative kernel integral); for rho < 1 only decay is guaranteed.

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -422,3 +423,104 @@ class TestExitCodeProperty:
         allowed = {0, 1, 2, 3, 4} if argv[0] == "verify" else {0, 2, 3, 4}
         assert code in allowed, (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, -1.0, 1000.0, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=1),
+)
+# Mostly numbers, so that the solver also runs on valid but extreme problems.
+PROBLEM_VALUES = st.one_of(NUMBERS, NUMBERS, NUMBERS, JUNK)
+PARAM_NAMES = ("lo", "hi", "k", "width", "p", "q_lo", "q_hi", "bogus")
+
+
+@st.composite
+def problem_json(draw):
+    """Inclusion problem objects: valid ones, extreme values, missing keys,
+    unknown or ill-typed rhs kinds and params, and non-object rhs or files."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    obj = {"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 0.5, "u1": 0.0, "lipschitz_u": 0.0}
+    for key in sorted(obj):
+        if draw(st.integers(0, 3)) == 0:
+            obj[key] = draw(PROBLEM_VALUES)
+    kind = draw(st.sampled_from(["constant", "symmetric", "time_identity", "affine", "bogus", 3]))
+    params = draw(st.dictionaries(st.sampled_from(PARAM_NAMES), PROBLEM_VALUES, max_size=3))
+    obj["rhs"] = draw(st.sampled_from([
+        {"kind": kind, "params": params}, {"kind": kind}, {"params": params},
+        {"kind": kind, "params": [1, 2]}, [1, 2], "affine",
+    ]))
+    for key in draw(st.lists(st.sampled_from(sorted(obj)), max_size=2)):
+        obj.pop(key, None)
+    return obj
+
+
+@st.composite
+def inclusion_argv(draw):
+    argv = ["inclusion", f"--grid={draw(st.sampled_from([1, 8, 64]))}"]
+    argv.append(f"--policy={draw(st.sampled_from(['lower', 'upper', 'midpoint']))}")
+    if draw(st.booleans()):
+        argv.append("--funnel")
+    if draw(st.booleans()):
+        argv.append(f"--max-iter={draw(st.sampled_from([1, 5, 300]))}")
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--alpha={draw(NUMBERS)!r}")
+    return argv
+
+
+class TestProblemFileProperty:
+    """Every inclusion problem file ends with a documented exit code, never a
+    traceback: 2 for a malformed file, 3 for an invalid value, 4 for
+    non-convergence (also past the float range)."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(obj=problem_json(), argv=inclusion_argv())
+    @example(  # an ill-typed rhs parameter: exit 2
+        obj={"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0,
+             "rhs": {"kind": "symmetric", "params": {"bogus": 1}}},
+        argv=["inclusion", "--grid=64"],
+    )
+    @example(  # a non-object rhs: exit 2
+        obj={"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0, "rhs": [1, 2]},
+        argv=["inclusion", "--grid=64"],
+    )
+    @example(  # Picard iterates overflow: exit 4
+        obj={"alpha": 1.5, "t0": 0.0, "T": 1000.0, "u0": 1.0, "u1": 0.0,
+             "rhs": {"kind": "affine", "params": {"p": 1.0}}, "lipschitz_u": 1.0},
+        argv=["inclusion", "--grid=64", "--max-iter=300"],
+    )
+    @example(
+        obj={"alpha": 1.5, "t0": 0.0, "T": 1000.0, "u0": 1.0, "u1": 0.0,
+             "rhs": {"kind": "affine", "params": {"p": 1.0}}, "lipschitz_u": 1.0},
+        argv=["inclusion", "--grid=64", "--max-iter=300", "--funnel"],
+    )
+    def test_documented_exit_codes(self, property_dir, obj, argv):
+        path = property_dir / "problem_property.json"
+        path.write_text(json.dumps(obj))
+        argv = argv + ["--input", str(path), "--output", str(property_dir / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # contraction-factor and overflow warnings
+            code = main(argv)
+        assert code in {0, 2, 3, 4}, (obj, argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    def test_malformed_file_and_overflowing_iterates(self, tmp_path, capsys):
+        """The explicit examples above, with their exact exit codes and messages."""
+        path = tmp_path / "p.json"
+        spec = {"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0}
+        for rhs in ({"kind": "symmetric", "params": {"bogus": 1}}, [1, 2]):
+            path.write_text(json.dumps({**spec, "rhs": rhs}))
+            assert main(["inclusion", "--input", str(path), "--grid", "64"]) == 2
+            assert "malformed problem spec" in capsys.readouterr().err
+        path.write_text(json.dumps({**spec, "T": 1000.0, "lipschitz_u": 1.0,
+                                    "rhs": {"kind": "affine", "params": {"p": 1.0}}}))
+        for mode in ([], ["--funnel"]):
+            with pytest.warns(UserWarning):
+                code = main(["inclusion", "--input", str(path), "--grid", "64", "--max-iter", "300"] + mode)
+            assert code == 4
+            assert "left the float range" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -17,8 +18,8 @@ from svfrac import (
     rl_setvalued,
     total_variation,
 )
-from svfrac import verify
-from svfrac.rl import kernel_hat_weights
+from svfrac import regularity, verify
+from svfrac.rl import _hat_moments, kernel_hat_weights
 from svfrac.verify import fixture_catalog, run_verification
 
 RNG = np.random.default_rng(1)
@@ -167,13 +168,21 @@ def modulus_reference(f, rho, u, v):
 
 
 def modulus_pairs(f):
-    """Node, non-node and mixed pairs, pairs at u = a and pairs with u = v."""
+    """Node, non-node and mixed pairs, pairs at u = a and pairs with u = v;
+    then pairs sharing u, pairs sharing v, and node pairs followed by the
+    shrinking pairs (a, a + (b - a) 2^-m) of the continuity check."""
     x = f.nodes
     n = f.n_segments
     return [
         (0.0, 0.0), (0.0, 1.0), (0.0, 0.37), (0.0, x[1]), (x[0], x[n // 2]),
         (x[n // 3], x[n]), (x[1], x[n]), (0.123, 0.877), (0.3, 0.3), (x[n], x[n]),
         (0.41, x[n]), (x[n // 2], 0.93), (0.5, 0.51), (x[n // 2], x[n // 2]),
+        *((x[n // 3], v) for v in (x[n // 3], x[n // 2], 0.61, 0.77, x[n])),
+        *((0.29, v) for v in (0.29, 0.3, 0.61, x[n])),
+        *((u, 0.77) for u in (0.0, x[n // 4], 0.29, x[n // 2], 0.61, 0.77)),
+        *((u, x[n]) for u in (0.0, x[n // 3], 0.61, x[n])),
+        (x[0], x[n // 2]), (x[n // 4], x[n // 2]), (x[n // 2], x[n]), (x[0], x[n]),
+        *((0.0, 2.0**-m) for m in range(1, 13)),
     ]
 
 
@@ -236,6 +245,97 @@ class TestArrayContinuityModulus:
                 second = integral(lambda t: (v_ - t) ** (r - 1), u_, v_)
                 ref = float((first + second) / mpmath.gamma(r))
                 assert abs(continuity_modulus(f, rho, u, v) - ref) <= 1e-10 * ref, (u, v)
+
+
+def modulus_clipped_reference(f, rho, u, v):
+    """The array modulus with every segment clipped to [a, u] and to [u, v]
+    for each pair, in blocks of pairs. The per-target table version sums the
+    same terms in the same order, so it must match bit for bit."""
+    us, vs = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    x = f.nodes
+    henv = np.maximum(np.abs(f.lo), np.abs(f.hi))
+
+    def clip(lo, hi):
+        left = np.minimum(np.maximum(x[:-1], lo), hi)
+        right = np.minimum(np.maximum(x[1:], lo), hi)
+        return left, right, np.interp(left, x, henv), np.interp(right, x, henv)
+
+    def integrals(c, segments):
+        left, right, h_left, h_right = segments
+        length = right - left
+        w_left, w_right = _hat_moments(
+            c - left, np.maximum(c - right, 0.0), np.where(length > 0, length, 1.0), rho
+        )
+        return (w_left * h_left + w_right * h_right).sum(axis=1)
+
+    step = max(1, regularity._BLOCK_ENTRIES // f.n_segments)
+    out = np.empty(us.size)
+    for k in range(0, us.size, step):
+        uk, vk = us.ravel()[k : k + step, None], vs.ravel()[k : k + step, None]
+        head = clip(f.a, uk)
+        i_v, i_u = integrals(vk, head), integrals(uk, head)
+        out[k : k + step] = np.abs(i_v - i_u) + integrals(vk, clip(uk, vk))
+    return out.reshape(us.shape) * math.exp(-math.lgamma(rho))
+
+
+def continuity_calls(monkeypatch, **kwargs):
+    """The (f, rho, u, v) of every modulus call that run_verification makes."""
+    calls = []
+    real = verify.continuity_modulus
+
+    def record(f, rho, u, v):
+        calls.append((f, rho, u, v))
+        return real(f, rho, u, v)
+
+    monkeypatch.setattr(verify, "continuity_modulus", record)
+    run_verification(**kwargs)
+    return calls
+
+
+class TestModulusTable:
+    """The per-target table modulus is bit-identical to the clipped-block
+    one, run_verification calls it once per (fixture, rho), and its memory
+    stays bounded."""
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_bit_identical_on_the_verification_pairs(self, monkeypatch, n):
+        calls = continuity_calls(monkeypatch, n_segments=n)
+        assert len(calls) == 24  # one per (fixture, rho): node and shrinking pairs together
+        for f, rho, u, v in calls:
+            assert u.shape == v.shape == (112,)
+            got = continuity_modulus(f, rho, u, v)
+            assert np.array_equal(got, modulus_clipped_reference(f, rho, u, v)), rho
+
+    @pytest.mark.parametrize("rho", [0.3, 1.0, 2.7])
+    def test_bit_identical_on_repeated_targets(self, rho):
+        for n in (1, 7, 64, 1500):
+            f = GridMap.from_builtin("sin_envelope", 0, 1, n)
+            us, vs = np.array(modulus_pairs(f)).T
+            rng = np.random.default_rng(n)
+            # 600 pairs: more than one chunk at every n
+            uv = np.sort(rng.choice(np.concatenate((f.nodes, rng.uniform(0, 1, 20))), (600, 2)), axis=1)
+            us, vs = np.concatenate((us, uv[:, 0])), np.concatenate((vs, uv[:, 1]))
+            got = continuity_modulus(f, rho, us, vs)
+            assert np.array_equal(got, modulus_clipped_reference(f, rho, us, vs)), n
+
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [(64, lambda x, rng: rng.uniform(0, 1, (20_000, 2))),
+         (4096, lambda x, rng: x[rng.integers(0, x.size, (100, 2))])],
+        ids=["20000_random_pairs_n64", "100_node_pairs_n4096"],
+    )
+    def test_peak_memory_is_bounded(self, n, pairs):
+        f = GridMap.from_builtin("abs_envelope", 0, 1, n)
+        uv = np.sort(pairs(f.nodes, np.random.default_rng(7)), axis=1)
+        u, v = uv[:, 0].copy(), uv[:, 1].copy()
+        continuity_modulus(f, 1.5, u[:10], v[:10])  # first-call allocations
+        tracemalloc.start()
+        try:
+            continuity_modulus(f, 1.5, u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
 
 
 class TestScaleEquivariance:
