@@ -27,7 +27,6 @@ from .rl import (
     rl_scalar,
     rl_selection_oracle,
     rl_setvalued,
-    rl_weight_matrix,
 )
 from .selections import (
     SelectionCertificate,
@@ -69,7 +68,6 @@ __all__ = [
     "rl_scalar",
     "rl_selection_oracle",
     "rl_setvalued",
-    "rl_weight_matrix",
     "run_verification",
     "solution_funnel",
     "solve_with_policy",

@@ -15,14 +15,7 @@ import numpy as np
 
 from .interval import Interval
 
-_BUILTIN_DOC = {
-    "constant": "constant interval [params: lo, hi]",
-    "sym_linear": "[-u, u] scaled by params: slope (default 1)",
-    "affine": "[c_lo + s_lo*u, c_hi + s_hi*u]",
-    "abs_envelope": "[-|u - center|, |u - center|]",
-    "sin_envelope": "[-amp + off*sin(freq*u), amp + off*cos(freq*u)]",
-    "hat": "[0, hat(u)] with peak at the midpoint [params: height]",
-}
+_BUILTIN_KINDS = ("constant", "sym_linear", "affine", "abs_envelope", "sin_envelope", "hat")
 
 
 class GridMap:
@@ -59,13 +52,6 @@ class GridMap:
     def step(self) -> float:
         return (self.b - self.a) / self.n_segments
 
-    def same_grid(self, other) -> bool:
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.n_segments == other.n_segments
-        )
-
     def interval_at(self, i: int) -> Interval:
         return Interval(float(self.lo[i]), float(self.hi[i]))
 
@@ -95,11 +81,6 @@ class GridMap:
         """Node values drawn uniformly from [lo_i, hi_i]; pure in (self, seed)."""
         y = self.lo + selection_draws(self.lo.size, [seed])[0] * (self.hi - self.lo)
         return Selection(self.a, self.b, y)
-
-    def scaled(self, c: float) -> "GridMap":
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return GridMap(self.a, self.b, c * self.lo, c * self.hi)
 
     # -- construction helpers -------------------------------------------------
 
@@ -134,7 +115,7 @@ class GridMap:
             mid = 0.5 * (a + b)
             hat = h * (1.0 - np.abs(u - mid) / (0.5 * (b - a)))
             return cls(a, b, np.zeros(u.size), hat)
-        raise ValueError(f"unknown builtin map kind {kind!r}; known: {sorted(_BUILTIN_DOC)}")
+        raise ValueError(f"unknown builtin map kind {kind!r}; known: {sorted(_BUILTIN_KINDS)}")
 
     # -- serialization --------------------------------------------------------
 
@@ -197,7 +178,7 @@ class Selection:
         """Node-wise membership; implies membership on all of [a,b] because
         the selection and both endpoint functions are linear on each segment.
         Cross-grid attachment is an error, not False."""
-        if not f.same_grid(self):
+        if (f.a, f.b, f.n_segments) != (self.a, self.b, self.n_segments):
             raise ValueError("selection and map must share the same grid")
         return bool(
             np.all(f.lo - tol <= self.values) and np.all(self.values <= f.hi + tol)

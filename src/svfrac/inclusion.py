@@ -70,11 +70,7 @@ class CaputoProblem:
         positive("declared Lipschitz constant", self.rhs_lipschitz_u, strict=False)
 
     def contraction_factor(self) -> float:
-        return (
-            self.rhs_lipschitz_u
-            * (self.T - self.t0) ** self.alpha
-            / gamma_fn(self.alpha + 1.0)
-        )
+        return self.rhs_lipschitz_u * (self.T - self.t0) ** self.alpha / gamma_fn(self.alpha + 1.0)
 
     @classmethod
     def from_json(cls, obj: dict) -> "CaputoProblem":
@@ -158,7 +154,8 @@ def solve_with_policy(
     linear, the same representation-class approximation used everywhere else.
     Non-convergence raises NonConvergenceError carrying the residual history,
     also when an iterate leaves the float range: the sweep stops there, before
-    the field is evaluated on it, with a non-finite last residual.
+    the field is evaluated on it, with a non-finite last residual. An initial
+    line u0 + u1 (t - t0) beyond the float range is a ValueError instead.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
@@ -173,7 +170,10 @@ def solve_with_policy(
         )
     weights = quadrature_weights(p.t0, p.T, n, p.alpha)
     ts = np.linspace(p.t0, p.T, n + 1)
-    init = p.u0 + p.u1 * (ts - p.t0)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        init = p.u0 + p.u1 * (ts - p.t0)
+    if not np.isfinite(init).all():
+        raise ValueError(f"initial line u0 + u1 (t - t0) is beyond the float range on [{p.t0}, {p.T}]")
     us = init.copy()
     residuals: list[float] = []
     for it in range(1, max_iter + 1):

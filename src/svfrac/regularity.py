@@ -7,7 +7,6 @@ originals they lower-bound the true values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -180,6 +179,3 @@ class RegularityReport:
         if self.details:
             obj["details"] = self.details
         return obj
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)

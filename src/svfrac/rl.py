@@ -14,6 +14,7 @@ and O(N) memory.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import numpy.fft  # at module scope, so that no operation pays for the import
@@ -23,11 +24,13 @@ from .interval import Interval
 
 
 def positive(name: str, value: float, *, strict: bool = True) -> float:
-    """`value` as a float; ValueError unless it is finite and > 0
-    (>= 0 when `strict` is False). NaN and infinities are rejected."""
+    """`value` as a float; ValueError unless it is finite and >= the smallest
+    normal float (>= 0 when `strict` is False). The kernel moments divide by
+    the order, which overflows for a subnormal one."""
     value = float(value)
-    if not (math.isfinite(value) and (value > 0 or (not strict and value == 0))):
-        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {value}")
+    low = sys.float_info.min if strict else 0.0
+    if not (math.isfinite(value) and value >= low):
+        raise ValueError(f"{name} must be finite and >= {low!r}, got {value}")
     return value
 
 
@@ -52,24 +55,6 @@ def _hat_moments(s0: np.ndarray, s1: np.ndarray, h, rho: float) -> tuple[np.ndar
     m0 = _pow_diff(s0, s1, rho) / rho
     d1 = _pow_diff(s0, s1, rho + 1.0) / (rho + 1.0)
     return (d1 - s1 * m0) / h, (s0 * m0 - d1) / h
-
-
-def kernel_hat_weights(c: float, rho: float, ts: np.ndarray) -> np.ndarray:
-    """Weights w with sum_i w_i * f(ts_i) = integral of (c - t)^(rho-1) * f(t)
-    over [ts[0], ts[-1]] for piecewise-linear f on breakpoints ts.
-
-    Requires c >= ts[-1]; breakpoints may be non-uniform. No 1/Gamma factor.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if ts.size < 2:
-        return np.zeros(ts.size)
-    if c < ts[-1] - 1e-15 * max(1.0, abs(ts[-1])):
-        raise ValueError("kernel target must lie at or beyond the last breakpoint")
-    w_left, w_right = _hat_moments(c - ts[:-1], np.maximum(c - ts[1:], 0.0), np.diff(ts), rho)
-    w = np.zeros(ts.size)
-    w[:-1] += w_left
-    w[1:] += w_right
-    return w
 
 
 def quadrature_weights(
@@ -128,18 +113,6 @@ def node_row(f: GridMap | Selection, rho: float, n: int) -> np.ndarray:
 def rl_scalar(f: Selection, rho: float, n: int) -> float:
     """Riemann-Liouville integral of order rho of f, evaluated at node n."""
     return float(node_row(f, rho, n) @ f.values[: n + 1])
-
-
-def rl_weight_matrix(a: float, b: float, n_segments: int, rho: float) -> np.ndarray:
-    """Dense lower-triangular W with (W @ f_values)[n] = rl_scalar(f, rho, n),
-    built row by row from kernel_hat_weights. O(N^2) time and memory: a
-    reference for tests, not used by any computation in the package."""
-    nodes = np.linspace(a, b, n_segments + 1)
-    g = gamma_fn(rho)
-    w = np.zeros((n_segments + 1, n_segments + 1))
-    for n in range(1, n_segments + 1):
-        w[n, : n + 1] = kernel_hat_weights(float(nodes[n]), rho, nodes[: n + 1]) / g
-    return w
 
 
 def rl_setvalued(f: GridMap, rho: float) -> GridMap:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .gridmap import GridMap, Selection
@@ -35,9 +34,6 @@ class SelectionCertificate:
             "parent_lipschitz": float(f"{self.parent_lipschitz:.15g}"),
             "membership_checked": self.membership_checked,
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _certify(g: GridMap, sel: Selection, kind: str) -> SelectionCertificate:

@@ -1,0 +1,72 @@
+"""Dense and per-pair references for tests: the O(N^2) row-by-row RL weight
+matrix built from the non-uniform kernel weights, and the continuity modulus
+with every segment clipped for each pair. None of them is used by the
+package; each is an independent construction that its fast counterpart is
+checked against."""
+
+import math
+
+import numpy as np
+
+from svfrac import gamma_fn, regularity
+from svfrac.rl import _hat_moments
+
+
+def kernel_hat_weights(c: float, rho: float, ts: np.ndarray) -> np.ndarray:
+    """Weights w with sum_i w_i * f(ts_i) = integral of (c - t)^(rho-1) * f(t)
+    over [ts[0], ts[-1]] for piecewise-linear f on breakpoints ts.
+
+    Requires c >= ts[-1]; breakpoints may be non-uniform. No 1/Gamma factor.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ts.size < 2:
+        return np.zeros(ts.size)
+    if c < ts[-1] - 1e-15 * max(1.0, abs(ts[-1])):
+        raise ValueError("kernel target must lie at or beyond the last breakpoint")
+    w_left, w_right = _hat_moments(c - ts[:-1], np.maximum(c - ts[1:], 0.0), np.diff(ts), rho)
+    w = np.zeros(ts.size)
+    w[:-1] += w_left
+    w[1:] += w_right
+    return w
+
+
+def rl_weight_matrix(a: float, b: float, n_segments: int, rho: float) -> np.ndarray:
+    """Dense lower-triangular W with (W @ f_values)[n] = rl_scalar(f, rho, n),
+    built row by row from kernel_hat_weights. O(N^2) time and memory."""
+    nodes = np.linspace(a, b, n_segments + 1)
+    g = gamma_fn(rho)
+    w = np.zeros((n_segments + 1, n_segments + 1))
+    for n in range(1, n_segments + 1):
+        w[n, : n + 1] = kernel_hat_weights(float(nodes[n]), rho, nodes[: n + 1]) / g
+    return w
+
+
+def modulus_clipped_reference(f, rho, u, v):
+    """The array modulus with every segment clipped to [a, u] and to [u, v]
+    for each pair, in blocks of pairs. The per-target table version sums the
+    same terms in the same order, so it must match bit for bit."""
+    us, vs = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    x = f.nodes
+    henv = np.maximum(np.abs(f.lo), np.abs(f.hi))
+
+    def clip(lo, hi):
+        left = np.minimum(np.maximum(x[:-1], lo), hi)
+        right = np.minimum(np.maximum(x[1:], lo), hi)
+        return left, right, np.interp(left, x, henv), np.interp(right, x, henv)
+
+    def integrals(c, segments):
+        left, right, h_left, h_right = segments
+        length = right - left
+        w_left, w_right = _hat_moments(
+            c - left, np.maximum(c - right, 0.0), np.where(length > 0, length, 1.0), rho
+        )
+        return (w_left * h_left + w_right * h_right).sum(axis=1)
+
+    step = max(1, regularity._BLOCK_ENTRIES // f.n_segments)
+    out = np.empty(us.size)
+    for k in range(0, us.size, step):
+        uk, vk = us.ravel()[k : k + step, None], vs.ravel()[k : k + step, None]
+        head = clip(f.a, uk)
+        i_v, i_u = integrals(vk, head), integrals(uk, head)
+        out[k : k + step] = np.abs(i_v - i_u) + integrals(vk, clip(uk, vk))
+    return out.reshape(us.shape) * math.exp(-math.lgamma(rho))

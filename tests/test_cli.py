@@ -277,6 +277,9 @@ class TestParameterRobustness:
             ["integrate", "--rho", "0.5", "--grid", "0"],
             ["integrate", "--rho", "0.5", "--grid", "-3"],
             ["verify", "--grid", "0"],
+            # subnormal orders, which overflowed the kernel moments' division by rho
+            ["integrate", "--rho", "1e-320", "--grid", "8"],
+            ["verify", "--rho", "1e-308", "--grid", "8"],
         ],
     )
     def test_non_finite_or_empty_inputs(self, argv, capsys):
@@ -290,6 +293,26 @@ class TestParameterRobustness:
     def test_inclusion_parameters(self, tmp_path, problem_file, extra, capsys):
         out = tmp_path / "never.csv"
         assert main(["inclusion", "--input", problem_file, "--output", str(out)] + extra) == 3
+        assert not out.exists()
+        assert "parameter error" in capsys.readouterr().err
+
+    def test_smallest_normal_order_integrates(self, tmp_path):
+        out = tmp_path / "g.csv"
+        argv = ["integrate", "--rho", "2.2250738585072014e-308", "--grid", "8", "--output", str(out)]
+        assert main(argv) == 0
+        for row in out.read_text().strip().split("\n")[1:]:
+            u, lo, hi = map(float, row.split(","))
+            # J^rho [-u, u] -> [-u, u] as rho -> 0
+            assert abs(hi - u) <= 1e-12 and abs(lo + u) <= 1e-12
+
+    @pytest.mark.parametrize("extra", [[], ["--funnel"]])
+    def test_initial_line_beyond_float_range(self, tmp_path, extra, capsys):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"alpha": 1.5, "t0": 0, "T": 10, "u0": 0, "u1": 1e308,
+                                       "rhs": {"kind": "symmetric", "params": {"k": 1}}}))
+        out = tmp_path / "never.csv"
+        argv = ["inclusion", "--input", str(problem), "--grid", "16", "--output", str(out)]
+        assert main(argv + extra) == 3
         assert not out.exists()
         assert "parameter error" in capsys.readouterr().err
 

@@ -131,9 +131,11 @@ class TestSelections:
 
     def test_cross_grid_attachment_is_error(self):
         f = sym_linear(4)
-        s = Selection(0, 1, np.zeros(9))
-        with pytest.raises(ValueError):
-            s.is_selection_of(f)
+        # another segment count, and the same segment count on other domains
+        for s in (Selection(0, 1, np.zeros(9)), Selection(0, 2, np.zeros(5)),
+                  Selection(-1, 1, np.zeros(5))):
+            with pytest.raises(ValueError):
+                s.is_selection_of(f)
 
 
 class TestVariationLipschitz:

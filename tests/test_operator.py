@@ -9,7 +9,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from svfrac import GridMap, gamma_fn, quadrature_weights, rl_apply, rl_setvalued, rl_weight_matrix
+from _reference import rl_weight_matrix
+from svfrac import GridMap, gamma_fn, quadrature_weights, rl_apply, rl_setvalued
 from svfrac.rl import _row
 
 ORDERS = (1e-3, 0.3, 1.0, 2.7, 50.0)

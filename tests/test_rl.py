@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _reference import rl_weight_matrix
 from svfrac import (
     GridMap,
     Selection,
@@ -14,7 +15,6 @@ from svfrac import (
     rl_scalar,
     rl_selection_oracle,
     rl_setvalued,
-    rl_weight_matrix,
 )
 from svfrac.gridmap import selection_draws
 from svfrac.rl import _row, node_row, selection_integrals
