@@ -151,12 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", help="output path (default: stdout)")
         sp.add_argument("--grid", type=int, default=256)
 
+    def map_source(sp):
+        """The map of --input, or of --builtin on [--a, --b], and the order --rho."""
+        common(sp)
+        sp.add_argument("--builtin", default="sym_linear", help="builtin map when no --input")
+        sp.add_argument("--a", type=float, default=0.0)
+        sp.add_argument("--b", type=float, default=1.0)
+        sp.add_argument("--rho", type=float, required=True)
+
     sp = sub.add_parser("integrate", help="set-valued RL integral of a map, CSV/JSON out")
-    common(sp)
-    sp.add_argument("--builtin", default="sym_linear", help="builtin map when no --input")
-    sp.add_argument("--a", type=float, default=0.0)
-    sp.add_argument("--b", type=float, default=1.0)
-    sp.add_argument("--rho", type=float, required=True)
+    map_source(sp)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=cmd_integrate)
 
@@ -167,11 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify, grid=64)
 
     sp = sub.add_parser("selections", help="selection certificates of the integral map")
-    common(sp)
-    sp.add_argument("--builtin", default="sym_linear")
-    sp.add_argument("--a", type=float, default=0.0)
-    sp.add_argument("--b", type=float, default=1.0)
-    sp.add_argument("--rho", type=float, required=True)
+    map_source(sp)
     sp.set_defaults(func=cmd_selections)
 
     sp = sub.add_parser("bounds", help="analytic sup/Lipschitz bounds for given parameters")

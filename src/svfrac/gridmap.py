@@ -3,7 +3,7 @@
 A GridMap stores interval values at the nodes of a uniform grid; both
 endpoint functions are linearly interpolated between nodes, so the
 ordering lo <= hi and boundedness hold on the whole domain automatically.
-A Selection is a single-valued piecewise-linear function on the same grid.
+A Selection is the point-valued GridMap: its lo and hi are one array.
 """
 
 from __future__ import annotations
@@ -147,51 +147,28 @@ class GridMap:
         return _csv("u,lo,hi", self.nodes, self.lo, self.hi)
 
 
-class Selection:
-    """Single-valued piecewise-linear function on the same uniform grid as a GridMap."""
+class Selection(GridMap):
+    """Single-valued piecewise-linear function on a uniform grid: the
+    point-valued GridMap, whose lo and hi are one array, `values`."""
 
     def __init__(self, a: float, b: float, values: Sequence[float]):
         values = np.asarray(values, dtype=float)
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError(f"domain requires finite a < b, got [{a}, {b}]")
-        if values.ndim != 1 or values.size < 2 or not np.isfinite(values).all():
-            raise ValueError("selection values must be a finite 1-d sequence with >= 2 nodes")
-        self.a = float(a)
-        self.b = float(b)
-        self.values = values
-        self.values.setflags(write=False)
+        super().__init__(a, b, values, values)
 
     @property
-    def n_segments(self) -> int:
-        return self.values.size - 1
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.values.size)
+    def values(self) -> np.ndarray:
+        return self.lo
 
     def eval(self, u: float) -> float:
-        if not self.a <= u <= self.b:
-            raise ValueError(f"evaluation point {u} outside [{self.a}, {self.b}]")
-        return float(np.interp(u, self.nodes, self.values))
+        return super().eval(u).lo
 
-    def is_selection_of(self, f: GridMap, tol: float = 0.0) -> bool:
+    def is_selection_of(self, f: GridMap) -> bool:
         """Node-wise membership; implies membership on all of [a,b] because
         the selection and both endpoint functions are linear on each segment.
         Cross-grid attachment is an error, not False."""
         if (f.a, f.b, f.n_segments) != (self.a, self.b, self.n_segments):
             raise ValueError("selection and map must share the same grid")
-        return bool(
-            np.all(f.lo - tol <= self.values) and np.all(self.values <= f.hi + tol)
-        )
-
-    def variation(self) -> float:
-        """Total variation; exact for piecewise-linear functions."""
-        return float(np.abs(np.diff(self.values)).sum())
-
-    def lipschitz(self) -> float:
-        """Smallest Lipschitz constant; exact for piecewise-linear functions."""
-        du = (self.b - self.a) / self.n_segments
-        return float(np.abs(np.diff(self.values)).max() / du)
+        return bool(np.all(f.lo <= self.values) and np.all(self.values <= f.hi))
 
 
 def _csv(header: str, *columns) -> str:

@@ -20,6 +20,8 @@ from .gridmap import GridMap, _csv
 from .rl import gamma_fn, positive, quadrature_weights, rl_apply
 
 POLICIES = ("lower", "upper", "midpoint")
+PROBE_NODES = 17  # times and states on the probe grid of rhs_monotone_in_u
+PROBE_SPAN = 10.0  # its states lie within PROBE_SPAN of u0
 
 
 def _rhs_constant(lo: float = 1.0, hi: float | None = None):
@@ -75,24 +77,22 @@ class CaputoProblem:
     @classmethod
     def from_json(cls, obj: dict) -> "CaputoProblem":
         """The problem of a problem-file object. The rhs params become floats
-        here, so an ill-typed one fails on reading, not at the first sweep."""
+        here, so an ill-typed one fails on reading, not at the first sweep.
+        Text that is no number is a TypeError, like a value of another type;
+        a number out of range is a ValueError."""
         rhs_spec = obj["rhs"]
         kind = rhs_spec["kind"]
         if kind not in _RHS_BUILTINS:
             raise ValueError(
                 f"unknown rhs kind {kind!r}; known: {sorted(_RHS_BUILTINS)}"
             )
-        params = {name: float(x) for name, x in rhs_spec.get("params", {}).items()}
-        rhs = _RHS_BUILTINS[kind](**params)
-        return cls(
-            alpha=float(obj["alpha"]),
-            t0=float(obj["t0"]),
-            T=float(obj["T"]),
-            u0=float(obj["u0"]),
-            u1=float(obj["u1"]),
-            rhs=rhs,
-            rhs_lipschitz_u=float(obj.get("lipschitz_u", 0.0)),
-        )
+        try:
+            params = {name: float(x) for name, x in rhs_spec.get("params", {}).items()}
+            values = {name: float(obj[name]) for name in ("alpha", "t0", "T", "u0", "u1")}
+            lipschitz = float(obj.get("lipschitz_u", 0.0))
+        except ValueError as exc:
+            raise TypeError(str(exc)) from exc
+        return cls(**values, rhs=_RHS_BUILTINS[kind](**params), rhs_lipschitz_u=lipschitz)
 
 
 @dataclass
@@ -190,12 +190,12 @@ def solve_with_policy(
     raise NonConvergenceError(residuals, max_iter, tol)
 
 
-def rhs_monotone_in_u(p: CaputoProblem, n_t: int = 17, n_u: int = 17, span: float = 10.0) -> bool:
+def rhs_monotone_in_u(p: CaputoProblem) -> bool:
     """Probe whether both endpoint functions of the field are nondecreasing
     in u on a sample grid; the funnel is a guaranteed enclosure of
     policy-constant solutions only in that case."""
-    ts = np.linspace(p.t0, p.T, n_t)[:, None]
-    us = np.linspace(p.u0 - span, p.u0 + span, n_u)
+    ts = np.linspace(p.t0, p.T, PROBE_NODES)[:, None]
+    us = np.linspace(p.u0 - PROBE_SPAN, p.u0 + PROBE_SPAN, PROBE_NODES)
     lo, hi = _endpoints(p, ts, us)
     return not (np.any(np.diff(lo) < -1e-12) or np.any(np.diff(hi) < -1e-12))
 

@@ -105,7 +105,7 @@ def _row(weights: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
     return np.concatenate(([col0[n]], kernel[:n][::-1]))
 
 
-def node_row(f: GridMap | Selection, rho: float, n: int) -> np.ndarray:
+def node_row(f: GridMap, rho: float, n: int) -> np.ndarray:
     """Weights of nodes 0..n of f's grid in the RL integral of order rho at node n."""
     return _row(quadrature_weights(f.a, f.b, f.n_segments, rho), n)
 

@@ -40,8 +40,8 @@ def _certify(g: GridMap, sel: Selection, kind: str) -> SelectionCertificate:
     return SelectionCertificate(
         kind=kind,
         selection=sel,
-        variation=sel.variation(),
-        lipschitz=sel.lipschitz(),
+        variation=total_variation(sel),
+        lipschitz=lipschitz_constant(sel),
         parent_variation=total_variation(g),
         parent_lipschitz=lipschitz_constant(g),
         membership_checked=sel.is_selection_of(g),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gridmap import GridMap, selection_draws
+from .gridmap import _BUILTIN_KINDS, GridMap, selection_draws
 from .interval import Interval, hausdorff
 from .regularity import (
     RegularityReport,
@@ -35,19 +35,14 @@ EXACT_TOL = 1e-12
 CONVEXITY_SAMPLES = 64
 ENDPOINT_SAMPLES = 200
 NONEMPTY_SEED, NONEMPTY_SAMPLES = 7, 8
+CONVEXITY_TRIALS = 100  # pairs of oracle values combined by 3.1
+CONTINUITY_PAIRS = 100  # random node pairs compared by 3.4
 
 
 def fixture_catalog(n_segments: int = 64) -> dict[str, GridMap]:
-    """Reproducible fixture set: the canonical [-u, u] map plus the builtin
-    families from the map constructors."""
-    return {
-        "sym_linear": GridMap.from_builtin("sym_linear", 0.0, 1.0, n_segments),
-        "constant": GridMap.from_builtin("constant", 0.0, 1.0, n_segments, lo=-1.0, hi=1.0),
-        "affine": GridMap.from_builtin("affine", 0.0, 1.0, n_segments),
-        "abs_envelope": GridMap.from_builtin("abs_envelope", 0.0, 1.0, n_segments),
-        "sin_envelope": GridMap.from_builtin("sin_envelope", 0.0, 1.0, n_segments),
-        "hat": GridMap.from_builtin("hat", 0.0, 1.0, n_segments),
-    }
+    """Reproducible fixture set: every builtin map family on [0, 1] at its
+    default parameters, the canonical [-u, u] map (sym_linear) among them."""
+    return {kind: GridMap.from_builtin(kind, 0.0, 1.0, n_segments) for kind in _BUILTIN_KINDS}
 
 
 def _report(theorem, fixture, rho, measured, bound, passed, status="checked", **details):
@@ -67,12 +62,12 @@ def _skip(theorem, fixture, rho):
     return _report(theorem, fixture, rho, 0.0, 0.0, True, status="skipped (requires rho>1)")
 
 
-def check_convexity(f: GridMap, name: str, rho: float, seed: int, trials: int = 100, *,
+def check_convexity(f: GridMap, name: str, rho: float, seed: int, *,
                     g: GridMap, vals: tuple[float, ...]):
     """Thm 3.1: convex combinations of oracle values stay in the node interval.
     The pairs combined are drawn from `vals` with the generator of `seed`."""
     box = g.interval_at(f.n_segments)
-    picks = np.random.default_rng(seed).choice(vals, size=(trials, 2))
+    picks = np.random.default_rng(seed).choice(vals, size=(CONVEXITY_TRIALS, 2))
     lam = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     y = lam * picks[:, :1] + (1.0 - lam) * picks[:, 1:]
     worst = max(0.0, box.lo - y.min(), y.max() - box.hi)
@@ -100,20 +95,19 @@ def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap):
     return _report("3.3", name, rho, measured, bound, measured <= bound + BOUND_TOL)
 
 
-def check_continuity(f: GridMap, name: str, rho: float, seed: int, pairs: int = 100, *,
-                     g: GridMap):
+def check_continuity(f: GridMap, name: str, rho: float, seed: int, *, g: GridMap):
     """Thm 3.4: Hausdorff increments dominated by the modulus, and the
     modulus vanishes along a shrinking interval. One modulus call takes the
     random node pairs and the shrinking pairs (a, a + (b - a) 2^-m) together."""
     rng = np.random.default_rng(seed)
-    i, j = np.sort(rng.integers(0, g.n_segments + 1, size=(pairs, 2)), axis=1).T
+    i, j = np.sort(rng.integers(0, g.n_segments + 1, size=(CONTINUITY_PAIRS, 2)), axis=1).T
     hd = np.maximum(np.abs(g.lo[i] - g.lo[j]), np.abs(g.hi[i] - g.hi[j]))
     vs = f.a + (f.b - f.a) * 2.0 ** -np.arange(1, 13)
     nodes = g.nodes
     phi = continuity_modulus(
         f, rho, np.concatenate((nodes[i], np.full(vs.size, f.a))), np.concatenate((nodes[j], vs))
     )
-    worst, phis = float(np.max(hd - phi[:pairs])), phi[pairs:]
+    worst, phis = float(np.max(hd - phi[:CONTINUITY_PAIRS])), phi[CONTINUITY_PAIRS:]
     if rho >= 1.0:
         # Phi(u, .) is monotone in v for rho >= 1 (its v-derivative is a
         # nonnegative kernel integral); for rho < 1 only decay is guaranteed.
@@ -132,8 +126,8 @@ def check_bounded_variation(f: GridMap, name: str, rho: float, *, g: GridMap):
     """Thm 3.5 (rho > 1): V(G) between max and sum of extremal variations."""
     if rho <= 1.0:
         return _skip("3.5", name, rho)
-    va = g.extremal_lower().variation()
-    vb = g.extremal_upper().variation()
+    va = total_variation(g.extremal_lower())
+    vb = total_variation(g.extremal_upper())
     vg = total_variation(g)
     ok = max(va, vb) - EXACT_TOL <= vg <= va + vb + EXACT_TOL
     return _report("3.5", name, rho, vg, va + vb, ok, lower=max(va, vb))

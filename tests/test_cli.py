@@ -536,10 +536,15 @@ class TestProblemFileProperty:
         """The explicit examples above, with their exact exit codes and messages."""
         path = tmp_path / "p.json"
         spec = {"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0}
-        for rhs in ({"kind": "symmetric", "params": {"bogus": 1}}, [1, 2]):
+        for rhs in ({"kind": "symmetric", "params": {"bogus": 1}}, [1, 2],
+                    {"kind": "symmetric", "params": {"k": "x"}}):
             path.write_text(json.dumps({**spec, "rhs": rhs}))
             assert main(["inclusion", "--input", str(path), "--grid", "64"]) == 2
             assert "malformed problem spec" in capsys.readouterr().err
+        # text that is no number is malformed too, as in a map file
+        path.write_text(json.dumps({**spec, "T": "ab", "rhs": {"kind": "symmetric"}}))
+        assert main(["inclusion", "--input", str(path), "--grid", "64"]) == 2
+        assert "malformed problem spec" in capsys.readouterr().err
         path.write_text(json.dumps({**spec, "T": 1000.0, "lipschitz_u": 1.0,
                                     "rhs": {"kind": "affine", "params": {"p": 1.0}}}))
         for mode in ([], ["--funnel"]):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svfrac import GridMap, Interval, Selection, hausdorff_to_zero
+from svfrac import GridMap, Interval, Selection, hausdorff_to_zero, lipschitz_constant, total_variation
 from svfrac.gridmap import selection_draws
 
 RNG = np.random.default_rng(0)
@@ -87,6 +87,8 @@ class TestSelections:
         lo, hi = f.extremal_lower(), f.extremal_upper()
         assert np.allclose(lo.values, -f.nodes)
         assert np.allclose(hi.values, f.nodes)
+        # a selection is the point-valued map: one array for lo and hi
+        assert isinstance(lo, GridMap) and lo.lo is lo.hi is lo.values
 
     def test_degenerate_extremals_coincide(self):
         f = GridMap(0, 1, [0, 1, 2], [0, 1, 2])
@@ -141,16 +143,16 @@ class TestSelections:
 class TestVariationLipschitz:
     def test_monotone_linear(self):
         s = Selection(0, 1, -np.linspace(0, 1, 9))
-        assert s.variation() == 1.0
-        assert abs(s.lipschitz() - 1.0) < 1e-12
+        assert total_variation(s) == 1.0
+        assert abs(lipschitz_constant(s) - 1.0) < 1e-12
 
     def test_constant(self):
         s = Selection(0, 1, np.zeros(5))
-        assert s.variation() == 0.0 and s.lipschitz() == 0.0
+        assert total_variation(s) == 0.0 and lipschitz_constant(s) == 0.0
 
     def test_hat_against_brute_force(self):
         s = Selection(0, 1, [0.0, 1.0, 0.0])
-        assert s.variation() == 2.0 and s.lipschitz() == 2.0
+        assert total_variation(s) == 2.0 and lipschitz_constant(s) == 2.0
         # random partitions never exceed the exact value
         worst_var = 0.0
         for _ in range(200):

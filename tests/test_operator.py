@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from _reference import rl_weight_matrix
-from svfrac import GridMap, gamma_fn, quadrature_weights, rl_apply, rl_setvalued
+from svfrac import GridMap, Selection, gamma_fn, quadrature_weights, rl_apply, rl_scalar, rl_setvalued
 from svfrac.rl import _row
 
 ORDERS = (1e-3, 0.3, 1.0, 2.7, 50.0)
@@ -59,6 +59,12 @@ def test_point_valued_map_gives_point_values(rho):
     vals = np.random.default_rng(4).uniform(-3.0, 3.0, 130)
     g = rl_setvalued(GridMap(0.0, 2.0, vals, vals), rho)
     assert np.array_equal(g.lo, g.hi)
+    # A selection is the point-valued map: its integral is the scalar one.
+    sel = Selection(0.0, 2.0, vals)
+    g = rl_setvalued(sel, rho)
+    assert np.array_equal(g.lo, g.hi)
+    ref = np.array([rl_scalar(sel, rho, n) for n in range(vals.size)])
+    assert np.abs(g.lo - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _hat_weight(n_segments, rho, n, j):

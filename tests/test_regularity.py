@@ -330,8 +330,8 @@ class TestTheoremSuites:
         # rho > 1: max(V(A), V(B)) <= V(G) <= V(A) + V(B)
         for name, f in fixture_catalog(48).items():
             g = rl_setvalued(f, 1.5)
-            va = g.extremal_lower().variation()
-            vb = g.extremal_upper().variation()
+            va = total_variation(g.extremal_lower())
+            vb = total_variation(g.extremal_upper())
             vg = total_variation(g)
             assert vg <= va + vb + 1e-12, name
             assert vg >= max(va, vb) - 1e-12, name
