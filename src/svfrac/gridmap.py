@@ -88,34 +88,38 @@ class GridMap:
     def from_builtin(
         cls, kind: str, a: float = 0.0, b: float = 1.0, n_segments: int = 256, **params
     ) -> "GridMap":
+        """The builtin map `kind` on [a, b]; an unknown parameter is a TypeError."""
         u = np.linspace(a, b, n_segments + 1)
         if kind == "constant":
-            lo = float(params.get("lo", -1.0))
-            hi = float(params.get("hi", 1.0))
-            return cls(a, b, np.full(u.size, lo), np.full(u.size, hi))
-        if kind == "sym_linear":
-            s = float(params.get("slope", 1.0))
-            return cls(a, b, -s * u, s * u)
-        if kind == "affine":
-            c_lo = float(params.get("c_lo", 0.0))
-            s_lo = float(params.get("s_lo", 0.5))
-            c_hi = float(params.get("c_hi", 1.0))
-            s_hi = float(params.get("s_hi", 1.0))
-            return cls(a, b, c_lo + s_lo * u, c_hi + s_hi * u)
-        if kind == "abs_envelope":
-            c = float(params.get("center", 0.5 * (a + b)))
-            return cls(a, b, -np.abs(u - c), np.abs(u - c))
-        if kind == "sin_envelope":
-            amp = float(params.get("amp", 1.0))
-            off = float(params.get("off", 0.3))
-            freq = float(params.get("freq", 2.0 * math.pi))
-            return cls(a, b, -amp + off * np.sin(freq * u), amp + off * np.cos(freq * u))
-        if kind == "hat":
-            h = float(params.get("height", 1.0))
+            lo = np.full(u.size, float(params.pop("lo", -1.0)))
+            hi = np.full(u.size, float(params.pop("hi", 1.0)))
+        elif kind == "sym_linear":
+            s = float(params.pop("slope", 1.0))
+            lo, hi = -s * u, s * u
+        elif kind == "affine":
+            c_lo = float(params.pop("c_lo", 0.0))
+            s_lo = float(params.pop("s_lo", 0.5))
+            c_hi = float(params.pop("c_hi", 1.0))
+            s_hi = float(params.pop("s_hi", 1.0))
+            lo, hi = c_lo + s_lo * u, c_hi + s_hi * u
+        elif kind == "abs_envelope":
+            c = float(params.pop("center", 0.5 * (a + b)))
+            lo, hi = -np.abs(u - c), np.abs(u - c)
+        elif kind == "sin_envelope":
+            amp = float(params.pop("amp", 1.0))
+            off = float(params.pop("off", 0.3))
+            freq = float(params.pop("freq", 2.0 * math.pi))
+            lo, hi = -amp + off * np.sin(freq * u), amp + off * np.cos(freq * u)
+        elif kind == "hat":
+            h = float(params.pop("height", 1.0))
             mid = 0.5 * (a + b)
-            hat = h * (1.0 - np.abs(u - mid) / (0.5 * (b - a)))
-            return cls(a, b, np.zeros(u.size), hat)
-        raise ValueError(f"unknown builtin map kind {kind!r}; known: {sorted(_BUILTIN_KINDS)}")
+            lo, hi = np.zeros(u.size), h * (1.0 - np.abs(u - mid) / (0.5 * (b - a)))
+        else:
+            raise ValueError(f"unknown builtin map kind {kind!r}; known: {sorted(_BUILTIN_KINDS)}")
+        # params is this call's own dict, so the pops above leave only unknown names.
+        if params:
+            raise TypeError(f"builtin map kind {kind!r} got unknown parameters {sorted(params)}")
+        return GridMap(a, b, lo, hi)
 
     # -- serialization --------------------------------------------------------
 
@@ -140,7 +144,7 @@ class GridMap:
             hi = obj["hi"]
             if len(lo) != n + 1 or len(hi) != n + 1:
                 raise ValueError("lo/hi length must be segments + 1")
-            return cls(a, b, lo, hi)
+            return GridMap(a, b, lo, hi)
         return cls.from_builtin(kind, a, b, n, **obj.get("params", {}))
 
     def to_csv(self) -> str:

@@ -166,16 +166,16 @@ class RegularityReport:
     status: str = "checked"
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # numpy scalars become Python ones, so that the report serializes.
+        self.measured = float(self.measured)
+        self.bound = float(self.bound)
+        self.passed = bool(self.passed)
+
     def to_json(self) -> dict:
-        obj = {
-            "theorem": self.theorem,
-            "fixture": self.fixture,
-            "rho": self.rho,
-            "measured": self.measured,
-            "bound": self.bound,
-            "pass": self.passed,
-            "status": self.status,
-        }
-        if self.details:
-            obj["details"] = self.details
+        """The fields, with `passed` written as "pass"; empty details are left out."""
+        obj = dict(vars(self))
+        obj["pass"] = obj.pop("passed")
+        if not self.details:
+            del obj["details"]
         return obj

@@ -25,15 +25,10 @@ class SelectionCertificate:
     membership_checked: bool
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "values": [float(f"{y:.15g}") for y in self.selection.values],
-            "variation": float(f"{self.variation:.15g}"),
-            "lipschitz": float(f"{self.lipschitz:.15g}"),
-            "parent_variation": float(f"{self.parent_variation:.15g}"),
-            "parent_lipschitz": float(f"{self.parent_lipschitz:.15g}"),
-            "membership_checked": self.membership_checked,
-        }
+        """The fields, floats at 15 significant digits, the selection as "values"."""
+        obj = {k: float(f"{v:.15g}") if isinstance(v, float) else v for k, v in vars(self).items()}
+        obj["values"] = [float(f"{y:.15g}") for y in obj.pop("selection").values]
+        return obj
 
 
 def _certify(g: GridMap, sel: Selection, kind: str) -> SelectionCertificate:

@@ -31,10 +31,10 @@ BOUND_TOL = 1e-9  # additive: quadrature exactness class
 MODULUS_TOL = 1e-8
 EXACT_TOL = 1e-12
 
-# Random selections drawn by the oracle checks; 3.2 uses fixed seeds 7..14.
+DEFAULT_SEED = 42
+# Random selections drawn by the oracle checks.
 CONVEXITY_SAMPLES = 64
 ENDPOINT_SAMPLES = 200
-NONEMPTY_SEED, NONEMPTY_SAMPLES = 7, 8
 CONVEXITY_TRIALS = 100  # pairs of oracle values combined by 3.1
 CONTINUITY_PAIRS = 100  # random node pairs compared by 3.4
 
@@ -45,21 +45,8 @@ def fixture_catalog(n_segments: int = 64) -> dict[str, GridMap]:
     return {kind: GridMap.from_builtin(kind, 0.0, 1.0, n_segments) for kind in _BUILTIN_KINDS}
 
 
-def _report(theorem, fixture, rho, measured, bound, passed, status="checked", **details):
-    return RegularityReport(
-        theorem=theorem,
-        fixture=fixture,
-        rho=rho,
-        measured=float(measured),
-        bound=float(bound),
-        passed=bool(passed),
-        status=status,
-        details=details,
-    )
-
-
 def _skip(theorem, fixture, rho):
-    return _report(theorem, fixture, rho, 0.0, 0.0, True, status="skipped (requires rho>1)")
+    return RegularityReport(theorem, fixture, rho, 0.0, 0.0, True, status="skipped (requires rho>1)")
 
 
 def check_convexity(f: GridMap, name: str, rho: float, seed: int, *,
@@ -71,28 +58,29 @@ def check_convexity(f: GridMap, name: str, rho: float, seed: int, *,
     lam = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     y = lam * picks[:, :1] + (1.0 - lam) * picks[:, 1:]
     worst = max(0.0, box.lo - y.min(), y.max() - box.hi)
-    return _report("3.1", name, rho, worst, BOUND_TOL, worst <= BOUND_TOL)
+    return RegularityReport("3.1", name, rho, worst, BOUND_TOL, worst <= BOUND_TOL)
 
 
 def check_nonempty(f: GridMap, name: str, rho: float, *,
                    g: GridMap | None = None, vals: tuple[float, ...] = ()):
     """Thm 3.2: the integral map is made of valid (nonempty) intervals, and a
     sampled selection integral lands inside them. Called alone, it integrates
-    f and draws its oracle values (seeds 7..14) itself."""
+    f and draws its oracle values (the endpoint oracle's, at DEFAULT_SEED)
+    itself."""
     n = f.n_segments
     g = rl_setvalued(f, rho) if g is None else g
-    vals = vals or rl_selection_oracle(f, rho, n, samples=NONEMPTY_SAMPLES, seed=NONEMPTY_SEED)
+    vals = vals or rl_selection_oracle(f, rho, n, samples=ENDPOINT_SAMPLES, seed=DEFAULT_SEED)
     box = g.interval_at(n)
     worst = max(box.lo - vals[0], vals[-1] - box.hi)
     ok = bool(np.all(g.lo <= g.hi)) and worst <= BOUND_TOL
-    return _report("3.2", name, rho, worst, BOUND_TOL, ok)
+    return RegularityReport("3.2", name, rho, worst, BOUND_TOL, ok)
 
 
 def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap):
     """Thm 3.3: sup-node distance of the integral map to {0} vs the bound."""
     measured = g.sup_bound()
     bound = bound_sup(rho, f.sup_bound(), f.a, f.b)
-    return _report("3.3", name, rho, measured, bound, measured <= bound + BOUND_TOL)
+    return RegularityReport("3.3", name, rho, measured, bound, measured <= bound + BOUND_TOL)
 
 
 def check_continuity(f: GridMap, name: str, rho: float, seed: int, *, g: GridMap):
@@ -116,9 +104,9 @@ def check_continuity(f: GridMap, name: str, rho: float, seed: int, *, g: GridMap
         # Phi(a, v) may rise as v -> a, but M (v - a)^rho / Gamma(rho + 1) dominates it.
         shrinks = all(phi <= bound_sup(rho, f.sup_bound(), f.a, v) + EXACT_TOL for phi, v in zip(phis, vs))
     ok = worst <= MODULUS_TOL and shrinks
-    return _report(
+    return RegularityReport(
         "3.4", name, rho, worst, MODULUS_TOL, ok,
-        shrink_first=float(phis[0]), shrink_last=float(phis[-1]), shrink_ok=shrinks,
+        details=dict(shrink_first=float(phis[0]), shrink_last=float(phis[-1]), shrink_ok=shrinks),
     )
 
 
@@ -130,7 +118,7 @@ def check_bounded_variation(f: GridMap, name: str, rho: float, *, g: GridMap):
     vb = total_variation(g.extremal_upper())
     vg = total_variation(g)
     ok = max(va, vb) - EXACT_TOL <= vg <= va + vb + EXACT_TOL
-    return _report("3.5", name, rho, vg, va + vb, ok, lower=max(va, vb))
+    return RegularityReport("3.5", name, rho, vg, va + vb, ok, details=dict(lower=max(va, vb)))
 
 
 def check_lipschitz(f: GridMap, name: str, rho: float, *, g: GridMap):
@@ -139,7 +127,7 @@ def check_lipschitz(f: GridMap, name: str, rho: float, *, g: GridMap):
         return _skip("3.6", name, rho)
     measured = lipschitz_constant(g)
     bound = bound_l0(rho, f.sup_bound(), f.a, f.b)
-    return _report("3.6", name, rho, measured, bound, measured <= bound + BOUND_TOL)
+    return RegularityReport("3.6", name, rho, measured, bound, measured <= bound + BOUND_TOL)
 
 
 def check_selections(f: GridMap, name: str, rho: float, *, g: GridMap):
@@ -152,7 +140,7 @@ def check_selections(f: GridMap, name: str, rho: float, *, g: GridMap):
         0.0, *(max(c.variation - c.parent_variation, c.lipschitz - c.parent_lipschitz) for c in certs)
     )
     ok = all(c.membership_checked for c in certs) and worst <= EXACT_TOL
-    return _report("3.7/3.8", name, rho, worst, EXACT_TOL, ok)
+    return RegularityReport("3.7/3.8", name, rho, worst, EXACT_TOL, ok)
 
 
 def check_endpoint_identity(f: GridMap, name: str, rho: float, *,
@@ -163,47 +151,42 @@ def check_endpoint_identity(f: GridMap, name: str, rho: float, *,
     hull_err = hausdorff(box, Interval(vals[0], vals[-1]))
     inside = max(box.lo - vals[0], vals[-1] - box.hi)
     ok = hull_err <= BOUND_TOL and inside <= BOUND_TOL
-    return _report("3.5-endpoint-identity", name, rho, hull_err, BOUND_TOL, ok)
+    return RegularityReport("3.5-endpoint-identity", name, rho, hull_err, BOUND_TOL, ok)
 
 
 def run_verification(
     rhos=DEFAULT_RHOS,
     fixtures: dict[str, GridMap] | None = None,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     n_segments: int = 64,
 ) -> list[RegularityReport]:
     """Every check for every (fixture, rho) pair. Each pair integrates its
-    fixture and builds its node-N weight row once; the oracle's random
+    fixture and builds its node-N weight row once. The oracle's random
     selections depend only on the seeds and the grid, so they are drawn once
-    per grid size."""
+    per grid size; 3.2 and the endpoint identity read the same values."""
     if fixtures is None:
         fixtures = fixture_catalog(n_segments)
-    draws: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    seeds = range(seed, seed + ENDPOINT_SAMPLES)
+    draws = {n: selection_draws(n + 1, seeds) for n in {f.n_segments for f in fixtures.values()}}
     reports: list[RegularityReport] = []
     for name in sorted(fixtures):
         f = fixtures[name]
         n = f.n_segments
-        if n not in draws:
-            draws[n] = (
-                selection_draws(n + 1, range(seed, seed + ENDPOINT_SAMPLES)),
-                selection_draws(n + 1, range(NONEMPTY_SEED, NONEMPTY_SEED + NONEMPTY_SAMPLES)),
-            )
-        sampled, fixed = draws[n]
         for rho in rhos:
             g = rl_setvalued(f, rho)
             row = node_row(f, rho, n)
             # The convexity oracle's seeds seed..seed+63 are the first rows
             # of the endpoint oracle's seed..seed+199.
-            convex_vals = selection_integrals(f, row, sampled[:CONVEXITY_SAMPLES])
+            convex_vals = selection_integrals(f, row, draws[n][:CONVEXITY_SAMPLES])
+            vals = selection_integrals(f, row, draws[n])
             reports += [
                 check_convexity(f, name, rho, seed, g=g, vals=convex_vals),
-                check_nonempty(f, name, rho, g=g, vals=selection_integrals(f, row, fixed)),
+                check_nonempty(f, name, rho, g=g, vals=vals),
                 check_boundedness(f, name, rho, g=g),
                 check_continuity(f, name, rho, seed, g=g),
                 check_bounded_variation(f, name, rho, g=g),
                 check_lipschitz(f, name, rho, g=g),
                 check_selections(f, name, rho, g=g),
-                check_endpoint_identity(f, name, rho, g=g,
-                                        vals=selection_integrals(f, row, sampled)),
+                check_endpoint_identity(f, name, rho, g=g, vals=vals),
             ]
     return reports

@@ -74,6 +74,16 @@ class TestIntegrate:
         bad.write_text("{not json")
         assert main(["integrate", "--rho", "1", "--input", str(bad)]) == 2
 
+    def test_unknown_builtin_parameter(self, tmp_path, capsys):
+        bad = tmp_path / "misspelt.json"
+        bad.write_text(json.dumps(
+            {"a": 0, "b": 1, "segments": 2, "kind": "hat", "params": {"heigth": 2}}
+        ))
+        out = tmp_path / "never.csv"
+        assert main(["integrate", "--rho", "1", "--input", str(bad), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "malformed map spec" in capsys.readouterr().err
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "g.json"
         assert main(
@@ -104,6 +114,15 @@ class TestVerify:
         bad = tmp_path / "fixtures.json"
         bad.write_text('{"broken": {"a": 0}}')
         assert main(["verify", "--input", str(bad)]) == 2
+
+    def test_empty_fixture_file(self, tmp_path, capsys):
+        # an empty fixture file would otherwise pass on zero checks
+        empty = tmp_path / "fixtures.json"
+        empty.write_text("{}")
+        out = tmp_path / "never.json"
+        assert main(["verify", "--input", str(empty), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "has no fixtures" in capsys.readouterr().err
 
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

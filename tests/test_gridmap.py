@@ -28,6 +28,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GridMap.from_builtin("nope")
 
+    def test_unknown_builtin_parameter(self):
+        with pytest.raises(TypeError, match="heigth"):
+            GridMap.from_builtin("hat", 0, 1, 4, heigth=5)
+        with pytest.raises(TypeError, match="bogus"):
+            GridMap.from_json({"a": 0, "b": 1, "segments": 2, "kind": "hat", "params": {"bogus": 1}})
+
+    def test_constructors_on_selection_build_interval_maps(self):
+        # The inherited constructors build the interval-valued map they describe.
+        f = Selection.from_builtin("hat", 0, 1, 4)
+        assert type(f) is GridMap
+        assert np.array_equal(f.lo, np.zeros(5)) and np.array_equal(f.hi, [0, 0.5, 1, 0.5, 0])
+        g = Selection.from_json(sym_linear().to_json())
+        assert type(g) is GridMap and np.array_equal(g.lo, -g.hi)
+
     def test_json_roundtrip(self):
         f = sym_linear()
         g = GridMap.from_json(f.to_json())

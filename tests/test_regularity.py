@@ -351,6 +351,32 @@ class TestTheoremSuites:
         reports = run_verification()
         assert len(calls) == 24 == len(reports) // 8
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_one_oracle_per_grid(self, monkeypatch, n):
+        """Two oracle evaluations per (fixture, rho): 3.1's first 64 draws, and
+        all 200, shared by 3.2 and the endpoint identity."""
+        calls = []
+        real = verify.selection_integrals
+        monkeypatch.setattr(
+            verify, "selection_integrals", lambda *args: calls.append(1) or real(*args)
+        )
+        draws = []
+        real_draws = verify.selection_draws
+        monkeypatch.setattr(
+            verify, "selection_draws", lambda *args: draws.append(1) or real_draws(*args)
+        )
+        reports = run_verification(n_segments=n)
+        assert len(calls) == 2 * 24 == 2 * len(reports) // 8
+        assert len(draws) == 1
+
+    def test_report_coerces_numpy_scalars(self):
+        r = verify.RegularityReport("3.1", "x", 0.5, np.float64(1e-17), 1e-9, np.bool_(True))
+        assert json.loads(json.dumps(r.to_json())) == {
+            "theorem": "3.1", "fixture": "x", "rho": 0.5, "measured": 1e-17,
+            "bound": 1e-9, "pass": True, "status": "checked",
+        }
+        assert r.passed is True and type(r.measured) is float
+
     def test_report_serialization(self):
         r = run_verification(rhos=(1.5,), n_segments=16)[0]
         obj = json.loads(json.dumps(r.to_json(), sort_keys=True))
