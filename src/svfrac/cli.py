@@ -8,8 +8,10 @@ computation result is written on exit codes 2-3.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+import warnings
 
 from .gridmap import GridMap
 from .inclusion import POLICIES, CaputoProblem, NonConvergenceError, funnel_to_csv, solution_funnel, solve_with_policy
@@ -107,6 +109,29 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _plain_warnings():
+    """Inside, a warning shown on stderr reads "warning: <message>", without
+    the path and line of its source, and each distinct one is shown once.
+    Warnings still pass through the warnings filters, so a caller that
+    records them sees them unchanged."""
+    shown = set()
+
+    def once(message, category, filename, lineno, line=None):
+        text = f"warning: {message}\n"
+        if text in shown:
+            return ""
+        shown.add(text)
+        return text
+
+    saved, warnings.formatwarning = warnings.formatwarning, once
+    try:
+        yield
+    finally:
+        warnings.formatwarning = saved
+
+
+@_plain_warnings()
 def cmd_inclusion(args) -> int:
     if not args.input:
         raise InputError("inclusion requires --input with a problem JSON")

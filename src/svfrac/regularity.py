@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -59,28 +60,41 @@ def bound_l0(rho: float, m: float, a: float, b: float) -> float:
     return _scaled_power(m, a, b, rho - 1.0, rho)
 
 
-# Entries per temporary array in continuity_modulus, and target x segment
-# entries of its moment table, so that its memory stays bounded whatever the
-# number of pairs.
+# Entries per temporary array in continuity_modulus, and entries of its
+# per-map tables together, so that its memory stays bounded whatever the
+# number of pairs and maps.
 _BLOCK_ENTRIES = 1024
 _TABLE_ENTRIES = 16 * _BLOCK_ENTRIES
 
 
-def _segment_terms(x, h, j, lo, hi, c, rho: float) -> np.ndarray:
-    """Per entry (broadcast), the integral of (c - t)^(rho-1) times the
-    piecewise-linear function with node values h over segment j of the
-    nodes x clipped to [lo, hi], for c at or beyond hi. Zero-length clips
-    give 0."""
+def _segment_terms(x, hs, j, lo, hi, c, rho: float):
+    """For each node-value array h in hs: per entry (broadcast), the integral
+    of (c - t)^(rho-1) times the piecewise-linear function with node values
+    h over segment j of the nodes x clipped to [lo, hi], for c at or beyond
+    hi. Zero-length clips give 0. The kernel moments are taken once, for
+    every h."""
     left = np.minimum(np.maximum(x[j], lo), hi)
     right = np.minimum(np.maximum(x[j + 1], lo), hi)
     length = right - left
     w_left, w_right = _hat_moments(
         c - left, np.maximum(c - right, 0.0), np.where(length > 0, length, 1.0), rho
     )
-    return w_left * np.interp(left, x, h) + w_right * np.interp(right, x, h)
+    for h in hs:
+        yield w_left * np.interp(left, x, h) + w_right * np.interp(right, x, h)
 
 
-def continuity_modulus(f: GridMap, rho: float, u, v):
+def _masked_sums(x, rows, u, j, ends):
+    """Sums of the table rows `rows` (maps x pairs x segments) at the pairs'
+    v, masked to the segments left of u and to those right of u, with the
+    segment j holding u taken from `ends` (maps x 2 x pairs): the integrals
+    at v over [a, u] and over [u, v], each of shape (maps, pairs)."""
+    masked = np.zeros((rows.shape[0], 2) + rows.shape[1:])
+    np.copyto(masked, rows[:, None], where=np.stack((x[1:] <= u, x[:-1] >= u)))
+    masked[:, :, np.arange(j.size), j] = ends
+    return masked.sum(axis=3).transpose(1, 0, 2)
+
+
+def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
     """Modulus dominating H_d between integral values at u and v (u <= v):
 
         (1/Gamma(rho)) * ( int_a^u |(v-t)^(rho-1) - (u-t)^(rho-1)| h(t) dt
@@ -94,63 +108,92 @@ def continuity_modulus(f: GridMap, rho: float, u, v):
     absolute difference of the two product integrals.
 
     u and v may be arrays, broadcast against each other; the result has
-    their shape (a float for scalars). Each of the three integrals is a sum
-    of closed-form hat moments over the grid segments clipped to [a, u] or
-    [u, v]. The terms of the integral over [a, c] at c depend only on the
-    target c (a u or a v), so they are taken once per distinct target, as a
-    row of a (targets x segments) table. The row at u is the integral at u.
+    their shape (a float for scalars). f may also be a sequence of maps on
+    one grid; the result then has one row per map on a leading axis, each
+    bit-identical to the call on that map alone.
+
+    Each of the three integrals is a sum of closed-form hat moments over the
+    grid segments clipped to [a, u] or [u, v]. The terms of the integral
+    over [a, c] at c depend only on the target c (a u or a v) and the map,
+    so they are taken once per distinct target, as a row of a (targets x
+    segments) table per map; the kernel moments of a row are taken once and
+    applied to every map's envelope. The row sum at u is the integral at u.
     The row at v, masked to the segments left of u or right of u, gives the
     two integrals at v once the segment holding u is put in, clipped to
     [a, u] or to [u, v]: the only terms taken per pair. Every integral thus
     sums the same terms in the same order as a clip of every segment for
     each pair would, and gives the same bits.
 
-    Memory stays bounded whatever the number of pairs. Pairs are taken in
-    chunks of _TABLE_ENTRIES / 2N (at least 1, and at most _BLOCK_ENTRIES / 2,
-    since a chunk's per-pair terms are one array), so the table has at most
-    max(_TABLE_ENTRIES, 2N) entries; the table and the masked rows are
-    computed in blocks of about _BLOCK_ENTRIES entries.
+    Memory stays bounded whatever the number of pairs and of maps, F. Pairs
+    are taken in the order of v, in chunks of at most _BLOCK_ENTRIES / 2 and
+    at most _TABLE_ENTRIES / 4F pairs, since a chunk keeps up to 4F entries
+    per pair: the integrals at its targets and the terms of the segments
+    holding u. A chunk's targets are taken in ascending blocks of at most
+    _BLOCK_ENTRIES / N rows, whose F tables hold at most _TABLE_ENTRIES
+    entries (FN when one row per map is more), and the pairs whose v is in
+    a block are masked in blocks of half as many pairs, two rows each.
     """
+    single = isinstance(f, GridMap)
+    maps = [f] if single else list(f)
     rho = positive("fractional order rho", rho)
+    if not maps:
+        raise ValueError("need at least one map")
+    a, b, n = maps[0].a, maps[0].b, maps[0].n_segments
+    if any((m.a, m.b, m.n_segments) != (a, b, n) for m in maps):
+        raise ValueError("maps must share one grid")
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     shape = np.broadcast(u, v).shape
     us, vs = np.broadcast_to(u, shape).ravel(), np.broadcast_to(v, shape).ravel()
-    bad = np.flatnonzero(~((f.a <= us) & (us <= vs) & (vs <= f.b)))
+    bad = np.flatnonzero(~((a <= us) & (us <= vs) & (vs <= b)))
     if bad.size:
         k = bad[0]
-        raise ValueError(f"need a <= u <= v <= b, got u={us[k]}, v={vs[k]} on [{f.a}, {f.b}]")
-    x, n = f.nodes, f.n_segments
-    henv = np.maximum(np.abs(f.lo), np.abs(f.hi))
-    chunk = max(1, min(_BLOCK_ENTRIES // 2, _TABLE_ENTRIES // (2 * n)))
-    step = max(1, _BLOCK_ENTRIES // n)
-    out = np.empty(us.size)
-    for c0 in range(0, out.size, chunk):
-        uc, vc, oc = us[c0 : c0 + chunk], vs[c0 : c0 + chunk], out[c0 : c0 + chunk]
+        raise ValueError(f"need a <= u <= v <= b, got u={us[k]}, v={vs[k]} on [{a}, {b}]")
+    x = maps[0].nodes
+    henvs = [np.maximum(np.abs(m.lo), np.abs(m.hi)) for m in maps]
+    chunk = max(1, min(_BLOCK_ENTRIES // 2, _TABLE_ENTRIES // (4 * len(maps))))
+    rows = max(1, min(_BLOCK_ENTRIES // n, _TABLE_ENTRIES // (n * len(maps))))
+    step = max(1, rows // 2)
+    out = np.empty((len(maps), us.size))
+    # Pairs are taken in the order of v, so that a chunk's pairs whose v is
+    # in one block of targets are one slice.
+    order = np.argsort(vs, kind="stable")
+    for c0 in range(0, us.size, chunk):
+        pos = order[c0 : c0 + chunk]
+        uc, vc, oc = us[pos], vs[pos], np.empty((len(maps), pos.size))
         targets, inverse = np.unique(np.concatenate((uc, vc)), return_inverse=True)
         iu, iv = inverse[: uc.size], inverse[uc.size :]
-        table = np.zeros((targets.size, n))
-        for k in range(0, targets.size, step):
-            c = targets[k : k + step, None]
-            m = min(n, np.searchsorted(x, c[-1, 0], side="right"))  # segments from a to c
-            table[k : k + step, :m] = _segment_terms(x, henv, np.arange(m), f.a, c, c, rho)
         # The segment holding u (the last one for u = b), clipped to [a, u]
         # and to [u, v], at v.
         ju = np.minimum(np.searchsorted(x, uc, side="right") - 1, n - 1)
-        head, tail_u = _segment_terms(
-            x, henv, np.concatenate((ju, ju)), np.concatenate((np.full(uc.size, f.a), uc)),
+        ends = np.stack([t.reshape(2, -1) for t in _segment_terms(
+            x, henvs, np.concatenate((ju, ju)), np.concatenate((np.full(uc.size, a), uc)),
             np.concatenate((uc, vc)), np.concatenate((vc, vc)), rho,
-        ).reshape(2, -1)
-        for k in range(0, uc.size, step):
-            b = slice(k, k + step)
-            uk = uc[b, None]
-            at = np.arange(len(uk))
-            i_u, row_v = table[iu[b]], table[iv[b]]
-            i_v = np.where(x[1:] <= uk, row_v, 0.0)
-            tail = np.where(x[:-1] >= uk, row_v, 0.0)
-            i_v[at, ju[b]], tail[at, ju[b]] = head[b], tail_u[b]
-            oc[b] = np.abs(i_v.sum(axis=1) - i_u.sum(axis=1)) + tail.sum(axis=1)
+        )])
+        at_u = np.empty((len(maps), targets.size))
+        # Targets ascend, so each block's rows reach at least as many
+        # segments as the block before: the columns it does not write are
+        # still zero.
+        tables = np.zeros((len(maps), rows, n))
+        for k in range(0, targets.size, rows):
+            c = targets[k : k + rows, None]
+            m = min(n, np.searchsorted(x, c[-1, 0], side="right"))  # segments from a to c
+            terms = _segment_terms(x, henvs, np.arange(m), a, c, c, rho)
+            # terms leads the zip, so it runs out and frees its moments here.
+            for row_terms, table, i_u in zip(terms, tables, at_u):
+                table[: c.size, :m] = row_terms
+                i_u[k : k + c.size] = table[: c.size].sum(axis=1)
+            # The pairs whose v is in this block; u <= v, so their integrals
+            # at u are in at_u already.
+            first, last = np.searchsorted(iv, (k, k + c.size))
+            for s0 in range(first, last, step):
+                p = slice(s0, min(s0 + step, last))
+                i_v, tail = _masked_sums(x, tables[:, iv[p] - k], uc[p, None], ju[p], ends[:, :, p])
+                oc[:, p] = np.abs(i_v - at_u[:, iu[p]]) + tail
+        out[:, pos] = oc
     out *= math.exp(-math.lgamma(rho))
-    return out.reshape(shape) if shape else float(out[0])
+    if single:
+        return out[0].reshape(shape) if shape else float(out[0, 0])
+    return out.reshape((len(maps),) + shape)
 
 
 @dataclass

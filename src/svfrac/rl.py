@@ -123,11 +123,16 @@ def rl_setvalued(f: GridMap, rho: float) -> GridMap:
 
     The upper endpoint is the lower one plus the integral of the width
     hi - lo >= 0. The kernel is nonnegative, so that integral is clamped at
-    0 against FFT roundoff; point-valued maps give lo == hi exactly.
+    0 against FFT roundoff; point-valued maps give lo == hi exactly. An
+    integral beyond the float range is an OverflowError.
     """
     weights = quadrature_weights(f.a, f.b, f.n_segments, rho)
-    lo, width = rl_apply(weights, np.stack((f.lo, f.hi - f.lo)))
-    return GridMap(f.a, f.b, lo, lo + np.maximum(width, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        lo, width = rl_apply(weights, np.stack((f.lo, f.hi - f.lo)))
+        hi = lo + np.maximum(width, 0.0)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise OverflowError(f"the integral of order {rho} on [{f.a}, {f.b}] is not finite")
+    return GridMap(f.a, f.b, lo, hi)
 
 
 def selection_integrals(f: GridMap, row: np.ndarray, draws: np.ndarray) -> tuple[float, ...]:

@@ -83,19 +83,25 @@ def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap):
     return RegularityReport("3.3", name, rho, measured, bound, measured <= bound + BOUND_TOL)
 
 
-def check_continuity(f: GridMap, name: str, rho: float, seed: int, *, g: GridMap):
-    """Thm 3.4: Hausdorff increments dominated by the modulus, and the
-    modulus vanishes along a shrinking interval. One modulus call takes the
-    random node pairs and the shrinking pairs (a, a + (b - a) 2^-m) together."""
+def continuity_pairs(f: GridMap, seed: int):
+    """3.4's pairs on f's grid: node index pairs (i, j), i <= j, drawn from
+    the generator of `seed`, and the modulus arguments u <= v, which are
+    those node pairs followed by the shrinking pairs (a, a + (b - a) 2^-m)."""
     rng = np.random.default_rng(seed)
-    i, j = np.sort(rng.integers(0, g.n_segments + 1, size=(CONTINUITY_PAIRS, 2)), axis=1).T
-    hd = np.maximum(np.abs(g.lo[i] - g.lo[j]), np.abs(g.hi[i] - g.hi[j]))
+    i, j = np.sort(rng.integers(0, f.n_segments + 1, size=(CONTINUITY_PAIRS, 2)), axis=1).T
     vs = f.a + (f.b - f.a) * 2.0 ** -np.arange(1, 13)
-    nodes = g.nodes
-    phi = continuity_modulus(
-        f, rho, np.concatenate((nodes[i], np.full(vs.size, f.a))), np.concatenate((nodes[j], vs))
-    )
-    worst, phis = float(np.max(hd - phi[:CONTINUITY_PAIRS])), phi[CONTINUITY_PAIRS:]
+    nodes = f.nodes
+    return i, j, np.concatenate((nodes[i], np.full(vs.size, f.a))), np.concatenate((nodes[j], vs))
+
+
+def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, phi: np.ndarray):
+    """Thm 3.4: Hausdorff increments dominated by the modulus, and the
+    modulus vanishes along a shrinking interval. `pairs` is
+    continuity_pairs on f's grid and `phi` the modulus of f at its (u, v)."""
+    i, j, _, v = pairs
+    hd = np.maximum(np.abs(g.lo[i] - g.lo[j]), np.abs(g.hi[i] - g.hi[j]))
+    worst = float(np.max(hd - phi[:CONTINUITY_PAIRS]))
+    phis, vs = phi[CONTINUITY_PAIRS:], v[CONTINUITY_PAIRS:]
     if rho >= 1.0:
         # Phi(u, .) is monotone in v for rho >= 1 (its v-derivative is a
         # nonnegative kernel integral); for rho < 1 only decay is guaranteed.
@@ -161,20 +167,36 @@ def run_verification(
     n_segments: int = 64,
 ) -> list[RegularityReport]:
     """Every check for every (fixture, rho) pair. Each pair integrates its
-    fixture and builds its node-N weight row once. The oracle's random
-    selections depend only on the seeds and the grid, so they are drawn once
-    per grid size; 3.2 and the endpoint identity read the same values."""
+    fixture once. What depends only on the grid is computed once per grid
+    (a, b, N): the oracle's random selections and 3.4's pairs, and, per
+    rho, the node-N weight row and one modulus call for all the grid's
+    fixtures. 3.2 and the endpoint identity read the same oracle values."""
     if fixtures is None:
         fixtures = fixture_catalog(n_segments)
+    names = sorted(fixtures)
+    grids: dict[tuple[float, float, int], list[str]] = {}
+    for name in names:
+        f = fixtures[name]
+        grids.setdefault((f.a, f.b, f.n_segments), []).append(name)
     seeds = range(seed, seed + ENDPOINT_SAMPLES)
-    draws = {n: selection_draws(n + 1, seeds) for n in {f.n_segments for f in fixtures.values()}}
+    draws = {n: selection_draws(n + 1, seeds) for _, _, n in grids}
+    pairs, rows, phis = {}, {}, {}
+    for grid, group in grids.items():
+        maps = [fixtures[name] for name in group]
+        pairs[grid] = continuity_pairs(maps[0], seed)
+        _, _, u, v = pairs[grid]
+        for rho in rhos:
+            rows[grid, rho] = node_row(maps[0], rho, grid[2])
+            for name, phi in zip(group, continuity_modulus(maps, rho, u, v)):
+                phis[name, rho] = phi
     reports: list[RegularityReport] = []
-    for name in sorted(fixtures):
+    for name in names:
         f = fixtures[name]
         n = f.n_segments
+        grid = (f.a, f.b, n)
         for rho in rhos:
             g = rl_setvalued(f, rho)
-            row = node_row(f, rho, n)
+            row = rows[grid, rho]
             # The convexity oracle's seeds seed..seed+63 are the first rows
             # of the endpoint oracle's seed..seed+199.
             convex_vals = selection_integrals(f, row, draws[n][:CONVEXITY_SAMPLES])
@@ -183,7 +205,7 @@ def run_verification(
                 check_convexity(f, name, rho, seed, g=g, vals=convex_vals),
                 check_nonempty(f, name, rho, g=g, vals=vals),
                 check_boundedness(f, name, rho, g=g),
-                check_continuity(f, name, rho, seed, g=g),
+                check_continuity(f, name, rho, g=g, pairs=pairs[grid], phi=phis[name, rho]),
                 check_bounded_variation(f, name, rho, g=g),
                 check_lipschitz(f, name, rho, g=g),
                 check_selections(f, name, rho, g=g),

@@ -3,6 +3,8 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -11,8 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import svfrac
 from svfrac import gamma_fn
 from svfrac.cli import main
+
+SRC = Path(svfrac.__file__).resolve().parents[1]
 
 
 def run(tmp_path, *argv):
@@ -209,6 +214,30 @@ class TestInclusion:
         assert not out.exists()
         assert "rhs must give finite lo <= hi" in capsys.readouterr().err
 
+    def test_funnel_warnings_are_plain_lines(self, tmp_path):
+        """The benchmark's oscillator problem warns on stderr about the
+        contraction factor once (not once per policy) and about the failed
+        monotonicity probe, each as one "warning:" line without a source path."""
+        path = tmp_path / "oscillator.json"
+        path.write_text(json.dumps(
+            {"alpha": 1.5, "t0": 0.0, "T": 10.0, "u0": 1.0, "u1": 0.0, "lipschitz_u": 1.0,
+             "rhs": {"kind": "affine", "params": {"p": -1.0, "q_lo": -0.1, "q_hi": 0.1}}}
+        ))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "svfrac.cli", "inclusion", "--input", str(path), "--funnel",
+             "--grid", "64", "--output", str(tmp_path / "funnel.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert [line.split(";")[0] for line in lines] == [
+            "warning: declared Lipschitz constant gives contraction factor 23.8 >= 1",
+            "warning: rhs endpoints are not nondecreasing in u on the probe grid",
+        ]
+        assert ".py:" not in proc.stderr
+
     def test_funnel_output(self, tmp_path, problem_file):
         out = tmp_path / "funnel.csv"
         assert main(
@@ -282,6 +311,17 @@ class TestParameterRobustness:
         assert main(["bounds", "--rho", "200", "--M", "1", "--b", "1e5", "--output", str(out)]) == 3
         assert not out.exists()
         assert "float range" in capsys.readouterr().err
+
+    def test_integral_beyond_float_range(self, tmp_path, capsys):
+        """The integral of a finite map that overflows is a parameter error
+        with its reason, and raises no numpy warning on the way."""
+        out = tmp_path / "never.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["integrate", "--rho", "0.5", "--grid", "4", "--b", "1e308", "--output", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "result beyond the float range" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

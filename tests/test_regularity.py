@@ -19,7 +19,7 @@ from svfrac import (
     rl_setvalued,
     total_variation,
 )
-from svfrac import verify
+from svfrac import rl, verify
 from svfrac.verify import fixture_catalog, run_verification
 
 RNG = np.random.default_rng(1)
@@ -269,11 +269,42 @@ class TestModulusTable:
     @pytest.mark.parametrize("n", [16, 64])
     def test_bit_identical_on_the_verification_pairs(self, monkeypatch, n):
         calls = continuity_calls(monkeypatch, n_segments=n)
-        assert len(calls) == 24  # one per (fixture, rho): node and shrinking pairs together
-        for f, rho, u, v in calls:
+        assert len(calls) == 4  # one per rho: six fixtures, node and shrinking pairs together
+        for maps, rho, u, v in calls:
             assert u.shape == v.shape == (112,)
-            got = continuity_modulus(f, rho, u, v)
-            assert np.array_equal(got, modulus_clipped_reference(f, rho, u, v)), rho
+            got = continuity_modulus(maps, rho, u, v)
+            assert got.shape == (6, 112)
+            for f, row in zip(maps, got):
+                assert np.array_equal(row, modulus_clipped_reference(f, rho, u, v)), rho
+
+    @pytest.mark.parametrize("rho", [0.3, 1.0, 2.7])
+    def test_multi_map_rows_are_bit_identical(self, rho):
+        """Every row of a call on the six catalog maps is the single-map call
+        and the clipped reference, bit for bit."""
+        for n in (1, 7, 64, 1500):
+            maps = list(fixture_catalog(n).values())
+            us, vs = np.array(modulus_pairs(maps[0])).T
+            rng = np.random.default_rng(n)
+            uv = np.sort(rng.choice(np.concatenate((maps[0].nodes, rng.uniform(0, 1, 20))), (600, 2)), axis=1)
+            us, vs = np.concatenate((us, uv[:, 0])), np.concatenate((vs, uv[:, 1]))
+            got = continuity_modulus(maps, rho, us, vs)
+            assert got.shape == (6, us.size)
+            for f, row in zip(maps, got):
+                assert np.array_equal(row, continuity_modulus(f, rho, us, vs)), (n, f)
+                assert np.array_equal(row, modulus_clipped_reference(f, rho, us, vs)), (n, f)
+
+    def test_map_sequences(self):
+        f, g = GridMap.from_builtin("hat", 0, 1, 16), GridMap.from_builtin("affine", 0, 1, 16)
+        assert np.array_equal(continuity_modulus([f], 0.5, 0.25, [0.5, 1.0]),
+                              [continuity_modulus(f, 0.5, 0.25, [0.5, 1.0])])
+        assert continuity_modulus((f, g), 1.5, 0.25, 0.5).shape == (2,)
+        assert continuity_modulus((f, g), 1.5, 0.25, 0.5)[1] == continuity_modulus(g, 1.5, 0.25, 0.5)
+        with pytest.raises(ValueError, match="one grid"):
+            continuity_modulus([f, GridMap.from_builtin("hat", 0, 1, 8)], 0.5, 0.25, 0.5)
+        with pytest.raises(ValueError, match="one grid"):
+            continuity_modulus([f, GridMap.from_builtin("hat", 0, 2, 16)], 0.5, 0.25, 0.5)
+        with pytest.raises(ValueError, match="at least one map"):
+            continuity_modulus([], 0.5, 0.25, 0.5)
 
     @pytest.mark.parametrize("rho", [0.3, 1.0, 2.7])
     def test_bit_identical_on_repeated_targets(self, rho):
@@ -301,6 +332,25 @@ class TestModulusTable:
         tracemalloc.start()
         try:
             continuity_modulus(f, 1.5, u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
+
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [(64, lambda x, rng: rng.uniform(0, 1, (20_000, 2))),
+         (4096, lambda x, rng: x[rng.integers(0, x.size, (100, 2))])],
+        ids=["20000_random_pairs_n64", "100_node_pairs_n4096"],
+    )
+    def test_peak_memory_is_bounded_for_six_maps(self, n, pairs):
+        maps = list(fixture_catalog(n).values())
+        uv = np.sort(pairs(maps[0].nodes, np.random.default_rng(7)), axis=1)
+        u, v = uv[:, 0].copy(), uv[:, 1].copy()
+        continuity_modulus(maps, 1.5, u[:10], v[:10])  # first-call allocations
+        tracemalloc.start()
+        try:
+            continuity_modulus(maps, 1.5, u, v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -350,6 +400,37 @@ class TestTheoremSuites:
         )
         reports = run_verification()
         assert len(calls) == 24 == len(reports) // 8
+
+    def test_one_modulus_call_per_grid_and_order(self, monkeypatch):
+        """A default run makes one modulus call per rho, on the six fixtures; a
+        fixture set on three grids, two of them with the same N, makes one per
+        (grid, rho), and reports what running each fixture alone reports."""
+        calls = continuity_calls(monkeypatch)
+        assert [(len(maps), rho) for maps, rho, _, _ in calls] == [(6, rho) for rho in verify.DEFAULT_RHOS]
+        fixtures = {
+            "hat": GridMap.from_builtin("hat", 0, 1, 16),
+            "sin": GridMap.from_builtin("sin_envelope", 0, 1, 16),
+            "const": GridMap.from_builtin("constant", 0, 2, 16),
+            "abs": GridMap.from_builtin("abs_envelope", 0, 2, 32),
+            "sym": GridMap.from_builtin("sym_linear", 0, 2, 32),
+        }
+        calls = continuity_calls(monkeypatch, rhos=(0.5, 2.2), fixtures=fixtures, seed=5)
+        grids = sorted((maps[0].b, maps[0].n_segments, len(maps), rho) for maps, rho, _, _ in calls)
+        assert grids == [(1.0, 16, 2, 0.5), (1.0, 16, 2, 2.2), (2.0, 16, 1, 0.5), (2.0, 16, 1, 2.2),
+                         (2.0, 32, 2, 0.5), (2.0, 32, 2, 2.2)]
+        together = run_verification(rhos=(0.5, 2.2), fixtures=fixtures, seed=5)
+        alone = [r for name in sorted(fixtures)
+                 for r in run_verification(rhos=(0.5, 2.2), fixtures={name: fixtures[name]}, seed=5)]
+        assert [r.to_json() for r in together] == [r.to_json() for r in alone]
+
+    def test_one_weight_build_per_grid_and_order_for_the_oracle(self, monkeypatch):
+        """24 builds inside the integrals, and one node-N row per rho: 28, not 48."""
+        calls = []
+        real = rl.quadrature_weights
+        monkeypatch.setattr(rl, "quadrature_weights", lambda *args: calls.append(args) or real(*args))
+        run_verification()
+        assert len(calls) == 28
+        assert sorted(set(calls)) == [(0.0, 1.0, 64, rho) for rho in verify.DEFAULT_RHOS]
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_one_oracle_per_grid(self, monkeypatch, n):
