@@ -137,7 +137,11 @@ class GridMap:
     def from_json(cls, obj: dict) -> "GridMap":
         a = float(obj["a"])
         b = float(obj["b"])
-        n = int(obj["segments"])
+        n = obj["segments"]
+        # int() would silently truncate 2.5 to 2 and read true as 1.
+        if isinstance(n, bool) or (isinstance(n, float) and not n.is_integer()):
+            raise ValueError(f"segments must be an integer, got {n!r}")
+        n = int(n)
         kind = obj.get("kind", "samples")
         if kind == "samples":
             lo = obj["lo"]

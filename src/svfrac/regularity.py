@@ -60,11 +60,7 @@ def bound_l0(rho: float, m: float, a: float, b: float) -> float:
     return _scaled_power(m, a, b, rho - 1.0, rho)
 
 
-# Entries per temporary array in continuity_modulus, and entries of its
-# per-map tables together, so that its memory stays bounded whatever the
-# number of pairs and maps.
-_BLOCK_ENTRIES = 1024
-_TABLE_ENTRIES = 16 * _BLOCK_ENTRIES
+_BLOCK_ENTRIES = 2048  # pairs x segments per chunk of continuity_modulus
 
 
 def _segment_terms(x, hs, j, lo, hi, c, rho: float):
@@ -83,17 +79,6 @@ def _segment_terms(x, hs, j, lo, hi, c, rho: float):
         yield w_left * np.interp(left, x, h) + w_right * np.interp(right, x, h)
 
 
-def _masked_sums(x, rows, u, j, ends):
-    """Sums of the table rows `rows` (maps x pairs x segments) at the pairs'
-    v, masked to the segments left of u and to those right of u, with the
-    segment j holding u taken from `ends` (maps x 2 x pairs): the integrals
-    at v over [a, u] and over [u, v], each of shape (maps, pairs)."""
-    masked = np.zeros((rows.shape[0], 2) + rows.shape[1:])
-    np.copyto(masked, rows[:, None], where=np.stack((x[1:] <= u, x[:-1] >= u)))
-    masked[:, :, np.arange(j.size), j] = ends
-    return masked.sum(axis=3).transpose(1, 0, 2)
-
-
 def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
     """Modulus dominating H_d between integral values at u and v (u <= v):
 
@@ -110,28 +95,19 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
     u and v may be arrays, broadcast against each other; the result has
     their shape (a float for scalars). f may also be a sequence of maps on
     one grid; the result then has one row per map on a leading axis, each
-    bit-identical to the call on that map alone.
+    bit-identical to the call on that map alone. A result beyond the float
+    range is an OverflowError.
 
-    Each of the three integrals is a sum of closed-form hat moments over the
-    grid segments clipped to [a, u] or [u, v]. The terms of the integral
-    over [a, c] at c depend only on the target c (a u or a v) and the map,
-    so they are taken once per distinct target, as a row of a (targets x
-    segments) table per map; the kernel moments of a row are taken once and
-    applied to every map's envelope. The row sum at u is the integral at u.
-    The row at v, masked to the segments left of u or right of u, gives the
-    two integrals at v once the segment holding u is put in, clipped to
-    [a, u] or to [u, v]: the only terms taken per pair. Every integral thus
-    sums the same terms in the same order as a clip of every segment for
+    Each integral is a sum of closed-form hat moments over the N grid
+    segments clipped to [a, u] or [u, v]. Pairs are taken in the order of
+    v, so that repeated targets share a chunk, in chunks of _BLOCK_ENTRIES
+    / N. Per chunk, every segment clipped to [a, c] at c is taken once per
+    distinct target c (a u or a v), as a row of N terms whose kernel
+    moments every map shares: the row sum at u is the integral at u. The
+    row at v, split at u, gives the two integrals at v once the segment
+    holding u is put in, clipped to [a, u] or to [u, v]. Each integral thus
+    sums the same N terms in the same order as a clip of every segment for
     each pair would, and gives the same bits.
-
-    Memory stays bounded whatever the number of pairs and of maps, F. Pairs
-    are taken in the order of v, in chunks of at most _BLOCK_ENTRIES / 2 and
-    at most _TABLE_ENTRIES / 4F pairs, since a chunk keeps up to 4F entries
-    per pair: the integrals at its targets and the terms of the segments
-    holding u. A chunk's targets are taken in ascending blocks of at most
-    _BLOCK_ENTRIES / N rows, whose F tables hold at most _TABLE_ENTRIES
-    entries (FN when one row per map is more), and the pairs whose v is in
-    a block are masked in blocks of half as many pairs, two rows each.
     """
     single = isinstance(f, GridMap)
     maps = [f] if single else list(f)
@@ -150,47 +126,31 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
         raise ValueError(f"need a <= u <= v <= b, got u={us[k]}, v={vs[k]} on [{a}, {b}]")
     x = maps[0].nodes
     henvs = [np.maximum(np.abs(m.lo), np.abs(m.hi)) for m in maps]
-    chunk = max(1, min(_BLOCK_ENTRIES // 2, _TABLE_ENTRIES // (4 * len(maps))))
-    rows = max(1, min(_BLOCK_ENTRIES // n, _TABLE_ENTRIES // (n * len(maps))))
-    step = max(1, rows // 2)
-    out = np.empty((len(maps), us.size))
-    # Pairs are taken in the order of v, so that a chunk's pairs whose v is
-    # in one block of targets are one slice.
+    chunk = max(1, _BLOCK_ENTRIES // n)
     order = np.argsort(vs, kind="stable")
-    for c0 in range(0, us.size, chunk):
-        pos = order[c0 : c0 + chunk]
-        uc, vc, oc = us[pos], vs[pos], np.empty((len(maps), pos.size))
-        targets, inverse = np.unique(np.concatenate((uc, vc)), return_inverse=True)
-        iu, iv = inverse[: uc.size], inverse[uc.size :]
-        # The segment holding u (the last one for u = b), clipped to [a, u]
-        # and to [u, v], at v.
-        ju = np.minimum(np.searchsorted(x, uc, side="right") - 1, n - 1)
-        ends = np.stack([t.reshape(2, -1) for t in _segment_terms(
-            x, henvs, np.concatenate((ju, ju)), np.concatenate((np.full(uc.size, a), uc)),
-            np.concatenate((uc, vc)), np.concatenate((vc, vc)), rho,
-        )])
-        at_u = np.empty((len(maps), targets.size))
-        # Targets ascend, so each block's rows reach at least as many
-        # segments as the block before: the columns it does not write are
-        # still zero.
-        tables = np.zeros((len(maps), rows, n))
-        for k in range(0, targets.size, rows):
-            c = targets[k : k + rows, None]
-            m = min(n, np.searchsorted(x, c[-1, 0], side="right"))  # segments from a to c
-            terms = _segment_terms(x, henvs, np.arange(m), a, c, c, rho)
-            # terms leads the zip, so it runs out and frees its moments here.
-            for row_terms, table, i_u in zip(terms, tables, at_u):
-                table[: c.size, :m] = row_terms
-                i_u[k : k + c.size] = table[: c.size].sum(axis=1)
-            # The pairs whose v is in this block; u <= v, so their integrals
-            # at u are in at_u already.
-            first, last = np.searchsorted(iv, (k, k + c.size))
-            for s0 in range(first, last, step):
-                p = slice(s0, min(s0 + step, last))
-                i_v, tail = _masked_sums(x, tables[:, iv[p] - k], uc[p, None], ju[p], ends[:, :, p])
-                oc[:, p] = np.abs(i_v - at_u[:, iu[p]]) + tail
-        out[:, pos] = oc
-    out *= math.exp(-math.lgamma(rho))
+    out = np.empty((len(maps), us.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        for c0 in range(0, us.size, chunk):
+            pos = order[c0 : c0 + chunk]
+            uc, vc, p = us[pos], vs[pos], np.arange(pos.size)
+            targets, inverse = np.unique(np.concatenate((uc, vc)), return_inverse=True)
+            c = targets[:, None]
+            rows = _segment_terms(x, henvs, np.arange(n), a, c, c, rho)
+            # The segment holding u (the last one for u = b), clipped to
+            # [a, u] and to [u, v], at v.
+            ju = np.minimum(np.searchsorted(x, uc, side="right") - 1, n - 1)
+            ends = _segment_terms(
+                x, henvs, ju, np.stack((np.full(uc.size, a), uc)), np.stack((uc, vc)), vc, rho
+            )
+            split = np.stack((x[1:] <= uc[:, None], x[:-1] >= uc[:, None]))
+            for row, end, o in zip(rows, ends, out):
+                at_v = np.where(split, row[inverse[pos.size :]], 0.0)
+                at_v[:, p, ju] = end
+                head, tail = at_v.sum(axis=2)
+                o[pos] = np.abs(head - row.sum(axis=1)[inverse[: pos.size]]) + tail
+        out *= math.exp(-math.lgamma(rho))
+    if not np.isfinite(out).all():
+        raise OverflowError(f"the continuity modulus of order {rho} on [{a}, {b}] is not finite")
     if single:
         return out[0].reshape(shape) if shape else float(out[0, 0])
     return out.reshape((len(maps),) + shape)

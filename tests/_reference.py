@@ -43,8 +43,9 @@ def rl_weight_matrix(a: float, b: float, n_segments: int, rho: float) -> np.ndar
 
 def modulus_clipped_reference(f, rho, u, v):
     """The array modulus with every segment clipped to [a, u] and to [u, v]
-    for each pair, in blocks of pairs. The per-target table version sums the
-    same terms in the same order, so it must match bit for bit."""
+    for each pair, in blocks of pairs. continuity_modulus, from one row of
+    terms per distinct target, sums the same N terms of each integral in the
+    same order, so it must match bit for bit."""
     us, vs = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     x = f.nodes
     henv = np.maximum(np.abs(f.lo), np.abs(f.hi))

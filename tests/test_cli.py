@@ -89,6 +89,18 @@ class TestIntegrate:
         assert not out.exists()
         assert "malformed map spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["integrate", "selections", "verify"])
+    @pytest.mark.parametrize("segments", [2.5, True])
+    def test_non_integral_segments_is_input_error(self, tmp_path, command, segments, capsys):
+        spec = {"a": 0, "b": 1, "segments": segments, "kind": "hat"}
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"fixture": spec} if command == "verify" else spec))
+        out = tmp_path / "never.out"
+        argv = [command, "--input", str(path), "--output", str(out)]
+        assert main(argv + ([] if command == "verify" else ["--rho", "0.5"])) == 2
+        assert not out.exists()
+        assert "segments must be an integer" in capsys.readouterr().err
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "g.json"
         assert main(
@@ -322,6 +334,21 @@ class TestParameterRobustness:
         assert code == 3
         assert not out.exists()
         assert "result beyond the float range" in capsys.readouterr().err
+
+    def test_modulus_beyond_float_range(self, tmp_path, capsys):
+        """A fixture whose continuity modulus overflows is a parameter error
+        on one line, and raises no numpy warning on the way."""
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps({"big": {"a": 0, "b": 1e308, "segments": 8, "kind": "sym_linear"}}))
+        out = tmp_path / "never.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--input", str(fixtures), "--output", str(out)])
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: result beyond the float range (")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -53,6 +53,14 @@ class TestConstruction:
         )
         assert f.eval(0.3) == Interval(1, 2)
 
+    @pytest.mark.parametrize("segments", [2.5, True, False, float("inf"), float("nan")])
+    def test_json_non_integral_segments_rejected(self, segments):
+        with pytest.raises(ValueError, match="segments must be an integer"):
+            GridMap.from_json({"a": 0, "b": 1, "segments": segments, "kind": "hat"})
+
+    def test_json_integral_float_segments(self):
+        assert GridMap.from_json({"a": 0, "b": 1, "segments": 4.0, "kind": "hat"}).n_segments == 4
+
     def test_csv_has_header_and_12_digits(self):
         text = sym_linear().to_csv()
         lines = text.strip().split("\n")

@@ -1,10 +1,13 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from _reference import kernel_hat_weights, modulus_clipped_reference
@@ -19,7 +22,8 @@ from svfrac import (
     rl_setvalued,
     total_variation,
 )
-from svfrac import rl, verify
+from svfrac import regularity, rl, verify
+from svfrac.gridmap import _BUILTIN_KINDS
 from svfrac.verify import fixture_catalog, run_verification
 
 RNG = np.random.default_rng(1)
@@ -136,6 +140,17 @@ class TestContinuityModulus:
                 phi = continuity_modulus(f, rho, nodes[i], nodes[j])
                 assert hd <= phi + 1e-8
 
+    def test_beyond_float_range(self):
+        """A finite map whose modulus overflows is an OverflowError, and
+        raises no numpy warning on the way."""
+        f = GridMap.from_builtin("sym_linear", 0, 1e308, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="not finite"):
+                continuity_modulus(f, 0.5, 0.0, 1e308)
+            with pytest.raises(OverflowError, match="not finite"):
+                continuity_modulus([f, f], 0.5, [0.0, 1e307], 1e308)
+
     def test_ordering_violated(self):
         f = GridMap.from_builtin("sym_linear", 0, 1, 8)
         with pytest.raises(ValueError):
@@ -187,7 +202,7 @@ def modulus_pairs(f):
 
 
 class TestArrayContinuityModulus:
-    """The array modulus (segments clipped to [a, u] and [u, v], in blocks)
+    """The array modulus (segments clipped to [a, u] and [u, v], in chunks)
     against the pair-by-pair breakpoint reference and the defining integral."""
 
     @pytest.mark.parametrize("n", [1, 7, 64])
@@ -206,7 +221,7 @@ class TestArrayContinuityModulus:
                     assert phi == 0.0
 
     def test_blocks_and_broadcasting(self):
-        # 300 pairs on 64 segments span 19 blocks; u broadcasts against v.
+        # 300 pairs on 64 segments span 10 chunks; u broadcasts against v.
         f = GridMap.from_builtin("abs_envelope", 0, 1, 64)
         rng = np.random.default_rng(3)
         uv = np.sort(rng.uniform(0, 1, (300, 2)), axis=1)
@@ -262,9 +277,9 @@ def continuity_calls(monkeypatch, **kwargs):
 
 
 class TestModulusTable:
-    """The per-target table modulus is bit-identical to the clipped-block
-    one, run_verification calls it once per (fixture, rho), and its memory
-    stays bounded."""
+    """The modulus, one row of terms per distinct target of a chunk, is
+    bit-identical to the per-pair clipped reference, run_verification calls
+    it once per (grid, rho), and its memory stays bounded."""
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_bit_identical_on_the_verification_pairs(self, monkeypatch, n):
@@ -312,7 +327,7 @@ class TestModulusTable:
             f = GridMap.from_builtin("sin_envelope", 0, 1, n)
             us, vs = np.array(modulus_pairs(f)).T
             rng = np.random.default_rng(n)
-            # 600 pairs: more than one chunk at every n
+            # 600 pairs: more than one chunk at every n > 1
             uv = np.sort(rng.choice(np.concatenate((f.nodes, rng.uniform(0, 1, 20))), (600, 2)), axis=1)
             us, vs = np.concatenate((us, uv[:, 0])), np.concatenate((vs, uv[:, 1]))
             got = continuity_modulus(f, rho, us, vs)
@@ -355,6 +370,35 @@ class TestModulusTable:
         finally:
             tracemalloc.stop()
         assert peak < 2e6, peak
+
+
+@st.composite
+def modulus_calls(draw):
+    """1-6 catalog maps on n segments, an order, and 1 to 3 chunks' worth
+    of pairs from the nodes and uniform points, with duplicates and u = v,
+    in shuffled order."""
+    n = draw(st.integers(1, 200))
+    kinds = draw(st.lists(st.sampled_from(_BUILTIN_KINDS), min_size=1, max_size=6, unique=True))
+    rho = draw(st.floats(0.05, 4.0))
+    size = draw(st.integers(1, 3 * max(1, regularity._BLOCK_ENTRIES // n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = [GridMap.from_builtin(kind, 0, 1, n) for kind in kinds]
+    pool = np.concatenate((maps[0].nodes, rng.uniform(0, 1, 16)))
+    uv = np.sort(rng.choice(pool, (size, 2)), axis=1)
+    same = rng.random(size) < 0.1
+    uv[same, 1] = uv[same, 0]
+    return maps, rho, uv[:, 0], uv[:, 1]
+
+
+class TestModulusProperty:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(call=modulus_calls())
+    def test_multi_map_rows_match_the_clipped_reference(self, call):
+        maps, rho, u, v = call
+        got = continuity_modulus(maps, rho, u, v)
+        assert got.shape == (len(maps), u.size)
+        for f, row in zip(maps, got):
+            assert np.array_equal(row, modulus_clipped_reference(f, rho, u, v)), (f.n_segments, rho)
 
 
 class TestScaleEquivariance:
