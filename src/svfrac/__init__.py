@@ -10,7 +10,7 @@ from .inclusion import (
     solution_funnel,
     solve_with_policy,
 )
-from .interval import Interval, contains, convex_combo, hausdorff, hausdorff_to_zero
+from .interval import Interval, hausdorff
 from .regularity import (
     RegularityReport,
     bound_l0,
@@ -20,17 +20,14 @@ from .regularity import (
     total_variation,
 )
 from .rl import (
-    chattering_hull,
     gamma_fn,
     quadrature_weights,
     rl_apply,
-    rl_scalar,
     rl_selection_oracle,
     rl_setvalued,
 )
 from .selections import (
     SelectionCertificate,
-    convex_combination_selection,
     extremal_selections,
     midpoint_selection,
     regular_selection,
@@ -50,22 +47,16 @@ __all__ = [
     "Trajectory",
     "bound_l0",
     "bound_sup",
-    "chattering_hull",
-    "contains",
     "continuity_modulus",
-    "convex_combination_selection",
-    "convex_combo",
     "extremal_selections",
     "fixture_catalog",
     "gamma_fn",
     "hausdorff",
-    "hausdorff_to_zero",
     "lipschitz_constant",
     "midpoint_selection",
     "quadrature_weights",
     "regular_selection",
     "rl_apply",
-    "rl_scalar",
     "rl_selection_oracle",
     "rl_setvalued",
     "run_verification",

@@ -24,10 +24,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def to_json(self) -> dict:
         return {"lo": self.lo, "hi": self.hi}
 
@@ -39,20 +35,3 @@ class Interval:
 def hausdorff(a: Interval, b: Interval) -> float:
     """Hausdorff distance between two intervals: max of endpoint distances."""
     return max(abs(a.lo - b.lo), abs(a.hi - b.hi))
-
-
-def hausdorff_to_zero(a: Interval) -> float:
-    """Hausdorff distance to the singleton {0}, i.e. sup of |x| over x in a."""
-    return max(abs(a.lo), abs(a.hi))
-
-
-def contains(a: Interval, x: float) -> bool:
-    """Membership test, closed at both endpoints."""
-    return a.lo <= x <= a.hi
-
-
-def convex_combo(a: Interval, b: Interval, lam: float) -> Interval:
-    """Pointwise convex combination lam*a + (1-lam)*b."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"combination weight must lie in [0, 1], got {lam}")
-    return Interval(lam * a.lo + (1.0 - lam) * b.lo, lam * a.hi + (1.0 - lam) * b.hi)

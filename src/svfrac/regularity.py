@@ -42,7 +42,10 @@ def _scaled_power(m: float, a: float, b: float, power: float, gamma_arg: float) 
         raise ValueError(f"domain requires finite a < b, got [{a}, {b}]")
     if m == 0.0:
         return 0.0
-    return math.exp(math.log(m) + power * math.log(b - a) - math.lgamma(gamma_arg))
+    try:
+        return math.exp(math.log(m) + power * math.log(b - a) - math.lgamma(gamma_arg))
+    except OverflowError:
+        raise OverflowError(f"the bound with exponent {power} on [{a}, {b}] is not finite") from None
 
 
 def bound_sup(rho: float, m: float, a: float, b: float) -> float:

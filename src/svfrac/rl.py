@@ -19,8 +19,7 @@ import sys
 import numpy as np
 import numpy.fft  # at module scope, so that no operation pays for the import
 
-from .gridmap import GridMap, Selection, selection_draws
-from .interval import Interval
+from .gridmap import GridMap, selection_draws
 
 
 def positive(name: str, value: float, *, strict: bool = True) -> float:
@@ -78,7 +77,10 @@ def quadrature_weights(
         raise ValueError(f"domain requires finite a < b, got [{a}, {b}]")
     x = np.arange(n_segments + 1) / n_segments
     w_left, w_right = _hat_moments(x[1:], x[:-1], 1.0 / n_segments, rho)
-    scale = math.exp(rho * math.log(b - a) - math.lgamma(rho))
+    try:
+        scale = math.exp(rho * math.log(b - a) - math.lgamma(rho))
+    except OverflowError:
+        raise OverflowError(f"the weights of order {rho} on [{a}, {b}] are not finite") from None
     kernel = np.concatenate((w_right[:1], w_left[:-1] + w_right[1:]))
     col0 = np.concatenate(([0.0], w_left))
     return kernel * scale, col0 * scale
@@ -108,11 +110,6 @@ def _row(weights: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
 def node_row(f: GridMap, rho: float, n: int) -> np.ndarray:
     """Weights of nodes 0..n of f's grid in the RL integral of order rho at node n."""
     return _row(quadrature_weights(f.a, f.b, f.n_segments, rho), n)
-
-
-def rl_scalar(f: Selection, rho: float, n: int) -> float:
-    """Riemann-Liouville integral of order rho of f, evaluated at node n."""
-    return float(node_row(f, rho, n) @ f.values[: n + 1])
 
 
 def rl_setvalued(f: GridMap, rho: float) -> GridMap:
@@ -158,45 +155,3 @@ def rl_selection_oracle(
         raise ValueError("samples must be >= 1")
     draws = selection_draws(f.n_segments + 1, range(seed, seed + samples))
     return selection_integrals(f, node_row(f, rho, n), draws)
-
-
-# -- nonconvex demo -----------------------------------------------------------
-
-
-def rl_piecewise_constant(
-    seg_values: np.ndarray, a: float, b: float, rho: float, c: float
-) -> float:
-    """(1/Gamma(rho)) * integral of (c - t)^(rho-1) against a piecewise-constant
-    function with one value per uniform segment of [a, b]; c >= b."""
-    seg_values = np.asarray(seg_values, dtype=float)
-    ts = np.linspace(a, b, seg_values.size + 1)
-    s0 = c - ts[:-1]
-    s1 = np.maximum(c - ts[1:], 0.0)
-    m0 = _pow_diff(s0, s1, rho) / rho
-    return float((m0 @ seg_values) / gamma_fn(rho))
-
-
-def chattering_hull(rho: float, depth: int, u: float = 1.0) -> Interval:
-    """Hull of RL integrals of chattering selections of the two-point map
-    F(t) = {-1, +1} on [0, u], at refinement depth `depth` (2**depth segments).
-
-    Demonstrates the convexifying effect of integration on nonconvex values:
-    duty-cycle selections sweep out the interior of
-    [-u**rho / Gamma(rho+1), +u**rho / Gamma(rho+1)]. Demo only; two-branch
-    maps are not a supported value type.
-    """
-    n = 2**depth
-    vals = []
-    for on_count in range(n + 1):
-        pattern = _duty_cycle(on_count, n)
-        vals.append(rl_piecewise_constant(pattern, 0.0, u, rho, u))
-    return Interval(min(vals), max(vals))
-
-
-def _duty_cycle(on_count: int, n: int) -> np.ndarray:
-    """+1/-1 pattern with `on_count` +1 segments spread evenly across n slots."""
-    pattern = -np.ones(n)
-    if on_count > 0:
-        idx = np.floor(np.arange(on_count) * n / on_count).astype(int)
-        pattern[idx] = 1.0
-    return pattern

@@ -16,7 +16,7 @@ class SelectionCertificate:
     so a certificate is meaningful for any GridMap, not only integral maps.
     """
 
-    kind: str  # lower-extremal | upper-extremal | convex-combination | midpoint
+    kind: str  # lower-extremal | upper-extremal | midpoint
     selection: Selection
     variation: float
     lipschitz: float
@@ -53,14 +53,7 @@ def midpoint_selection(g: GridMap) -> Selection:
     return Selection(g.a, g.b, 0.5 * (g.lo + g.hi))
 
 
-def convex_combination_selection(g: GridMap, lam: float) -> Selection:
-    """lam * g_minus + (1 - lam) * g_plus; a selection by value convexity."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"combination weight must lie in [0, 1], got {lam}")
-    return Selection(g.a, g.b, lam * g.lo + (1.0 - lam) * g.hi)
-
-
-def regular_selection(g: GridMap, kind: str = "bounded-variation") -> SelectionCertificate:
+def regular_selection(g: GridMap) -> SelectionCertificate:
     """Constructive regular-selection witness with measured certificate.
 
     For interval values the lower-extremal selection is continuous, has
@@ -69,8 +62,6 @@ def regular_selection(g: GridMap, kind: str = "bounded-variation") -> SelectionC
     hypotheses (integral map of order > 1 from a BV resp. Lipschitz map); the
     certificate records measured inequalities either way.
     """
-    if kind not in ("bounded-variation", "lipschitz"):
-        raise ValueError(f"unknown regular-selection kind {kind!r}")
     return _certify(g, g.extremal_lower(), "lower-extremal")
 
 

@@ -1,15 +1,15 @@
-"""Dense and per-pair references for tests: the O(N^2) row-by-row RL weight
-matrix built from the non-uniform kernel weights, and the continuity modulus
-with every segment clipped for each pair. None of them is used by the
-package; each is an independent construction that its fast counterpart is
-checked against."""
+"""References for tests: the O(N^2) row-by-row RL weight matrix, the
+continuity modulus with every segment clipped for each pair, the RL integral
+of a selection at one node, and the chattering demo on two-point values. None
+of them is used by the package; each is an independent construction that its
+fast counterpart is checked against."""
 
 import math
 
 import numpy as np
 
 from svfrac import gamma_fn, regularity
-from svfrac.rl import _hat_moments
+from svfrac.rl import _hat_moments, _pow_diff, node_row
 
 
 def kernel_hat_weights(c: float, rho: float, ts: np.ndarray) -> np.ndarray:
@@ -28,6 +28,11 @@ def kernel_hat_weights(c: float, rho: float, ts: np.ndarray) -> np.ndarray:
     w[:-1] += w_left
     w[1:] += w_right
     return w
+
+
+def rl_scalar(f, rho: float, n: int) -> float:
+    """Riemann-Liouville integral of order rho of the selection f, evaluated at node n."""
+    return float(node_row(f, rho, n) @ f.values[: n + 1])
 
 
 def rl_weight_matrix(a: float, b: float, n_segments: int, rho: float) -> np.ndarray:
@@ -71,3 +76,25 @@ def modulus_clipped_reference(f, rho, u, v):
         i_v, i_u = integrals(vk, head), integrals(uk, head)
         out[k : k + step] = np.abs(i_v - i_u) + integrals(vk, clip(uk, vk))
     return out.reshape(us.shape) * math.exp(-math.lgamma(rho))
+
+
+def rl_piecewise_constant(
+    seg_values: np.ndarray, a: float, b: float, rho: float, c: float
+) -> float:
+    """(1/Gamma(rho)) * integral of (c - t)^(rho-1) against a piecewise-constant
+    function with one value per uniform segment of [a, b]; c >= b."""
+    seg_values = np.asarray(seg_values, dtype=float)
+    ts = np.linspace(a, b, seg_values.size + 1)
+    s0 = c - ts[:-1]
+    s1 = np.maximum(c - ts[1:], 0.0)
+    m0 = _pow_diff(s0, s1, rho) / rho
+    return float((m0 @ seg_values) / gamma_fn(rho))
+
+
+def _duty_cycle(on_count: int, n: int) -> np.ndarray:
+    """+1/-1 pattern with `on_count` +1 segments spread evenly across n slots."""
+    pattern = -np.ones(n)
+    if on_count > 0:
+        idx = np.floor(np.arange(on_count) * n / on_count).astype(int)
+        pattern[idx] = 1.0
+    return pattern

@@ -324,6 +324,24 @@ class TestParameterRobustness:
         assert not out.exists()
         assert "float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, order, domain",
+        [
+            (["integrate", "--rho", "2.7", "--grid", "4", "--b", "1e308"], "2.7", "[0.0, 1e+308]"),
+            (["bounds", "--rho", "200", "--M", "1", "--b", "1e5"], "200", "[0.0, 100000.0]"),
+        ],
+        ids=["integrate", "bounds"],
+    )
+    def test_scale_beyond_float_range_names_order_and_domain(self, tmp_path, capsys, argv, order, domain):
+        """An overflowing (b - a)^rho / Gamma scale names its order and domain,
+        not only the math library's "math range error"."""
+        out = tmp_path / "never.out"
+        assert main(argv + ["--output", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert order in err and domain in err
+        assert "math range error" not in err
+
     def test_integral_beyond_float_range(self, tmp_path, capsys):
         """The integral of a finite map that overflows is a parameter error
         with its reason, and raises no numpy warning on the way."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svfrac import GridMap, Interval, Selection, hausdorff_to_zero, lipschitz_constant, total_variation
+from svfrac import GridMap, Interval, Selection, hausdorff, lipschitz_constant, total_variation
 from svfrac.gridmap import selection_draws
 
 RNG = np.random.default_rng(0)
@@ -98,7 +98,7 @@ class TestSupBound:
         f = GridMap(0, 1, -3 + u, u)
         assert f.sup_bound() == 3.0
         us = RNG.uniform(0, 1, 10_000)
-        brute = max(hausdorff_to_zero(f.eval(x)) for x in us)
+        brute = max(hausdorff(f.eval(x), Interval(0.0, 0.0)) for x in us)
         assert brute <= f.sup_bound() + 1e-12
         assert f.sup_bound() - brute < 1e-3
 

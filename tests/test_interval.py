@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from svfrac import Interval, contains, convex_combo, hausdorff, hausdorff_to_zero
+from svfrac import Interval, hausdorff
 
 
 def brute_hausdorff(a, b, samples=20001):
@@ -29,7 +29,8 @@ def intervals(draw):
 
 class TestConstruction:
     def test_degenerate_is_valid(self):
-        assert Interval(2.0, 2.0).width == 0.0
+        a = Interval(2.0, 2.0)
+        assert a.hi - a.lo == 0.0
 
     def test_reversed_endpoints_rejected(self):
         with pytest.raises(ValueError):
@@ -60,12 +61,12 @@ class TestHausdorff:
         assert abs(brute_hausdorff(a, b) - 3.0) < 1e-3
 
     def test_to_zero_examples(self):
-        assert hausdorff_to_zero(Interval(-1, 2)) == 2.0
-        assert hausdorff_to_zero(Interval(0, 0)) == 0.0
+        assert hausdorff(Interval(-1, 2), Interval(0.0, 0.0)) == 2.0
+        assert hausdorff(Interval(0, 0), Interval(0.0, 0.0)) == 0.0
 
     def test_to_zero_against_brute_force(self):
         a = Interval(-5, -3)
-        assert hausdorff_to_zero(a) == 5.0
+        assert hausdorff(a, Interval(0.0, 0.0)) == 5.0
         sup = max(abs(x) for x in np.linspace(a.lo, a.hi, 10001))
         assert abs(sup - 5.0) < 1e-12
 
@@ -81,44 +82,4 @@ class TestHausdorff:
 
     @given(intervals())
     def test_to_zero_matches_distance_to_origin(self, a):
-        assert hausdorff_to_zero(a) == hausdorff(a, Interval(0.0, 0.0))
-
-
-class TestContains:
-    def test_interior_and_boundary(self):
-        a = Interval(0, 1)
-        assert contains(a, 0.5)
-        assert contains(a, 1.0)
-        assert not contains(a, 1.0 + 1e-6)
-
-
-class TestConvexCombo:
-    def test_midpoint(self):
-        assert convex_combo(Interval(0, 2), Interval(4, 6), 0.5) == Interval(2, 4)
-
-    def test_lambda_one_is_identity(self):
-        a, b = Interval(-1, 5), Interval(2, 3)
-        assert convex_combo(a, b, 1.0) == a
-
-    def test_endpoint_arithmetic_against_sampling(self):
-        a, b, lam = Interval(0, 1), Interval(0, 3), 0.25
-        got = convex_combo(a, b, lam)
-        assert got == Interval(0.0, 2.5)
-        pts = [
-            lam * x + (1 - lam) * y
-            for x in np.linspace(a.lo, a.hi, 101)
-            for y in np.linspace(b.lo, b.hi, 101)
-        ]
-        assert abs(min(pts) - got.lo) < 1e-12 and abs(max(pts) - got.hi) < 1e-12
-
-    def test_lambda_out_of_range(self):
-        with pytest.raises(ValueError):
-            convex_combo(Interval(0, 1), Interval(0, 1), 1.5)
-
-    @given(intervals(), intervals(), st.floats(min_value=0, max_value=1), st.data())
-    def test_member_combination_stays_inside(self, a, b, lam, data):
-        x = data.draw(st.floats(min_value=a.lo, max_value=a.hi))
-        y = data.draw(st.floats(min_value=b.lo, max_value=b.hi))
-        c = convex_combo(a, b, lam)
-        z = lam * x + (1 - lam) * y
-        assert c.lo - 1e-9 * (1 + abs(z)) <= z <= c.hi + 1e-9 * (1 + abs(z))
+        assert max(abs(a.lo), abs(a.hi)) == hausdorff(a, Interval(0.0, 0.0))

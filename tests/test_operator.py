@@ -9,8 +9,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from _reference import rl_weight_matrix
-from svfrac import GridMap, Selection, gamma_fn, quadrature_weights, rl_apply, rl_scalar, rl_setvalued
+from _reference import rl_scalar, rl_weight_matrix
+from svfrac import GridMap, Selection, gamma_fn, quadrature_weights, rl_apply, rl_setvalued
 from svfrac.rl import _row
 
 ORDERS = (1e-3, 0.3, 1.0, 2.7, 50.0)

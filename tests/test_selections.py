@@ -5,7 +5,7 @@ import pytest
 
 from svfrac import (
     GridMap,
-    convex_combination_selection,
+    Selection,
     extremal_selections,
     lipschitz_constant,
     midpoint_selection,
@@ -53,7 +53,7 @@ class TestExtremalSelections:
 
 class TestRegularSelection:
     def test_canonical_witness(self):
-        cert = regular_selection(integral_of_canonical(), "bounded-variation")
+        cert = regular_selection(integral_of_canonical())
         assert cert.kind == "lower-extremal"
         assert cert.membership_checked
         assert abs(cert.variation - 0.5) < 1e-12
@@ -61,19 +61,15 @@ class TestRegularSelection:
 
     def test_degenerate_variation_equality(self):
         g = GridMap(0, 1, [0, 1, 0], [0, 1, 0])
-        cert = regular_selection(g, "lipschitz")
+        cert = regular_selection(g)
         assert cert.variation == cert.parent_variation
 
     def test_zero_witness_of_constant_map(self):
         f = GridMap.from_builtin("constant", 0, 1, 32, lo=0.0, hi=1.0)
-        cert = regular_selection(rl_setvalued(f, 2.0), "bounded-variation")
+        cert = regular_selection(rl_setvalued(f, 2.0))
         assert np.allclose(cert.selection.values, 0.0, atol=1e-15)
         assert cert.variation <= 1e-15
         assert abs(cert.parent_variation - 0.5) < 1e-13
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            regular_selection(integral_of_canonical(), "analytic")
 
 
 class TestMidpointSelection:
@@ -97,11 +93,7 @@ class TestConvexCombination:
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.9, 1.0])
     def test_is_selection(self, lam):
         g = rl_setvalued(GridMap.from_builtin("sin_envelope", 0, 1, 32), 0.8)
-        assert convex_combination_selection(g, lam).is_selection_of(g)
-
-    def test_weight_validated(self):
-        with pytest.raises(ValueError):
-            convex_combination_selection(integral_of_canonical(), -0.1)
+        assert Selection(g.a, g.b, lam * g.lo + (1 - lam) * g.hi).is_selection_of(g)
 
 
 class TestCertificates:
