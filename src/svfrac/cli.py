@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 parameter error
-(including a result beyond the float range), 4 non-convergence. No
-computation result is written on exit codes 2-3.
+Exit codes: 0 ok, 1 verification failure, 2 input error (including an
+output that cannot be opened or written), 3 parameter error (including a
+result beyond the float range), 4 non-convergence. The output is opened only
+after the computation has succeeded, so no computation result is written on
+exit codes 2-3, apart from what reached an output before writing it failed.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import warnings
 
@@ -49,21 +52,51 @@ def _load_map(args) -> GridMap:
     return GridMap.from_builtin(args.builtin, args.a, args.b, args.grid)
 
 
-def _write(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The text stream a result is written to: the file `path`, opened here,
+    or stdout, flushed at the end. An output that cannot be opened or
+    written, a closed pipe included, is an InputError."""
+    try:
+        if path:
+            with open(path, "w") as fh:
+                yield fh
+        else:
+            yield sys.stdout
+            sys.stdout.flush()
+    except OSError as exc:
+        if not path:
+            _discard_stdout()
+        raise InputError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so that the text still
+    buffered after a failed write is dropped at exit instead of failing
+    there again. A stdout without a descriptor holds nothing to drop."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _write_json(path: str | None, obj, indent: int | None = None) -> None:
+    with _output(path) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
 
 
 def cmd_integrate(args) -> int:
     f = _load_map(args)
     g = rl_setvalued(f, args.rho)
     if args.format == "json":
-        _write(args.output, json.dumps(g.to_json(), sort_keys=True) + "\n")
+        _write_json(args.output, g.to_json())
     else:
-        _write(args.output, g.to_csv())
+        with _output(args.output) as fh:
+            g.to_csv(fh)
     return EXIT_OK
 
 
@@ -80,8 +113,7 @@ def cmd_verify(args) -> int:
         if not fixtures:
             raise InputError(f"fixture file {args.input} has no fixtures")
     reports = run_verification(rhos=rhos, fixtures=fixtures, seed=args.seed, n_segments=args.grid)
-    text = json.dumps([r.to_json() for r in reports], sort_keys=True, indent=1) + "\n"
-    _write(args.output, text)
+    _write_json(args.output, [r.to_json() for r in reports], indent=1)
     failed = [r for r in reports if not r.passed]
     for r in failed:
         print(
@@ -96,8 +128,7 @@ def cmd_selections(args) -> int:
     f = _load_map(args)
     g = rl_setvalued(f, args.rho)
     certs = (*certify_extremals(g), certify_midpoint(g))
-    text = json.dumps([c.to_json() for c in certs], sort_keys=True, indent=1) + "\n"
-    _write(args.output, text)
+    _write_json(args.output, [c.to_json() for c in certs], indent=1)
     return EXIT_OK
 
 
@@ -105,7 +136,7 @@ def cmd_bounds(args) -> int:
     out = {"bound_sup": bound_sup(args.rho, args.M, args.a, args.b)}
     if args.rho > 1:
         out["bound_L0"] = bound_l0(args.rho, args.M, args.a, args.b)
-    _write(args.output, json.dumps(out, sort_keys=True) + "\n")
+    _write_json(args.output, out)
     return EXIT_OK
 
 
@@ -147,12 +178,14 @@ def cmd_inclusion(args) -> int:
     try:
         if args.funnel:
             g = solution_funnel(problem, n=args.grid, max_iter=args.max_iter, tol=args.tol)
-            _write(args.output, funnel_to_csv(g))
+            with _output(args.output) as fh:
+                funnel_to_csv(g, fh)
         else:
             traj = solve_with_policy(
                 problem, policy=args.policy, n=args.grid, max_iter=args.max_iter, tol=args.tol
             )
-            _write(args.output, traj.to_csv())
+            with _output(args.output) as fh:
+                traj.to_csv(fh)
             print(
                 f"iterations_used={traj.iterations_used} residual={traj.residual:.12g}",
                 file=sys.stderr,

@@ -16,6 +16,7 @@ import numpy as np
 from .interval import Interval
 
 _BUILTIN_KINDS = ("constant", "sym_linear", "affine", "abs_envelope", "sin_envelope", "hat")
+CSV_BLOCK = 512  # CSV rows formatted by one % and written by one write
 
 
 class GridMap:
@@ -151,8 +152,8 @@ class GridMap:
             return GridMap(a, b, lo, hi)
         return cls.from_builtin(kind, a, b, n, **obj.get("params", {}))
 
-    def to_csv(self) -> str:
-        return _csv("u,lo,hi", self.nodes, self.lo, self.hi)
+    def to_csv(self, out=None) -> str | None:
+        return _csv("u,lo,hi", self.nodes, self.lo, self.hi, out=out)
 
 
 class Selection(GridMap):
@@ -179,13 +180,30 @@ class Selection(GridMap):
         return bool(np.all(f.lo <= self.values) and np.all(self.values <= f.hi))
 
 
-def _csv(header: str, *columns) -> str:
-    """The header line, then one CSV line of `.12g` values per row of the columns."""
-    row = ",".join(["%.12g"] * len(columns))
-    return "\n".join([header, *[row % values for values in zip(*columns)]]) + "\n"
+def _csv(header: str, *columns, out=None) -> str | None:
+    """The header line, then one CSV line of `.12g` values per row of the
+    columns, written to the text stream `out` CSV_BLOCK rows at a time, so
+    that only one block's text exists at once. Without a stream, the text is
+    returned."""
+
+    def blocks():
+        yield header + "\n"
+        line = ",".join(["%.12g"] * len(columns)) + "\n"
+        for start in range(0, len(columns[0]), CSV_BLOCK):
+            block = np.column_stack([c[start : start + CSV_BLOCK] for c in columns])
+            yield line * len(block) % tuple(block.ravel().tolist())
+
+    if out is None:
+        return "".join(blocks())
+    out.writelines(blocks())
+    return None
 
 
 def selection_draws(n_nodes: int, seeds) -> np.ndarray:
     """One row of uniform [0, 1) draws per seed: GridMap.random_selection(s)
-    takes the node values lo + row * (hi - lo) from the row of seed s."""
-    return np.array([np.random.default_rng(s).random(n_nodes) for s in seeds])
+    takes the node values lo + row * (hi - lo) from the row of seed s. Each
+    row is drawn into the result in place."""
+    out = np.empty((len(seeds), n_nodes))
+    for row, s in zip(out, seeds):
+        np.random.default_rng(s).random(out=row)
+    return out

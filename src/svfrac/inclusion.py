@@ -102,8 +102,8 @@ class Trajectory:
     iterations_used: int
     residual: float
 
-    def to_csv(self) -> str:
-        return _csv("t,u", self.ts, self.us)
+    def to_csv(self, out=None) -> str | None:
+        return _csv("t,u", self.ts, self.us, out=out)
 
 
 class NonConvergenceError(RuntimeError):
@@ -222,5 +222,5 @@ def solution_funnel(
     return GridMap(p.t0, p.T, lo, hi)
 
 
-def funnel_to_csv(g: GridMap) -> str:
-    return _csv("t,lo,hi", g.nodes, g.lo, g.hi)
+def funnel_to_csv(g: GridMap, out=None) -> str | None:
+    return _csv("t,lo,hi", g.nodes, g.lo, g.hi, out=out)

@@ -40,20 +40,37 @@ def gamma_fn(x: float) -> float:
 
 def _pow_diff(s0: np.ndarray, s1: np.ndarray, p: float) -> np.ndarray:
     """s0**p - s1**p for 0 <= s1 <= s0 as s1**p * expm1(p * log(s0/s1)), stable for
-    small p; s0**p where that is not finite (s1 = 0, or 0 * inf at huge p)."""
-    s0 = np.asarray(s0, dtype=float)
-    s1 = np.asarray(s1, dtype=float)
+    small p; s0**p where that is not finite (s1 = 0, or 0 * inf at huge p).
+    Each step but s1**p works in place in the result, and s0**p is taken
+    only where it is needed."""
+    s0, s1 = np.broadcast_arrays(np.asarray(s0, dtype=float), np.asarray(s1, dtype=float))
     with np.errstate(all="ignore"):  # log(0), 0/0 and 0 * inf are replaced below
-        d = s1**p * np.expm1(p * np.log(s0 / s1))
-        return np.where(np.isfinite(d), d, s0**p)
+        d = np.divide(s0, s1)
+        np.log(d, out=d)
+        np.multiply(p, d, out=d)
+        np.expm1(d, out=d)
+        np.multiply(s1**p, d, out=d)
+        bad = ~np.isfinite(d)
+        d[bad] = s0[bad] ** p
+        return d
 
 
 def _hat_moments(s0: np.ndarray, s1: np.ndarray, h, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of s^(rho-1) over segments [s1, s0] of length h against the
-    two hat functions of each segment: (weight of the node at s0, at s1)."""
-    m0 = _pow_diff(s0, s1, rho) / rho
-    d1 = _pow_diff(s0, s1, rho + 1.0) / (rho + 1.0)
-    return (d1 - s1 * m0) / h, (s0 * m0 - d1) / h
+    two hat functions of each segment: (weight of the node at s0, at s1),
+    that is (d1 - s1 m0) / h and (s0 m0 - d1) / h with m0 and d1 the moments
+    of orders 0 and 1, each step in place where its operands allow."""
+    m0 = _pow_diff(s0, s1, rho)
+    m0 /= rho
+    d1 = _pow_diff(s0, s1, rho + 1.0)
+    d1 /= rho + 1.0
+    at_s0 = s1 * m0
+    np.subtract(d1, at_s0, out=at_s0)
+    at_s0 /= h
+    np.multiply(s0, m0, out=m0)
+    m0 -= d1
+    m0 /= h
+    return at_s0, m0
 
 
 def quadrature_weights(
@@ -81,21 +98,35 @@ def quadrature_weights(
         scale = math.exp(rho * math.log(b - a) - math.lgamma(rho))
     except OverflowError:
         raise OverflowError(f"the weights of order {rho} on [{a}, {b}] are not finite") from None
-    kernel = np.concatenate((w_right[:1], w_left[:-1] + w_right[1:]))
+    kernel = w_right  # b_0 = w_right[0], b_k = w_right[k] + w_left[k - 1]
+    kernel[1:] += w_left[:-1]
+    kernel *= scale
     col0 = np.concatenate(([0.0], w_left))
-    return kernel * scale, col0 * scale
+    col0 *= scale
+    return kernel, col0
 
 
 def rl_apply(weights: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
     """The operator `weights` (from quadrature_weights) applied to each row of
-    `values`, of shape (..., N+1), by one zero-padded FFT convolution."""
+    `values`, of shape (..., N+1), by a zero-padded FFT convolution. The
+    kernel's spectrum is taken once; the rows are transformed one at a time,
+    each spectrum multiplied by the kernel's in place, so the FFT temporaries
+    are those of one row."""
     kernel, col0 = weights
     values = np.asarray(values, dtype=float)
     n = kernel.size
+    if values.shape[-1:] != (n + 1,):
+        raise ValueError(f"values of shape {values.shape} do not end in the {n + 1} grid nodes")
     size = 1 << (2 * n - 2).bit_length()  # power of two >= 2n - 1
-    spec = numpy.fft.rfft(kernel, size) * numpy.fft.rfft(values[..., 1:], size)
+    kernel_spec = numpy.fft.rfft(kernel, size)
     out = np.zeros(values.shape)
-    out[..., 1:] = numpy.fft.irfft(spec, size)[..., :n] + col0[1:] * values[..., :1]
+    for row, target in zip(values.reshape(-1, n + 1), out.reshape(-1, n + 1)):
+        spec = numpy.fft.rfft(row[1:], size)
+        # Kernel first, as in kernel_spec * spec: swapping the operands of the
+        # complex product can change its last bits.
+        np.multiply(kernel_spec, spec, out=spec)
+        target[1:] = numpy.fft.irfft(spec, size)[:n]
+        target[1:] += col0[1:] * row[0]
     return out
 
 
@@ -125,8 +156,9 @@ def rl_setvalued(f: GridMap, rho: float) -> GridMap:
     """
     weights = quadrature_weights(f.a, f.b, f.n_segments, rho)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        lo, width = rl_apply(weights, np.stack((f.lo, f.hi - f.lo)))
-        hi = lo + np.maximum(width, 0.0)
+        lo = rl_apply(weights, f.lo)
+        width = rl_apply(weights, f.hi - f.lo)
+        hi = np.add(lo, np.maximum(width, 0.0, out=width), out=width)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise OverflowError(f"the integral of order {rho} on [{f.a}, {f.b}] is not finite")
     return GridMap(f.a, f.b, lo, hi)

@@ -1,8 +1,9 @@
 """References for tests: the O(N^2) row-by-row RL weight matrix, the
 continuity modulus with every segment clipped for each pair, the RL integral
-of a selection at one node, and the chattering demo on two-point values. None
-of them is used by the package; each is an independent construction that its
-fast counterpart is checked against."""
+of a selection at one node, the chattering demo on two-point values, and CSV
+text formatted one value at a time. None of them is used by the package;
+each is an independent construction that its fast counterpart is checked
+against."""
 
 import math
 
@@ -98,3 +99,12 @@ def _duty_cycle(on_count: int, n: int) -> np.ndarray:
         idx = np.floor(np.arange(on_count) * n / on_count).astype(int)
         pattern[idx] = 1.0
     return pattern
+
+
+def csv_reference(header: str, *columns) -> str:
+    """The header line, then one line per row: each value of the row as
+    `%.12g`, one value at a time, joined by commas."""
+    lines = [header]
+    for i in range(len(columns[0])):
+        lines.append(",".join("%.12g" % float(c[i]) for c in columns))
+    return "\n".join(lines) + "\n"

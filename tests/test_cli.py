@@ -24,6 +24,14 @@ def run(tmp_path, *argv):
     return main(list(argv))
 
 
+def cli_env() -> dict:
+    """The environment of a `python -m svfrac.cli` subprocess: this tree's
+    package first, and no PYTHONWARNINGS."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
 @pytest.fixture
 def problem_file(tmp_path):
     path = tmp_path / "problem.json"
@@ -235,12 +243,10 @@ class TestInclusion:
             {"alpha": 1.5, "t0": 0.0, "T": 10.0, "u0": 1.0, "u1": 0.0, "lipschitz_u": 1.0,
              "rhs": {"kind": "affine", "params": {"p": -1.0, "q_lo": -0.1, "q_hi": 0.1}}}
         ))
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "svfrac.cli", "inclusion", "--input", str(path), "--funnel",
              "--grid", "64", "--output", str(tmp_path / "funnel.csv")],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=cli_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stderr.splitlines()
@@ -473,6 +479,88 @@ class TestSeedOnlyOnVerify:
             main(argv + ["--seed", "3"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+class TestOutput:
+    """A result goes to --output or to stdout with the same bytes, written in
+    blocks. An output that cannot be opened or written, a closed pipe
+    included, is one "input error" line on stderr and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integrate", "--builtin", "sin_envelope", "--rho", "0.5", "--grid", "1100"],
+            ["integrate", "--builtin", "hat", "--rho", "1.5", "--grid", "64", "--format", "json"],
+            ["verify", "--grid", "16"],
+            ["inclusion", "--funnel", "--grid", "1100"],
+        ],
+    )
+    def test_output_file_matches_stdout(self, tmp_path, problem_file, argv, capsys):
+        if argv[0] == "inclusion":
+            argv = argv + ["--input", problem_file]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "result"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integrate", "--rho", "0.5", "--grid", "8"],
+            ["integrate", "--rho", "0.5", "--grid", "8", "--format", "json"],
+            ["verify", "--grid", "8"],
+            ["selections", "--rho", "0.5", "--grid", "8"],
+            ["bounds", "--rho", "0.5", "--M", "1"],
+            ["inclusion", "--grid", "8"],
+            ["inclusion", "--grid", "8", "--funnel"],
+        ],
+    )
+    @pytest.mark.parametrize("target", ["missing/x.out", ""], ids=["missing-dir", "directory"])
+    def test_unwritable_output_is_input_error(self, tmp_path, problem_file, argv, target, capsys):
+        if argv[0] == "inclusion":
+            argv = argv + ["--input", problem_file]
+        path = tmp_path / target
+        assert main(argv + ["--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot write {path}: "), err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "error", [BrokenPipeError(32, "Broken pipe"), OSError(28, "No space left on device")]
+    )
+    def test_failed_stdout_is_input_error(self, monkeypatch, capsys, error):
+        class FailingStdout(io.StringIO):
+            def write(self, text):
+                raise error
+
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        assert main(["integrate", "--rho", "0.5", "--grid", "8"]) == 2
+        assert capsys.readouterr().err == f"input error: cannot write stdout: {error.strerror}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_ends_without_traceback(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "svfrac.cli", "integrate", "--rho", "0.5", "--grid", "8"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: cannot write stdout: No space left on device\n"
+
+    def test_closed_pipe_ends_without_traceback(self):
+        # 3.6 MB of CSV: far more than a pipe holds, so the writer is still
+        # writing when the reader goes away after the first line.
+        with subprocess.Popen(
+            [sys.executable, "-m", "svfrac.cli", "integrate", "--rho", "0.5", "--grid", "65536"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+        ) as proc:
+            assert proc.stdout.readline() == b"u,lo,hi\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 2
+        assert err == "input error: cannot write stdout: Broken pipe\n"
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,12 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
+from _reference import csv_reference
 
-from svfrac import GridMap, Interval, Selection, hausdorff, lipschitz_constant, total_variation
-from svfrac.gridmap import selection_draws
+from svfrac import GridMap, Interval, Selection, hausdorff, lipschitz_constant, rl_setvalued, total_variation
+from svfrac.gridmap import CSV_BLOCK, _csv, selection_draws
 
 RNG = np.random.default_rng(0)
 
@@ -67,6 +71,53 @@ class TestConstruction:
         assert lines[0] == "u,lo,hi"
         assert len(lines) == 6
         assert lines[-1] == "1,-1,1"
+
+
+class TestBlockWriter:
+    """The CSV writers format CSV_BLOCK rows per block; the text must not
+    depend on where the block boundaries fall."""
+
+    @pytest.mark.parametrize(
+        "rows", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 7]
+    )
+    @pytest.mark.parametrize("n_columns", [2, 3])
+    def test_string_and_stream_match_row_by_row_reference(self, rows, n_columns):
+        rng = np.random.default_rng(rows * n_columns)
+        columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+                   for _ in range(n_columns)]
+        columns[0][::5] = -0.0
+        columns[-1][1::7] = 1 / 3
+        header = ",".join("abc"[:n_columns])
+        expected = csv_reference(header, *columns)
+        assert _csv(header, *columns) == expected
+        stream = io.StringIO()
+        assert _csv(header, *columns, out=stream) is None
+        assert stream.getvalue() == expected
+
+    def test_map_writer_streams_what_it_returns(self):
+        g = GridMap.from_builtin("sin_envelope", 0.0, 2.0, CSV_BLOCK + 1)
+        stream = io.StringIO()
+        g.to_csv(stream)
+        assert stream.getvalue() == g.to_csv() == csv_reference("u,lo,hi", g.nodes, g.lo, g.hi)
+
+    def test_integral_and_csv_memory_is_bounded(self, tmp_path):
+        # One row's FFT temporaries and one block of text at a time: the
+        # integral and its CSV at N = 65536 trace about 5.8 MB, where both
+        # endpoint spectra at once and the whole text took 11.7 MB.
+        f = GridMap.from_builtin("sin_envelope", 0.0, 1.0, 65536)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            g = rl_setvalued(f, 0.5)
+            with open(tmp_path / "g.csv", "w") as fh:
+                g.to_csv(fh)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestEval:

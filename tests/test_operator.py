@@ -40,6 +40,13 @@ def test_batched_rows_match_single_applies():
         assert np.array_equal(got, rl_apply(weights, v))
 
 
+@pytest.mark.parametrize("shape", [(), (50,), (2, 52), (51, 2)])
+def test_values_must_end_in_the_grid_nodes(shape):
+    weights = quadrature_weights(0.0, 1.0, 50, 0.7)
+    with pytest.raises(ValueError, match="51 grid nodes"):
+        rl_apply(weights, np.zeros(shape))
+
+
 @pytest.mark.parametrize("rho", ORDERS)
 def test_row_zero_is_exactly_zero(rho):
     f = GridMap.from_builtin("sin_envelope", 0.0, 1.0, 333)
