@@ -2,9 +2,10 @@
 
 Exit codes: 0 ok, 1 verification failure, 2 input error (including an
 output that cannot be opened or written), 3 parameter error (including a
-result beyond the float range), 4 non-convergence. The output is opened only
-after the computation has succeeded, so no computation result is written on
-exit codes 2-3, apart from what reached an output before writing it failed.
+result beyond the float range, and a grid too large for the memory), 4
+non-convergence. The output is opened only after the computation has
+succeeded, so no computation result is written on exit codes 2-3, apart
+from what reached an output before writing it failed.
 """
 
 from __future__ import annotations
@@ -267,6 +268,17 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"parameter error: result beyond the float range ({exc})", file=sys.stderr)
         return EXIT_PARAM
+    except MemoryError:
+        print(f"parameter error: not enough memory for {_grid_source(args)}", file=sys.stderr)
+        return EXIT_PARAM
+
+
+def _grid_source(args) -> str:
+    """What sets the grid of a run: the map or fixture file of --input, or
+    --grid (an inclusion problem file holds no grid)."""
+    if getattr(args, "input", None) and args.command != "inclusion":
+        return f"the grid of {args.input}"
+    return f"--grid {getattr(args, 'grid', None)}"
 
 
 def console_main() -> None:

@@ -19,12 +19,16 @@ _BUILTIN_KINDS = ("constant", "sym_linear", "affine", "abs_envelope", "sin_envel
 CSV_BLOCK = 512  # CSV rows formatted by one % and written by one write
 
 
+def _check_domain(a: float, b: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"domain requires finite a < b, got [{a}, {b}]")
+
+
 class GridMap:
     """Interval-valued map on [a, b] sampled at n_segments + 1 uniform nodes."""
 
     def __init__(self, a: float, b: float, lo: Sequence[float], hi: Sequence[float]):
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError(f"domain requires finite a < b, got [{a}, {b}]")
+        _check_domain(a, b)
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape or lo.size < 2:
@@ -90,6 +94,7 @@ class GridMap:
         cls, kind: str, a: float = 0.0, b: float = 1.0, n_segments: int = 256, **params
     ) -> "GridMap":
         """The builtin map `kind` on [a, b]; an unknown parameter is a TypeError."""
+        _check_domain(a, b)  # before the nodes, which an infinite b makes NaN
         u = np.linspace(a, b, n_segments + 1)
         if kind == "constant":
             lo = np.full(u.size, float(params.pop("lo", -1.0)))
@@ -130,8 +135,8 @@ class GridMap:
             "b": self.b,
             "segments": self.n_segments,
             "kind": "samples",
-            "lo": [float(x) for x in self.lo],
-            "hi": [float(x) for x in self.hi],
+            "lo": self.lo.tolist(),
+            "hi": self.hi.tolist(),
         }
 
     @classmethod

@@ -66,22 +66,6 @@ def bound_l0(rho: float, m: float, a: float, b: float) -> float:
 _BLOCK_ENTRIES = 2048  # pairs x segments per chunk of continuity_modulus
 
 
-def _segment_terms(x, hs, j, lo, hi, c, rho: float):
-    """For each node-value array h in hs: per entry (broadcast), the integral
-    of (c - t)^(rho-1) times the piecewise-linear function with node values
-    h over segment j of the nodes x clipped to [lo, hi], for c at or beyond
-    hi. Zero-length clips give 0. The kernel moments are taken once, for
-    every h."""
-    left = np.minimum(np.maximum(x[j], lo), hi)
-    right = np.minimum(np.maximum(x[j + 1], lo), hi)
-    length = right - left
-    w_left, w_right = _hat_moments(
-        c - left, np.maximum(c - right, 0.0), np.where(length > 0, length, 1.0), rho
-    )
-    for h in hs:
-        yield w_left * np.interp(left, x, h) + w_right * np.interp(right, x, h)
-
-
 def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
     """Modulus dominating H_d between integral values at u and v (u <= v):
 
@@ -95,22 +79,21 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
     positive for rho < 1, zero for rho = 1), so its absolute integral is the
     absolute difference of the two product integrals.
 
-    u and v may be arrays, broadcast against each other; the result has
-    their shape (a float for scalars). f may also be a sequence of maps on
-    one grid; the result then has one row per map on a leading axis, each
-    bit-identical to the call on that map alone. A result beyond the float
-    range is an OverflowError.
+    u is a grid node (a value of the nodes; a is node 0) and v any point of
+    [u, b]; an off-node u is a ValueError. u and v may be arrays, broadcast
+    against each other; the result has their shape (a float for scalars).
+    f may also be a sequence of maps on one grid; the result then has one
+    row per map on a leading axis, each bit-identical to the call on that
+    map alone. A result beyond the float range is an OverflowError.
 
-    Each integral is a sum of closed-form hat moments over the N grid
-    segments clipped to [a, u] or [u, v]. Pairs are taken in the order of
-    v, so that repeated targets share a chunk, in chunks of _BLOCK_ENTRIES
-    / N. Per chunk, every segment clipped to [a, c] at c is taken once per
-    distinct target c (a u or a v), as a row of N terms whose kernel
-    moments every map shares: the row sum at u is the integral at u. The
-    row at v, split at u, gives the two integrals at v once the segment
-    holding u is put in, clipped to [a, u] or to [u, v]. Each integral thus
-    sums the same N terms in the same order as a clip of every segment for
-    each pair would, and gives the same bits.
+    Per chunk of _BLOCK_ENTRIES / N pairs, taken in the order of v so that
+    repeated targets share a chunk, the N segments clipped to [a, c] give
+    one row of terms per distinct target c (a u or a v), in kernel moments
+    that every map shares. The row sum at u is the integral over [a, u] at
+    u; the row at v, split at the node u, gives those at v over [a, u] and
+    [u, v]. Each sums the N terms of a per-pair clip of every segment, in
+    order, so the bits are those of the general form for any u,
+    tests/_reference.py::modulus_clipped_reference.
     """
     single = isinstance(f, GridMap)
     maps = [f] if single else list(f)
@@ -128,6 +111,9 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
         k = bad[0]
         raise ValueError(f"need a <= u <= v <= b, got u={us[k]}, v={vs[k]} on [{a}, {b}]")
     x = maps[0].nodes
+    off = np.flatnonzero(x[np.searchsorted(x, us)] != us)  # an index <= n, as u <= b
+    if off.size:
+        raise ValueError(f"u must be a grid node, got u={us[off[0]]} on {n} segments of [{a}, {b}]")
     henvs = [np.maximum(np.abs(m.lo), np.abs(m.hi)) for m in maps]
     chunk = max(1, _BLOCK_ENTRIES // n)
     order = np.argsort(vs, kind="stable")
@@ -135,22 +121,16 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         for c0 in range(0, us.size, chunk):
             pos = order[c0 : c0 + chunk]
-            uc, vc, p = us[pos], vs[pos], np.arange(pos.size)
-            targets, inverse = np.unique(np.concatenate((uc, vc)), return_inverse=True)
+            targets, inverse = np.unique(np.concatenate((us[pos], vs[pos])), return_inverse=True)
             c = targets[:, None]
-            rows = _segment_terms(x, henvs, np.arange(n), a, c, c, rho)
-            # The segment holding u (the last one for u = b), clipped to
-            # [a, u] and to [u, v], at v.
-            ju = np.minimum(np.searchsorted(x, uc, side="right") - 1, n - 1)
-            ends = _segment_terms(
-                x, henvs, ju, np.stack((np.full(uc.size, a), uc)), np.stack((uc, vc)), vc, rho
-            )
-            split = np.stack((x[1:] <= uc[:, None], x[:-1] >= uc[:, None]))
-            for row, end, o in zip(rows, ends, out):
-                at_v = np.where(split, row[inverse[pos.size :]], 0.0)
-                at_v[:, p, ju] = end
-                head, tail = at_v.sum(axis=2)
-                o[pos] = np.abs(head - row.sum(axis=1)[inverse[: pos.size]]) + tail
+            left, right = np.minimum(x[:-1], c), np.minimum(x[1:], c)
+            w_left, w_right = _hat_moments(c - left, c - right, np.where(right > left, right - left, 1.0), rho)
+            # The segments left and right of the node u.
+            split = np.stack((x[1:] <= us[pos, None], x[:-1] >= us[pos, None]))
+            for h, o in zip(henvs, out):
+                row = w_left * np.interp(left, x, h) + w_right * np.interp(right, x, h)
+                i_v, tail = np.where(split, row[inverse[pos.size :]], 0.0).sum(axis=2)
+                o[pos] = np.abs(i_v - row.sum(axis=1)[inverse[: pos.size]]) + tail
         out *= math.exp(-math.lgamma(rho))
     if not np.isfinite(out).all():
         raise OverflowError(f"the continuity modulus of order {rho} on [{a}, {b}] is not finite")

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svfrac
-from svfrac import gamma_fn
+from svfrac import cli, gamma_fn, verify
 from svfrac.cli import main
 
 SRC = Path(svfrac.__file__).resolve().parents[1]
@@ -425,6 +425,70 @@ class TestParameterRobustness:
         assert main(argv + extra) == 3
         assert not out.exists()
         assert "parameter error" in capsys.readouterr().err
+
+
+class TestGridTooLarge:
+    """A grid that cannot be allocated is a parameter error (exit 3) that
+    names the grid, not a traceback with exit 1. The allocation is replaced
+    by a MemoryError, so that the test allocates nothing."""
+
+    @staticmethod
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    @pytest.mark.parametrize("command", ["integrate", "selections"])
+    def test_integral(self, tmp_path, monkeypatch, command, capsys):
+        monkeypatch.setattr(cli, "rl_setvalued", self.out_of_memory)
+        out = tmp_path / "never.out"
+        assert main([command, "--rho", "0.5", "--grid", "1000000000000", "--output", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == "parameter error: not enough memory for --grid 1000000000000\n"
+
+    def test_verify(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "fixture_catalog", self.out_of_memory)
+        assert main(["verify", "--grid", "1000000000000"]) == 3
+        assert capsys.readouterr().err == "parameter error: not enough memory for --grid 1000000000000\n"
+
+    def test_map_file(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"a": 0, "b": 1, "segments": 8, "kind": "hat"}))
+        monkeypatch.setattr(cli, "rl_setvalued", self.out_of_memory)
+        assert main(["integrate", "--rho", "0.5", "--input", str(path)]) == 3
+        assert capsys.readouterr().err == f"parameter error: not enough memory for the grid of {path}\n"
+
+    @pytest.mark.parametrize("mode", [[], ["--funnel"]])
+    def test_inclusion(self, tmp_path, monkeypatch, problem_file, mode, capsys):
+        monkeypatch.setattr(cli, "solve_with_policy", self.out_of_memory)
+        monkeypatch.setattr(cli, "solution_funnel", self.out_of_memory)
+        out = tmp_path / "never.csv"
+        argv = ["inclusion", "--input", problem_file, "--grid", "1000000000000", "--output", str(out)]
+        assert main(argv + mode) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == "parameter error: not enough memory for --grid 1000000000000\n"
+
+
+class TestInfiniteDomain:
+    """An infinite domain is rejected before any node is computed, so
+    stderr holds the one error line and no numpy warning with its source."""
+
+    def run_cli(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "svfrac.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120,
+        )
+
+    def test_infinite_b_option(self):
+        proc = self.run_cli("integrate", "--rho", "0.5", "--b", "inf")
+        assert proc.returncode == 3
+        assert proc.stderr == "parameter error: domain requires finite a < b, got [0.0, inf]\n"
+
+    def test_infinite_b_in_map_file(self, tmp_path):
+        path = tmp_path / "map.json"
+        # 1e400 reads as inf
+        path.write_text('{"a": 0, "b": 1e400, "segments": 8, "kind": "hat"}')
+        proc = self.run_cli("integrate", "--rho", "0.5", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: malformed map spec: domain requires finite a < b, got [0.0, inf]\n"
 
 
 class TestZeroMapContinuity:

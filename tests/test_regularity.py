@@ -108,7 +108,7 @@ class TestBounds:
 class TestContinuityModulus:
     def test_coincident_points_vanish(self):
         f = GridMap.from_builtin("sym_linear", 0, 1, 16)
-        assert continuity_modulus(f, 0.5, 0.3, 0.3) == 0.0
+        assert continuity_modulus(f, 0.5, f.nodes[5], f.nodes[5]) == 0.0
 
     def test_order_one_reduces_to_plain_integral(self):
         f = GridMap.from_builtin("sym_linear", 0, 1, 64)
@@ -149,7 +149,7 @@ class TestContinuityModulus:
             with pytest.raises(OverflowError, match="not finite"):
                 continuity_modulus(f, 0.5, 0.0, 1e308)
             with pytest.raises(OverflowError, match="not finite"):
-                continuity_modulus([f, f], 0.5, [0.0, 1e307], 1e308)
+                continuity_modulus([f, f], 0.5, [0.0, f.nodes[1]], 1e308)
 
     def test_ordering_violated(self):
         f = GridMap.from_builtin("sym_linear", 0, 1, 8)
@@ -159,6 +159,35 @@ class TestContinuityModulus:
             continuity_modulus(f, 0.5, [0.1, 0.7], [0.2, 0.3])
         with pytest.raises(ValueError):
             continuity_modulus(f, 0.5, 0.1, [0.2, 1.5])
+
+    def test_off_node_u_is_rejected(self):
+        f = GridMap.from_builtin("sym_linear", 0, 1, 8)
+        with pytest.raises(ValueError, match=r"grid node, got u=0\.3 "):
+            continuity_modulus(f, 0.5, 0.3, 0.5)
+        with pytest.raises(ValueError, match=r"grid node, got u=0\.6 "):
+            continuity_modulus([f, f], 0.5, [0.25, 0.6], [0.5, 0.7])
+
+    def test_node_u_at_a_b_and_v(self):
+        f = GridMap.from_builtin("sin_envelope", 0, 1, 8)
+        x = f.nodes
+        assert continuity_modulus(f, 1.5, f.a, 0.3) > 0.0
+        assert continuity_modulus(f, 1.5, f.b, f.b) == 0.0
+        got = continuity_modulus([f, f], 0.5, [x[0], x[3], x[8]], [x[0], x[3], x[8]])
+        assert got.shape == (2, 3) and not got.any()
+        assert continuity_modulus(f, 0.5, x[3], x[3]) == 0.0
+
+
+def node_u_pairs(x, rng, size, extra=20):
+    """size pairs u <= v: v from the nodes x and `extra` uniform points of
+    [x[0], x[-1]], u a node at or below v."""
+    vs = rng.choice(np.concatenate((x, rng.uniform(x[0], x[-1], extra))), size)
+    return x[rng.integers(0, np.searchsorted(x, vs, side="right"))], vs
+
+
+def at_node_u(f, us, vs):
+    """The pairs of (us, vs) whose u is a node of f."""
+    node = np.isin(us, f.nodes)
+    return us[node], vs[node]
 
 
 def modulus_reference(f, rho, u, v):
@@ -203,7 +232,9 @@ def modulus_pairs(f):
 
 class TestArrayContinuityModulus:
     """The array modulus (segments clipped to [a, u] and [u, v], in chunks)
-    against the pair-by-pair breakpoint reference and the defining integral."""
+    against the pair-by-pair breakpoint reference and the defining integral.
+    A pair with an off-node u is checked on modulus_clipped_reference, the
+    general form that the modulus matches bit for bit at a node u."""
 
     @pytest.mark.parametrize("n", [1, 7, 64])
     @pytest.mark.parametrize("rho", [0.3, 0.5, 1.0, 1.5, 2.7])
@@ -211,22 +242,24 @@ class TestArrayContinuityModulus:
         for kind in ("sin_envelope", "hat", "affine"):
             f = GridMap.from_builtin(kind, 0, 1, n)
             us, vs = np.array(modulus_pairs(f)).T
-            got = continuity_modulus(f, rho, us, vs)
-            assert got.shape == us.shape
-            for u, v, phi in zip(us, vs, got):
+            node = np.isin(us, f.nodes)
+            got = np.empty(us.size)
+            got[node] = continuity_modulus(f, rho, us[node], vs[node])
+            got[~node] = modulus_clipped_reference(f, rho, us[~node], vs[~node])
+            for u, v, phi, at_node in zip(us, vs, got, node):
                 ref = modulus_reference(f, rho, u, v)
                 assert abs(phi - ref) <= 1e-13 * abs(ref), (kind, u, v, phi, ref)
-                assert continuity_modulus(f, rho, u, v) == phi  # the scalar call
+                modulus = continuity_modulus if at_node else modulus_clipped_reference
+                assert modulus(f, rho, u, v) == phi  # the scalar call
                 if u == v:
                     assert phi == 0.0
 
     def test_blocks_and_broadcasting(self):
         # 300 pairs on 64 segments span 10 chunks; u broadcasts against v.
         f = GridMap.from_builtin("abs_envelope", 0, 1, 64)
-        rng = np.random.default_rng(3)
-        uv = np.sort(rng.uniform(0, 1, (300, 2)), axis=1)
-        got = continuity_modulus(f, 1.5, uv[:, 0], uv[:, 1])
-        assert np.array_equal(got, [continuity_modulus(f, 1.5, u, v) for u, v in uv])
+        us, vs = node_u_pairs(f.nodes, np.random.default_rng(3), 300)
+        got = continuity_modulus(f, 1.5, us, vs)
+        assert np.array_equal(got, [continuity_modulus(f, 1.5, u, v) for u, v in zip(us, vs)])
         grid = continuity_modulus(f, 0.5, 0.25, np.array([[0.25, 0.5], [0.75, 1.0]]))
         assert grid.shape == (2, 2) and grid[0, 0] == 0.0
         assert grid[1, 1] == continuity_modulus(f, 0.5, 0.25, 1.0)
@@ -259,7 +292,8 @@ class TestArrayContinuityModulus:
                     first = integral(lambda t: abs((v_ - t) ** (r - 1) - (u_ - t) ** (r - 1)), 0, u_)
                 second = integral(lambda t: (v_ - t) ** (r - 1), u_, v_)
                 ref = float((first + second) / mpmath.gamma(r))
-                assert abs(continuity_modulus(f, rho, u, v) - ref) <= 1e-10 * ref, (u, v)
+                modulus = continuity_modulus if u in f.nodes else modulus_clipped_reference
+                assert abs(modulus(f, rho, u, v) - ref) <= 1e-10 * ref, (u, v)
 
 
 def continuity_calls(monkeypatch, **kwargs):
@@ -281,7 +315,7 @@ class TestModulusTable:
     bit-identical to the per-pair clipped reference, run_verification calls
     it once per (grid, rho), and its memory stays bounded."""
 
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [16, 64, 1024])  # a chunk holds 2 pairs at 1024
     def test_bit_identical_on_the_verification_pairs(self, monkeypatch, n):
         calls = continuity_calls(monkeypatch, n_segments=n)
         assert len(calls) == 4  # one per rho: six fixtures, node and shrinking pairs together
@@ -298,10 +332,9 @@ class TestModulusTable:
         and the clipped reference, bit for bit."""
         for n in (1, 7, 64, 1500):
             maps = list(fixture_catalog(n).values())
-            us, vs = np.array(modulus_pairs(maps[0])).T
-            rng = np.random.default_rng(n)
-            uv = np.sort(rng.choice(np.concatenate((maps[0].nodes, rng.uniform(0, 1, 20))), (600, 2)), axis=1)
-            us, vs = np.concatenate((us, uv[:, 0])), np.concatenate((vs, uv[:, 1]))
+            us, vs = at_node_u(maps[0], *np.array(modulus_pairs(maps[0])).T)
+            u_drawn, v_drawn = node_u_pairs(maps[0].nodes, np.random.default_rng(n), 600)
+            us, vs = np.concatenate((us, u_drawn)), np.concatenate((vs, v_drawn))
             got = continuity_modulus(maps, rho, us, vs)
             assert got.shape == (6, us.size)
             for f, row in zip(maps, got):
@@ -325,17 +358,16 @@ class TestModulusTable:
     def test_bit_identical_on_repeated_targets(self, rho):
         for n in (1, 7, 64, 1500):
             f = GridMap.from_builtin("sin_envelope", 0, 1, n)
-            us, vs = np.array(modulus_pairs(f)).T
-            rng = np.random.default_rng(n)
+            us, vs = at_node_u(f, *np.array(modulus_pairs(f)).T)
             # 600 pairs: more than one chunk at every n > 1
-            uv = np.sort(rng.choice(np.concatenate((f.nodes, rng.uniform(0, 1, 20))), (600, 2)), axis=1)
-            us, vs = np.concatenate((us, uv[:, 0])), np.concatenate((vs, uv[:, 1]))
+            u_drawn, v_drawn = node_u_pairs(f.nodes, np.random.default_rng(n), 600)
+            us, vs = np.concatenate((us, u_drawn)), np.concatenate((vs, v_drawn))
             got = continuity_modulus(f, rho, us, vs)
             assert np.array_equal(got, modulus_clipped_reference(f, rho, us, vs)), n
 
     @pytest.mark.parametrize(
         "n, pairs",
-        [(64, lambda x, rng: rng.uniform(0, 1, (20_000, 2))),
+        [(64, lambda x, rng: np.column_stack(node_u_pairs(x, rng, 20_000))),
          (4096, lambda x, rng: x[rng.integers(0, x.size, (100, 2))])],
         ids=["20000_random_pairs_n64", "100_node_pairs_n4096"],
     )
@@ -354,7 +386,7 @@ class TestModulusTable:
 
     @pytest.mark.parametrize(
         "n, pairs",
-        [(64, lambda x, rng: rng.uniform(0, 1, (20_000, 2))),
+        [(64, lambda x, rng: np.column_stack(node_u_pairs(x, rng, 20_000))),
          (4096, lambda x, rng: x[rng.integers(0, x.size, (100, 2))])],
         ids=["20000_random_pairs_n64", "100_node_pairs_n4096"],
     )
@@ -375,19 +407,18 @@ class TestModulusTable:
 @st.composite
 def modulus_calls(draw):
     """1-6 catalog maps on n segments, an order, and 1 to 3 chunks' worth
-    of pairs from the nodes and uniform points, with duplicates and u = v,
-    in shuffled order."""
+    of pairs, u a node and v from the nodes and uniform points, with
+    duplicates and u = v, in shuffled order."""
     n = draw(st.integers(1, 200))
     kinds = draw(st.lists(st.sampled_from(_BUILTIN_KINDS), min_size=1, max_size=6, unique=True))
     rho = draw(st.floats(0.05, 4.0))
     size = draw(st.integers(1, 3 * max(1, regularity._BLOCK_ENTRIES // n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     maps = [GridMap.from_builtin(kind, 0, 1, n) for kind in kinds]
-    pool = np.concatenate((maps[0].nodes, rng.uniform(0, 1, 16)))
-    uv = np.sort(rng.choice(pool, (size, 2)), axis=1)
+    us, vs = node_u_pairs(maps[0].nodes, rng, size, extra=16)
     same = rng.random(size) < 0.1
-    uv[same, 1] = uv[same, 0]
-    return maps, rho, uv[:, 0], uv[:, 1]
+    vs[same] = us[same]
+    return maps, rho, us, vs
 
 
 class TestModulusProperty:
