@@ -23,6 +23,7 @@ from .rl import (
     gamma_fn,
     quadrature_weights,
     rl_apply,
+    rl_operator,
     rl_selection_oracle,
     rl_setvalued,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "quadrature_weights",
     "regular_selection",
     "rl_apply",
+    "rl_operator",
     "rl_selection_oracle",
     "rl_setvalued",
     "run_verification",

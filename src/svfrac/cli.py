@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import warnings
+from typing import NoReturn
 
 from .gridmap import GridMap
 from .inclusion import POLICIES, CaputoProblem, NonConvergenceError, funnel_to_csv, solution_funnel, solve_with_policy
@@ -281,9 +282,25 @@ def _grid_source(args) -> str:
     return f"--grid {getattr(args, 'grid', None)}"
 
 
-def console_main() -> None:
-    raise SystemExit(main())
+def console_main() -> NoReturn:
+    """The `svfrac` command: main() on the process's arguments, then the end
+    of the process with its exit code once stdout and stderr are flushed,
+    without the interpreter's teardown, which frees numpy's state for tens of
+    milliseconds after the result is out. A failed flush of stdout is an
+    input error, as in _output. Exceptions from main(), argparse's SystemExit
+    among them, propagate as usual."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        _discard_stdout()
+        print(f"input error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        code = EXIT_INPUT
+    with contextlib.suppress(AttributeError, OSError):
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_main()

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .gridmap import GridMap, _csv
-from .rl import gamma_fn, positive, quadrature_weights, rl_apply
+from .rl import gamma_fn, positive, quadrature_weights, rl_operator
 
 POLICIES = ("lower", "upper", "midpoint")
 PROBE_NODES = 17  # times and states on the probe grid of rhs_monotone_in_u
@@ -168,7 +168,7 @@ def solve_with_policy(
             f"{p.contraction_factor():.3g} >= 1; Picard iteration may diverge",
             stacklevel=2,
         )
-    weights = quadrature_weights(p.t0, p.T, n, p.alpha)
+    apply = rl_operator(quadrature_weights(p.t0, p.T, n, p.alpha))
     ts = np.linspace(p.t0, p.T, n + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         init = p.u0 + p.u1 * (ts - p.t0)
@@ -179,7 +179,7 @@ def solve_with_policy(
     for it in range(1, max_iter + 1):
         v = _policy_values(p, ts, us, policy)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging iterate stops below
-            nxt = init + rl_apply(weights, v)
+            nxt = init + apply(v)
             res = float(np.abs(nxt - us).max())
         residuals.append(res)
         if not np.isfinite(res):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 import numpy.fft  # at module scope, so that no operation pays for the import
@@ -106,28 +107,38 @@ def quadrature_weights(
     return kernel, col0
 
 
-def rl_apply(weights: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
-    """The operator `weights` (from quadrature_weights) applied to each row of
-    `values`, of shape (..., N+1), by a zero-padded FFT convolution. The
-    kernel's spectrum is taken once; the rows are transformed one at a time,
-    each spectrum multiplied by the kernel's in place, so the FFT temporaries
-    are those of one row."""
+def rl_operator(weights: tuple[np.ndarray, np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The operator `weights` (from quadrature_weights) as a function that
+    applies it to each row of `values`, of shape (..., N+1), by a zero-padded
+    FFT convolution. The kernel's spectrum is taken here, once per operator;
+    each call transforms the rows one at a time, each spectrum multiplied by
+    the kernel's in place, so the FFT temporaries are those of one row."""
     kernel, col0 = weights
-    values = np.asarray(values, dtype=float)
     n = kernel.size
-    if values.shape[-1:] != (n + 1,):
-        raise ValueError(f"values of shape {values.shape} do not end in the {n + 1} grid nodes")
     size = 1 << (2 * n - 2).bit_length()  # power of two >= 2n - 1
-    kernel_spec = numpy.fft.rfft(kernel, size)
-    out = np.zeros(values.shape)
-    for row, target in zip(values.reshape(-1, n + 1), out.reshape(-1, n + 1)):
-        spec = numpy.fft.rfft(row[1:], size)
-        # Kernel first, as in kernel_spec * spec: swapping the operands of the
-        # complex product can change its last bits.
-        np.multiply(kernel_spec, spec, out=spec)
-        target[1:] = numpy.fft.irfft(spec, size)[:n]
-        target[1:] += col0[1:] * row[0]
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the results
+        kernel_spec = numpy.fft.rfft(kernel, size)
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        if values.shape[-1:] != (n + 1,):
+            raise ValueError(f"values of shape {values.shape} do not end in the {n + 1} grid nodes")
+        out = np.zeros(values.shape)
+        for row, target in zip(values.reshape(-1, n + 1), out.reshape(-1, n + 1)):
+            spec = numpy.fft.rfft(row[1:], size)
+            # Kernel first, as in kernel_spec * spec: swapping the operands of the
+            # complex product can change its last bits.
+            np.multiply(kernel_spec, spec, out=spec)
+            target[1:] = numpy.fft.irfft(spec, size)[:n]
+            target[1:] += col0[1:] * row[0]
+        return out
+
+    return apply
+
+
+def rl_apply(weights: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
+    """The operator `weights` applied once to each row of `values`: rl_operator(weights)(values)."""
+    return rl_operator(weights)(values)
 
 
 def _row(weights: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
@@ -154,10 +165,14 @@ def rl_setvalued(f: GridMap, rho: float) -> GridMap:
     0 against FFT roundoff; point-valued maps give lo == hi exactly. An
     integral beyond the float range is an OverflowError.
     """
-    weights = quadrature_weights(f.a, f.b, f.n_segments, rho)
+    return _setvalued(f, rho, rl_operator(quadrature_weights(f.a, f.b, f.n_segments, rho)))
+
+
+def _setvalued(f: GridMap, rho: float, apply: Callable[[np.ndarray], np.ndarray]) -> GridMap:
+    """rl_setvalued(f, rho), with `apply` the rl_operator of order rho on f's grid."""
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        lo = rl_apply(weights, f.lo)
-        width = rl_apply(weights, f.hi - f.lo)
+        lo = apply(f.lo)
+        width = apply(f.hi - f.lo)
         hi = np.add(lo, np.maximum(width, 0.0, out=width), out=width)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise OverflowError(f"the integral of order {rho} on [{f.a}, {f.b}] is not finite")

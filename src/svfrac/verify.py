@@ -22,7 +22,15 @@ from .regularity import (
     lipschitz_constant,
     total_variation,
 )
-from .rl import node_row, rl_selection_oracle, rl_setvalued, selection_integrals
+from .rl import (
+    _row,
+    _setvalued,
+    quadrature_weights,
+    rl_operator,
+    rl_selection_oracle,
+    rl_setvalued,
+    selection_integrals,
+)
 from .selections import certify_extremals
 
 DEFAULT_RHOS = (0.5, 1.0, 1.5, 2.7)
@@ -169,8 +177,9 @@ def run_verification(
     """Every check for every (fixture, rho) pair. Each pair integrates its
     fixture once. What depends only on the grid is computed once per grid
     (a, b, N): the oracle's random selections and 3.4's pairs, and, per
-    rho, the node-N weight row and one modulus call for all the grid's
-    fixtures. 3.2 and the endpoint identity read the same oracle values."""
+    rho, one weight build, whose node-N row and operator serve all the
+    grid's fixtures, and one modulus call for all of them. 3.2 and the
+    endpoint identity read the same oracle values."""
     if fixtures is None:
         fixtures = fixture_catalog(n_segments)
     names = sorted(fixtures)
@@ -178,13 +187,15 @@ def run_verification(
     for name in names:
         f = fixtures[name]
         grids.setdefault((f.a, f.b, f.n_segments), []).append(name)
-    pairs, rows, phis = {}, {}, {}
+    pairs, rows, ops, phis = {}, {}, {}, {}
     for grid, group in grids.items():
         maps = [fixtures[name] for name in group]
         pairs[grid] = continuity_pairs(maps[0], seed)
         _, _, u, v = pairs[grid]
         for rho in rhos:
-            rows[grid, rho] = node_row(maps[0], rho, grid[2])
+            weights = quadrature_weights(*grid, rho)
+            rows[grid, rho] = _row(weights, grid[2])
+            ops[grid, rho] = rl_operator(weights)
             for name, phi in zip(group, continuity_modulus(maps, rho, u, v)):
                 phis[name, rho] = phi
     # Drawn after the modulus pass, so that its working set does not stack on the draws.
@@ -196,7 +207,7 @@ def run_verification(
         n = f.n_segments
         grid = (f.a, f.b, n)
         for rho in rhos:
-            g = rl_setvalued(f, rho)
+            g = _setvalued(f, rho, ops[grid, rho])
             row = rows[grid, rho]
             # The convexity oracle's seeds seed..seed+63 are the first rows
             # of the endpoint oracle's seed..seed+199.

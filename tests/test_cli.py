@@ -1,5 +1,4 @@
 import contextlib
-import importlib
 import io
 import json
 import math
@@ -30,6 +29,13 @@ def cli_env() -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return env
+
+
+# The benchmark's oscillator, and a problem whose Picard iteration diverges.
+OSCILLATOR = {"alpha": 1.5, "t0": 0.0, "T": 10.0, "u0": 1.0, "u1": 0.0, "lipschitz_u": 1.0,
+              "rhs": {"kind": "affine", "params": {"p": -1.0, "q_lo": -0.1, "q_hi": 0.1}}}
+DIVERGING = {"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0, "lipschitz_u": 10.0,
+             "rhs": {"kind": "affine", "params": {"p": 10.0}}}
 
 
 @pytest.fixture
@@ -199,15 +205,7 @@ class TestInclusion:
 
     def test_nonconvergence_exit_code(self, tmp_path):
         path = tmp_path / "diverge.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0,
-                    "rhs": {"kind": "affine", "params": {"p": 10.0}},
-                    "lipschitz_u": 10.0,
-                }
-            )
-        )
+        path.write_text(json.dumps(DIVERGING))
         with pytest.warns(UserWarning):
             code = main(
                 ["inclusion", "--input", str(path), "--grid", "32", "--max-iter", "5"]
@@ -239,10 +237,7 @@ class TestInclusion:
         contraction factor once (not once per policy) and about the failed
         monotonicity probe, each as one "warning:" line without a source path."""
         path = tmp_path / "oscillator.json"
-        path.write_text(json.dumps(
-            {"alpha": 1.5, "t0": 0.0, "T": 10.0, "u0": 1.0, "u1": 0.0, "lipschitz_u": 1.0,
-             "rhs": {"kind": "affine", "params": {"p": -1.0, "q_lo": -0.1, "q_hi": 0.1}}}
-        ))
+        path.write_text(json.dumps(OSCILLATOR))
         proc = subprocess.run(
             [sys.executable, "-m", "svfrac.cli", "inclusion", "--input", str(path), "--funnel",
              "--grid", "64", "--output", str(tmp_path / "funnel.csv")],
@@ -520,18 +515,36 @@ class TestConsoleScript:
     @pytest.mark.parametrize(
         "argv", [["verify", "--grid", "16"], ["integrate", "--rho", "0.5", "--grid", "64", "--output", "g.csv"]]
     )
-    def test_entry_point_exits_zero(self, tmp_path, monkeypatch, argv):
+    def test_entry_point_exits_zero(self, tmp_path, argv):
         tomllib = pytest.importorskip("tomllib")
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["svfrac"]
         assert target == "svfrac.cli:console_main"
         module, _, name = target.partition(":")
-        entry = getattr(importlib.import_module(module), name)
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(sys, "argv", ["svfrac", *argv])
+        # The entry point ends the process it runs in, so it runs in a child.
+        code = f"import sys, {module}; sys.argv = {['svfrac', *argv]!r}; {module}.{name}()"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path, capture_output=True, text=True, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_failed_final_flush_is_input_error(self, tmp_path, monkeypatch, capsys):
+        class UnflushableStdout(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def exit_code(code):
+            raise SystemExit(code)
+
+        monkeypatch.setattr(sys, "stdout", UnflushableStdout())
+        monkeypatch.setattr(os, "_exit", exit_code)
+        monkeypatch.setattr(sys, "argv", ["svfrac", "bounds", "--rho", "1.5", "--M", "1",
+                                          "--output", str(tmp_path / "b.json")])
         with pytest.raises(SystemExit) as exc:
-            entry()
-        assert exc.value.code == 0
+            cli.console_main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "input error: cannot write stdout: Broken pipe\n"
 
 
 class TestSeedOnlyOnVerify:
@@ -625,6 +638,61 @@ class TestOutput:
             err = proc.stderr.read().decode()
         assert proc.returncode == 2
         assert err == "input error: cannot write stdout: Broken pipe\n"
+
+
+class TestProcessExit:
+    """`python -m svfrac.cli` ends its process without the interpreter's
+    teardown: every byte of the result still reaches a pipe, and the exit
+    codes and stderr are those of main()."""
+
+    def run_cli(self, *argv):
+        # Without PYTHONUNBUFFERED, stdout on a pipe is block-buffered, so a
+        # byte left in the buffer at the end would be lost.
+        env = {k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run(
+            [sys.executable, "-m", "svfrac.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 3.6 MB of CSV, more than a pipe buffer holds
+            ["integrate", "--builtin", "sin_envelope", "--rho", "0.5", "--grid", "65536"],
+            ["verify", "--grid", "16"],
+            ["inclusion", "--funnel", "--grid", "2048"],
+        ],
+    )
+    def test_piped_stdout_matches_output_file(self, tmp_path, argv):
+        if argv[0] == "inclusion":
+            path = tmp_path / "oscillator.json"
+            path.write_text(json.dumps(OSCILLATOR))
+            argv = argv + ["--input", str(path)]
+        piped = self.run_cli(*argv)
+        assert piped.returncode == 0, piped.stderr
+        out = tmp_path / "result"
+        written = self.run_cli(*argv, "--output", str(out))
+        assert written.returncode == 0, written.stderr
+        assert written.stdout == b""
+        assert piped.stdout == out.read_bytes()
+        assert piped.stderr == written.stderr
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["integrate", "--rho", "0.5", "--output", "{tmp}/missing/x.csv"], 2),
+            (["integrate", "--rho", "0.5", "--b", "inf"], 3),
+            (["inclusion", "--input", "{tmp}/diverge.json", "--grid", "32", "--max-iter", "5"], 4),
+        ],
+        ids=["missing-dir", "infinite-domain", "diverging"],
+    )
+    def test_exit_codes_without_traceback(self, tmp_path, argv, expected):
+        (tmp_path / "diverge.json").write_text(json.dumps(DIVERGING))
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        proc = self.run_cli(*argv)
+        assert proc.returncode == expected
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr and proc.stderr.endswith(b"\n")
 
 
 @pytest.fixture(scope="module")

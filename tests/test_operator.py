@@ -7,10 +7,26 @@ import tracemalloc
 
 import mpmath as mp
 import numpy as np
+import numpy.fft
 import pytest
 
 from _reference import rl_scalar, rl_weight_matrix
-from svfrac import GridMap, Selection, gamma_fn, quadrature_weights, rl_apply, rl_setvalued
+from svfrac import (
+    CaputoProblem,
+    GridMap,
+    Selection,
+    gamma_fn,
+    inclusion,
+    quadrature_weights,
+    rl,
+    rl_apply,
+    rl_operator,
+    rl_setvalued,
+    run_verification,
+    solution_funnel,
+    solve_with_policy,
+    verify,
+)
 from svfrac.rl import _row
 
 ORDERS = (1e-3, 0.3, 1.0, 2.7, 50.0)
@@ -21,12 +37,15 @@ ORDERS = (1e-3, 0.3, 1.0, 2.7, 50.0)
 def test_matches_dense_matrix(n_segments, rho):
     dense = rl_weight_matrix(0.0, 1.0, n_segments, rho)
     weights = quadrature_weights(0.0, 1.0, n_segments, rho)
+    apply = rl_operator(weights)
     rng = np.random.default_rng(n_segments)
     u = np.linspace(0.0, 1.0, n_segments + 1)
     for f in (rng.uniform(-1.0, 1.0, n_segments + 1), np.ones(n_segments + 1), u):
         ref = dense @ f
         got = rl_apply(weights, f)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        # One operator, applied again and again, gives rl_apply's bits.
+        assert np.array_equal(apply(f), got)
     tol = 1e-13 * np.abs(dense).max()
     for n in range(n_segments + 1):
         assert np.abs(_row(weights, n) - dense[n, : n + 1]).max() <= tol
@@ -36,8 +55,11 @@ def test_batched_rows_match_single_applies():
     weights = quadrature_weights(-1.0, 2.0, 50, 0.7)
     values = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 51))
     batched = rl_apply(weights, values)
+    apply = rl_operator(weights)
+    assert np.array_equal(apply(values), batched)
     for v, got in zip(values, batched):
         assert np.array_equal(got, rl_apply(weights, v))
+        assert np.array_equal(got, apply(v))
 
 
 @pytest.mark.parametrize("shape", [(), (50,), (2, 52), (51, 2)])
@@ -45,6 +67,59 @@ def test_values_must_end_in_the_grid_nodes(shape):
     weights = quadrature_weights(0.0, 1.0, 50, 0.7)
     with pytest.raises(ValueError, match="51 grid nodes"):
         rl_apply(weights, np.zeros(shape))
+
+
+@pytest.fixture
+def spectra(monkeypatch):
+    """count() -> (kernel transforms, other transforms) among the
+    numpy.fft.rfft calls so far; a kernel is one that quadrature_weights built."""
+    inputs, kernels = [], []
+    real_rfft, real_weights = numpy.fft.rfft, rl.quadrature_weights
+
+    def rfft(a, *args, **kwargs):
+        inputs.append(a)
+        return real_rfft(a, *args, **kwargs)
+
+    def weights(*args):
+        kernel, col0 = real_weights(*args)
+        kernels.append(kernel)
+        return kernel, col0
+
+    monkeypatch.setattr(numpy.fft, "rfft", rfft)
+    for mod in (rl, inclusion, verify):
+        monkeypatch.setattr(mod, "quadrature_weights", weights)
+
+    def count():
+        of_kernels = sum(any(a is k for k in kernels) for a in inputs)
+        return of_kernels, len(inputs) - of_kernels
+
+    return count
+
+
+OSCILLATOR = CaputoProblem.from_json(
+    {"alpha": 1.5, "t0": 0.0, "T": 10.0, "u0": 1.0, "u1": 0.0,
+     "rhs": {"kind": "affine", "params": {"p": -1.0, "q_lo": -0.1, "q_hi": 0.1}}}
+)
+
+
+def test_one_kernel_spectrum_per_setvalued_integral(spectra):
+    rl_setvalued(GridMap.from_builtin("sin_envelope", 0.0, 1.0, 64), 0.5)
+    assert spectra() == (1, 2)
+
+
+def test_one_kernel_spectrum_per_solve(spectra):
+    traj = solve_with_policy(OSCILLATOR, "lower", n=256)
+    assert traj.iterations_used > 2
+    assert spectra() == (1, traj.iterations_used)
+    with pytest.warns(UserWarning, match="not a guaranteed enclosure"):
+        solution_funnel(OSCILLATOR, n=256)
+    assert spectra()[0] == 3
+
+
+def test_one_kernel_spectrum_per_verified_order(spectra):
+    """A default verify: one operator per rho, two rows per (fixture, rho)."""
+    assert len(run_verification()) == 8 * 24
+    assert spectra() == (4, 2 * 24)
 
 
 @pytest.mark.parametrize("rho", ORDERS)

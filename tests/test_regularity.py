@@ -469,9 +469,9 @@ class TestTheoremSuites:
 
     def test_one_integral_per_fixture_and_order(self, monkeypatch):
         calls = []
-        real = verify.rl_setvalued
+        real = verify._setvalued
         monkeypatch.setattr(
-            verify, "rl_setvalued", lambda f, rho: calls.append(rho) or real(f, rho)
+            verify, "_setvalued", lambda f, rho, apply: calls.append(rho) or real(f, rho, apply)
         )
         reports = run_verification()
         assert len(calls) == 24 == len(reports) // 8
@@ -499,12 +499,19 @@ class TestTheoremSuites:
         assert [r.to_json() for r in together] == [r.to_json() for r in alone]
 
     def test_one_weight_build_per_grid_and_order_for_the_oracle(self, monkeypatch):
-        """24 builds inside the integrals, and one node-N row per rho: 28, not 48."""
+        """One build per rho, shared by the node-N row and every fixture's
+        integral: 4, not 28."""
         calls = []
         real = rl.quadrature_weights
-        monkeypatch.setattr(rl, "quadrature_weights", lambda *args: calls.append(args) or real(*args))
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for mod in (rl, verify):
+            monkeypatch.setattr(mod, "quadrature_weights", counting)
         run_verification()
-        assert len(calls) == 28
+        assert len(calls) == 4
         assert sorted(set(calls)) == [(0.0, 1.0, 64, rho) for rho in verify.DEFAULT_RHOS]
 
     @pytest.mark.parametrize("n", [16, 64])
