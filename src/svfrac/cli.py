@@ -33,10 +33,13 @@ EXIT_NO_CONVERGENCE = 4
 
 
 def _load_json(path: str) -> dict:
+    """The JSON document of the file `path`. A file that cannot be opened or
+    decoded (not JSON, not UTF-8, nested too deep, or an integer of too many
+    digits) is an InputError."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 

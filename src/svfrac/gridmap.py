@@ -9,6 +9,7 @@ A Selection is the point-valued GridMap: its lo and hi are one array.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +21,10 @@ CSV_BLOCK = 512  # CSV rows formatted by one % and written by one write
 
 
 def _check_domain(a: float, b: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+    """ValueError unless a < b with a finite length b - a, which also makes a
+    and b finite. Every grid, weight and bound on [a, b] checks this before
+    it computes anything, since an infinite b - a makes the nodes NaN."""
+    if not (a < b and math.isfinite(b - a)):
         raise ValueError(f"domain requires finite a < b, got [{a}, {b}]")
 
 
@@ -83,7 +87,9 @@ class GridMap:
         return Selection(self.a, self.b, self.hi.copy())
 
     def random_selection(self, seed: int) -> "Selection":
-        """Node values drawn uniformly from [lo_i, hi_i]; pure in (self, seed)."""
+        """Node values lo_i + u_i (hi_i - lo_i), with u_i draw i of the
+        SplitMix64 stream of `seed`, an integer in [0, 2**63) (see
+        selection_draws); pure in (self, seed)."""
         y = self.lo + selection_draws(self.lo.size, [seed])[0] * (self.hi - self.lo)
         return Selection(self.a, self.b, y)
 
@@ -94,7 +100,7 @@ class GridMap:
         cls, kind: str, a: float = 0.0, b: float = 1.0, n_segments: int = 256, **params
     ) -> "GridMap":
         """The builtin map `kind` on [a, b]; an unknown parameter is a TypeError."""
-        _check_domain(a, b)  # before the nodes, which an infinite b makes NaN
+        _check_domain(a, b)  # before the nodes, which an infinite b - a makes NaN
         u = np.linspace(a, b, n_segments + 1)
         if kind == "constant":
             lo = np.full(u.size, float(params.pop("lo", -1.0)))
@@ -204,11 +210,63 @@ def _csv(header: str, *columns, out=None) -> str | None:
     return None
 
 
+SEED_LIMIT = 2**63  # seeds are integers in [0, SEED_LIMIT)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _check_seed(seed) -> int:
+    """`seed` as an int; ValueError, naming it, unless 0 <= seed < 2**63."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1  # not an integer: rejected below with the range
+    if not 0 <= value < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**63), got {seed!r}")
+    return value
+
+
+def oracle_seeds(seed: int, count: int) -> list[int]:
+    """The seeds of an oracle of `count` draws: seed, seed + 1, ..., each
+    mod 2**63, so that every seed in [0, 2**63) has its oracle."""
+    seed = _check_seed(seed)
+    return [(seed + k) % SEED_LIMIT for k in range(count)]
+
+
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on the uint64 array z, in place and
+    mod 2**64; tmp is scratch space of z's shape."""
+    for shift, mult in zip((30, 27), _MIX):
+        z ^= np.right_shift(z, shift, out=tmp)
+        z *= mult
+    z ^= np.right_shift(z, 31, out=tmp)
+    return z
+
+
 def selection_draws(n_nodes: int, seeds) -> np.ndarray:
-    """One row of uniform [0, 1) draws per seed: GridMap.random_selection(s)
-    takes the node values lo + row * (hi - lo) from the row of seed s. Each
-    row is drawn into the result in place."""
+    """One row of uniform [0, 1) draws per seed, an integer in [0, 2**63):
+    row r holds draws 0..n_nodes-1 of the stream of seeds[r].
+    GridMap.random_selection(s) takes the node values lo + row * (hi - lo)
+    from the row of seed s.
+
+    Draw m of seed s is SplitMix64's counter-based (mix(mix(s) + (m + 1) G)
+    >> 11) 2**-53, with G = 0x9E3779B97F4A7C15 and mix its output function
+    (Steele, Lea & Flood, OOPSLA 2014): a multiple of 2**-53, a pure
+    function of (s, m). Each row is computed in place on uint64 arrays."""
     out = np.empty((len(seeds), n_nodes))
-    for row, s in zip(out, seeds):
-        np.random.default_rng(s).random(out=row)
+    keys = np.array([_check_seed(s) for s in seeds], dtype=np.uint64)
+    _mix(keys, np.empty_like(keys))
+    counter = np.arange(1, n_nodes + 1, dtype=np.uint64)
+    counter *= _GOLDEN
+    z, tmp = np.empty_like(counter), np.empty_like(counter)
+    for row, key in zip(out, keys):
+        _mix(np.add(counter, key, out=z), tmp)
+        z >>= np.uint64(11)
+        np.multiply(z, 2.0**-53, out=row)
     return out
+
+
+def draw_indices(seed: int, k: int, count: int) -> np.ndarray:
+    """floor(u * k) for the first `count` draws u of the stream of `seed`:
+    integers in [0, k), for k up to 2**53."""
+    return (selection_draws(count, [seed])[0] * k).astype(np.intp)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gridmap import GridMap
+from .gridmap import GridMap, _check_domain
 from .rl import _hat_moments, positive
 
 
@@ -38,8 +38,7 @@ def _scaled_power(m: float, a: float, b: float, power: float, gamma_arg: float) 
     """m * (b-a)^power / Gamma(gamma_arg), through logs; OverflowError when
     the value is beyond the float range."""
     m = positive("sup-norm bound M", m, strict=False)
-    if not (a < b and math.isfinite(b - a)):
-        raise ValueError(f"domain requires finite a < b, got [{a}, {b}]")
+    _check_domain(a, b)
     if m == 0.0:
         return 0.0
     try:

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 import numpy.fft  # at module scope, so that no operation pays for the import
 
-from .gridmap import GridMap, selection_draws
+from .gridmap import GridMap, _check_domain, oracle_seeds, selection_draws
 
 
 def positive(name: str, value: float, *, strict: bool = True) -> float:
@@ -91,8 +91,7 @@ def quadrature_weights(
     rho = positive("fractional order rho", rho)
     if n_segments < 1:
         raise ValueError(f"grid needs at least 1 segment, got {n_segments}")
-    if not (a < b and math.isfinite(b - a)):
-        raise ValueError(f"domain requires finite a < b, got [{a}, {b}]")
+    _check_domain(a, b)
     x = np.arange(n_segments + 1) / n_segments
     w_left, w_right = _hat_moments(x[1:], x[:-1], 1.0 / n_segments, rho)
     try:
@@ -200,5 +199,5 @@ def rl_selection_oracle(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    draws = selection_draws(f.n_segments + 1, range(seed, seed + samples))
+    draws = selection_draws(f.n_segments + 1, oracle_seeds(seed, samples))
     return selection_integrals(f, node_row(f, rho, n), draws)

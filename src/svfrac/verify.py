@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gridmap import _BUILTIN_KINDS, GridMap, selection_draws
+from .gridmap import _BUILTIN_KINDS, GridMap, draw_indices, oracle_seeds, selection_draws
 from .interval import Interval, hausdorff
 from .regularity import (
     RegularityReport,
@@ -60,9 +60,9 @@ def _skip(theorem, fixture, rho):
 def check_convexity(f: GridMap, name: str, rho: float, seed: int, *,
                     g: GridMap, vals: tuple[float, ...]):
     """Thm 3.1: convex combinations of oracle values stay in the node interval.
-    The pairs combined are drawn from `vals` with the generator of `seed`."""
+    The pairs combined are drawn from `vals` by draw_indices of `seed`."""
     box = g.interval_at(f.n_segments)
-    picks = np.random.default_rng(seed).choice(vals, size=(CONVEXITY_TRIALS, 2))
+    picks = np.asarray(vals)[draw_indices(seed, len(vals), 2 * CONVEXITY_TRIALS).reshape(-1, 2)]
     lam = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     y = lam * picks[:, :1] + (1.0 - lam) * picks[:, 1:]
     worst = max(0.0, box.lo - y.min(), y.max() - box.hi)
@@ -92,11 +92,11 @@ def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap):
 
 
 def continuity_pairs(f: GridMap, seed: int):
-    """3.4's pairs on f's grid: node index pairs (i, j), i <= j, drawn from
-    the generator of `seed`, and the modulus arguments u <= v, which are
+    """3.4's pairs on f's grid: node index pairs (i, j), i <= j, drawn by
+    draw_indices of `seed`, and the modulus arguments u <= v, which are
     those node pairs followed by the shrinking pairs (a, a + (b - a) 2^-m)."""
-    rng = np.random.default_rng(seed)
-    i, j = np.sort(rng.integers(0, f.n_segments + 1, size=(CONTINUITY_PAIRS, 2)), axis=1).T
+    ij = draw_indices(seed, f.n_segments + 1, 2 * CONTINUITY_PAIRS).reshape(-1, 2)
+    i, j = np.sort(ij, axis=1).T
     vs = f.a + (f.b - f.a) * 2.0 ** -np.arange(1, 13)
     nodes = f.nodes
     return i, j, np.concatenate((nodes[i], np.full(vs.size, f.a))), np.concatenate((nodes[j], vs))
@@ -179,7 +179,9 @@ def run_verification(
     (a, b, N): the oracle's random selections and 3.4's pairs, and, per
     rho, one weight build, whose node-N row and operator serve all the
     grid's fixtures, and one modulus call for all of them. 3.2 and the
-    endpoint identity read the same oracle values."""
+    endpoint identity read the same oracle values, of oracle_seeds(seed, 200);
+    `seed` is an integer in [0, 2**63)."""
+    seeds = oracle_seeds(seed, ENDPOINT_SAMPLES)
     if fixtures is None:
         fixtures = fixture_catalog(n_segments)
     names = sorted(fixtures)
@@ -199,7 +201,6 @@ def run_verification(
             for name, phi in zip(group, continuity_modulus(maps, rho, u, v)):
                 phis[name, rho] = phi
     # Drawn after the modulus pass, so that its working set does not stack on the draws.
-    seeds = range(seed, seed + ENDPOINT_SAMPLES)
     draws = {n: selection_draws(n + 1, seeds) for _, _, n in grids}
     reports: list[RegularityReport] = []
     for name in names:

@@ -1,9 +1,9 @@
 """References for tests: the O(N^2) row-by-row RL weight matrix, the
 continuity modulus with every segment clipped for each pair, the RL integral
-of a selection at one node, the chattering demo on two-point values, and CSV
-text formatted one value at a time. None of them is used by the package;
-each is an independent construction that its fast counterpart is checked
-against."""
+of a selection at one node, the chattering demo on two-point values, CSV
+text formatted one value at a time, and the SplitMix64 draws in Python ints.
+None of them is used by the package; each is an independent construction
+that its fast counterpart is checked against."""
 
 import math
 
@@ -108,3 +108,20 @@ def csv_reference(header: str, *columns) -> str:
     for i in range(len(columns[0])):
         lines.append(",".join("%.12g" % float(c[i]) for c in columns))
     return "\n".join(lines) + "\n"
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64_mix(z: int) -> int:
+    """SplitMix64's output function (Steele, Lea & Flood, OOPSLA 2014) on
+    Python ints, mod 2**64."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64_draw(seed: int, m: int) -> float:
+    """Draw m of the stream of `seed`: (mix(mix(seed) + (m + 1) G) >> 11) 2**-53."""
+    return (splitmix64_mix(splitmix64_mix(seed) + (m + 1) * 0x9E3779B97F4A7C15) >> 11) * 2.0**-53

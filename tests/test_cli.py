@@ -162,6 +162,19 @@ class TestVerify:
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**63), str(2**64 + 3)])
+    def test_seed_outside_the_range_is_parameter_error(self, tmp_path, seed, capsys):
+        out = tmp_path / "never.json"
+        assert main(["verify", "--grid", "4", "--seed", seed, "--output", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == f"parameter error: seed must be an integer in [0, 2**63), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", ["0", str(2**63 - 1)])
+    def test_seeds_at_the_ends_of_the_range_pass(self, tmp_path, seed):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--grid", "8", "--seed", seed, "--output", str(out)]) == 0
+        assert all(r["pass"] for r in json.loads(out.read_text()))
+
 
 class TestInclusion:
     def test_constant_fixture(self, tmp_path, problem_file, capsys):
@@ -484,6 +497,97 @@ class TestInfiniteDomain:
         proc = self.run_cli("integrate", "--rho", "0.5", "--input", str(path))
         assert proc.returncode == 2
         assert proc.stderr == "input error: malformed map spec: domain requires finite a < b, got [0.0, inf]\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integrate", "--rho", "0.5"],
+            ["selections", "--rho", "1.5"],
+            ["bounds", "--rho", "1.5", "--M", "1"],
+        ],
+    )
+    def test_overflowing_length_option(self, argv):
+        """Finite ends whose distance b - a overflows: one check, before any node."""
+        proc = self.run_cli(*argv, "--a=-1e308", "--b=1e308")
+        assert proc.returncode == 3
+        assert proc.stderr == "parameter error: domain requires finite a < b, got [-1e+308, 1e+308]\n"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"a": -1e308, "b": 1e308, "segments": 8, "kind": "hat"},
+            {"a": -1e308, "b": 1e308, "segments": 2, "lo": [0, 0, 0], "hi": [1, 1, 1]},
+        ],
+        ids=["builtin", "samples"],
+    )
+    def test_overflowing_length_in_fixture_file(self, tmp_path, spec):
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps({"x": spec}))
+        proc = self.run_cli("verify", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "input error: malformed fixture file: domain requires finite a < b, got [-1e+308, 1e+308]\n"
+        )
+        assert "Warning" not in proc.stderr and ".py:" not in proc.stderr
+
+
+class TestUnreadableJson:
+    """A file that json cannot read, for any reason, is an input error."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("unreadable")
+        (path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)  # RecursionError
+        (path / "latin1.json").write_bytes(b'{"a": "\xff"}')  # UnicodeDecodeError
+        (path / "digits.json").write_text('{"a": ' + "1" * 5000 + "}")  # beyond int's digit limit
+        return path
+
+    @pytest.mark.parametrize("name", ["deep.json", "latin1.json", "digits.json"])
+    @pytest.mark.parametrize("command", [["integrate", "--rho", "0.5"], ["verify"], ["inclusion"]])
+    def test_input_error(self, files, name, command, capsys):
+        path = files / name
+        assert main(command + ["--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot read JSON from {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_deep_array_in_a_fresh_interpreter(self, files):
+        path = files / "deep.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "svfrac.cli", "verify", "--input", str(path)],
+            capture_output=True, text=True, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"input error: cannot read JSON from {path}: ")
+        assert proc.stderr.count("\n") == 1
+
+
+class TestNoNumpyRandom:
+    """No command imports numpy.random: the oracle draws are svfrac's own."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--grid", "16"],
+            ["integrate", "--rho", "0.5", "--grid", "64"],
+            ["selections", "--rho", "1.5", "--grid", "16"],
+            ["bounds", "--rho", "1.5", "--M", "1"],
+            ["inclusion", "--funnel", "--grid", "64"],
+        ],
+    )
+    def test_imports(self, tmp_path, argv):
+        if argv[0] == "inclusion":
+            path = tmp_path / "oscillator.json"
+            path.write_text(json.dumps(OSCILLATOR))
+            argv = argv + ["--input", str(path)]
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "svfrac.cli", *argv],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "svfrac.verify" in imported and "numpy" in imported
+        assert not {m for m in imported if m == "numpy.random" or m.startswith("numpy.random.")}
 
 
 class TestZeroMapContinuity:

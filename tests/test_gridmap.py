@@ -1,12 +1,16 @@
 import io
+import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from _reference import csv_reference
+from _reference import csv_reference, splitmix64_draw
 
 from svfrac import GridMap, Interval, Selection, hausdorff, lipschitz_constant, rl_setvalued, total_variation
-from svfrac.gridmap import CSV_BLOCK, _csv, selection_draws
+from svfrac.gridmap import CSV_BLOCK, _csv, draw_indices, oracle_seeds, selection_draws
+from svfrac.rl import rl_selection_oracle
+from svfrac.verify import check_convexity, continuity_pairs, run_verification
 
 RNG = np.random.default_rng(0)
 
@@ -181,9 +185,10 @@ class TestSelections:
         f = GridMap.from_builtin("sin_envelope", 0, 1, 16)
         draws = selection_draws(17, range(40, 43))
         for k, seed in enumerate(range(40, 43)):
-            expected = f.lo + np.random.default_rng(seed).random(17) * (f.hi - f.lo)
+            row = np.array([splitmix64_draw(seed, m) for m in range(17)])
+            expected = f.lo + row * (f.hi - f.lo)
             assert np.array_equal(f.random_selection(seed).values, expected)
-            assert np.array_equal(draws[k], np.random.default_rng(seed).random(17))
+            assert np.array_equal(draws[k], row)
 
     def test_degenerate_unique_selection(self):
         f = GridMap(0, 1, [1, 2, 3], [1, 2, 3])
@@ -211,6 +216,69 @@ class TestSelections:
                   Selection(-1, 1, np.zeros(5))):
             with pytest.raises(ValueError):
                 s.is_selection_of(f)
+
+
+class TestSplitMix64:
+    """The draws of every oracle: SplitMix64's counter-based stream, one
+    per seed, against a Python-int construction and statistical checks."""
+
+    SEEDS = (0, 1, 42, 2**32 + 5, 2**63 - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 1000])
+    def test_rows_match_the_reference_bit_for_bit(self, n):
+        draws = selection_draws(n, self.SEEDS)
+        expected = [[splitmix64_draw(seed, m) for m in range(n)] for seed in self.SEEDS]
+        assert draws.shape == (len(self.SEEDS), n)
+        assert draws.tolist() == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 65, 4097])
+    def test_indices_are_floor_of_the_stream(self, k):
+        for seed in self.SEEDS:
+            idx = draw_indices(seed, k, 300)
+            assert idx.tolist() == [math.floor(splitmix64_draw(seed, m) * k) for m in range(300)]
+            assert idx.min() >= 0 and idx.max() < k
+
+    def test_oracle_seeds_wrap_below_the_seed_limit(self):
+        assert oracle_seeds(5, 3) == [5, 6, 7]
+        assert oracle_seeds(2**63 - 2, 4) == [2**63 - 2, 2**63 - 1, 0, 1]
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64, 1.5, "3"])
+    def test_seed_outside_the_range_is_named(self, seed):
+        f = sym_linear(8)
+        calls = [
+            lambda: selection_draws(9, [0, seed]),
+            lambda: f.random_selection(seed),
+            lambda: draw_indices(seed, 4, 2),
+            lambda: oracle_seeds(seed, 2),
+            lambda: continuity_pairs(f, seed),
+            lambda: check_convexity(f, "x", 0.5, seed, g=f, vals=(0.0, 1.0)),
+            lambda: rl_selection_oracle(f, 0.5, 8, samples=2, seed=seed),
+            lambda: run_verification(rhos=(0.5,), n_segments=4, seed=seed),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"seed must be an integer in [0, 2**63), got {seed!r}")):
+                call()
+
+    def test_uniform_mean_variance_and_bins(self):
+        u = selection_draws(1000, range(200)).ravel()  # 2e5 draws
+        n = u.size
+        assert u.min() >= 0.0 and u.max() < 1.0
+        # a draw's variance is 1/12, and that of its squared deviation 1/80 - 1/144
+        assert abs(u.mean() - 0.5) < 5 * math.sqrt(1 / 12 / n)
+        assert abs(u.var() - 1 / 12) < 5 * math.sqrt((1 / 80 - 1 / 144) / n)
+        counts = np.bincount((u * 100).astype(int), minlength=100)
+        chi2 = float(((counts - n / 100) ** 2).sum() / (n / 100))
+        # 99 degrees of freedom: mean 99, standard deviation sqrt(198) ~ 14
+        assert chi2 < 99 + 6 * math.sqrt(2 * 99)
+
+    def test_rows_of_consecutive_seeds_are_uncorrelated(self):
+        n = 1 << 16
+        draws = selection_draws(n, range(40, 51))
+        r = [float(np.corrcoef(a, b)[0, 1]) for a, b in zip(draws[:-1], draws[1:])]
+        assert max(abs(x) for x in r) < 5 / math.sqrt(n)
+        # within a row, consecutive draws are uncorrelated too
+        lag = [float(np.corrcoef(row[:-1], row[1:])[0, 1]) for row in draws]
+        assert max(abs(x) for x in lag) < 5 / math.sqrt(n)
 
 
 class TestVariationLipschitz:
