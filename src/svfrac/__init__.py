@@ -19,19 +19,11 @@ from .regularity import (
     lipschitz_constant,
     total_variation,
 )
-from .rl import (
-    gamma_fn,
-    quadrature_weights,
-    rl_apply,
-    rl_operator,
-    rl_selection_oracle,
-    rl_setvalued,
-)
+from .rl import RLOperator, gamma_fn, quadrature_weights, rl_setvalued
 from .selections import (
     SelectionCertificate,
     extremal_selections,
     midpoint_selection,
-    regular_selection,
 )
 from .verify import fixture_catalog, run_verification
 
@@ -42,6 +34,7 @@ __all__ = [
     "GridMap",
     "Interval",
     "NonConvergenceError",
+    "RLOperator",
     "RegularityReport",
     "Selection",
     "SelectionCertificate",
@@ -56,10 +49,6 @@ __all__ = [
     "lipschitz_constant",
     "midpoint_selection",
     "quadrature_weights",
-    "regular_selection",
-    "rl_apply",
-    "rl_operator",
-    "rl_selection_oracle",
     "rl_setvalued",
     "run_verification",
     "solution_funnel",

@@ -25,7 +25,7 @@ def _check_domain(a: float, b: float) -> None:
     and b finite. Every grid, weight and bound on [a, b] checks this before
     it computes anything, since an infinite b - a makes the nodes NaN."""
     if not (a < b and math.isfinite(b - a)):
-        raise ValueError(f"domain requires finite a < b, got [{a}, {b}]")
+        raise ValueError(f"domain requires a < b with a finite length b - a, got [{a}, {b}]")
 
 
 class GridMap:
@@ -85,13 +85,6 @@ class GridMap:
 
     def extremal_upper(self) -> "Selection":
         return Selection(self.a, self.b, self.hi.copy())
-
-    def random_selection(self, seed: int) -> "Selection":
-        """Node values lo_i + u_i (hi_i - lo_i), with u_i draw i of the
-        SplitMix64 stream of `seed`, an integer in [0, 2**63) (see
-        selection_draws); pure in (self, seed)."""
-        y = self.lo + selection_draws(self.lo.size, [seed])[0] * (self.hi - self.lo)
-        return Selection(self.a, self.b, y)
 
     # -- construction helpers -------------------------------------------------
 
@@ -246,8 +239,6 @@ def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 def selection_draws(n_nodes: int, seeds) -> np.ndarray:
     """One row of uniform [0, 1) draws per seed, an integer in [0, 2**63):
     row r holds draws 0..n_nodes-1 of the stream of seeds[r].
-    GridMap.random_selection(s) takes the node values lo + row * (hi - lo)
-    from the row of seed s.
 
     Draw m of seed s is SplitMix64's counter-based (mix(mix(s) + (m + 1) G)
     >> 11) 2**-53, with G = 0x9E3779B97F4A7C15 and mix its output function

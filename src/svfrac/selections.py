@@ -53,19 +53,12 @@ def midpoint_selection(g: GridMap) -> Selection:
     return Selection(g.a, g.b, 0.5 * (g.lo + g.hi))
 
 
-def regular_selection(g: GridMap) -> SelectionCertificate:
-    """Constructive regular-selection witness with measured certificate.
-
-    For interval values the lower-extremal selection is continuous, has
-    variation at most that of the map, and Lipschitz constant at most that of
-    the map, so it witnesses both regularity kinds. The caller asserts the
-    hypotheses (integral map of order > 1 from a BV resp. Lipschitz map); the
-    certificate records measured inequalities either way.
-    """
-    return _certify(g, g.extremal_lower(), "lower-extremal")
-
-
 def certify_extremals(g: GridMap) -> tuple[SelectionCertificate, SelectionCertificate]:
+    """Certificates of the lower- and upper-extremal selections. For interval
+    values each is continuous, with variation and Lipschitz constant at most
+    the map's, so either witnesses both regularity kinds. The caller asserts
+    the hypotheses (integral map of order > 1 from a BV resp. Lipschitz map);
+    a certificate records the measured inequalities either way."""
     lo, hi = extremal_selections(g)
     return _certify(g, lo, "lower-extremal"), _certify(g, hi, "upper-extremal")
 

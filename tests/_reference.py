@@ -3,14 +3,17 @@ continuity modulus with every segment clipped for each pair, the RL integral
 of a selection at one node, the chattering demo on two-point values, CSV
 text formatted one value at a time, and the SplitMix64 draws in Python ints.
 None of them is used by the package; each is an independent construction
-that its fast counterpart is checked against."""
+that its fast counterpart is checked against. Two test-only conveniences
+sit with them: one random selection of a map, and the Monte-Carlo oracle
+of a node's selection integrals."""
 
 import math
 
 import numpy as np
 
-from svfrac import gamma_fn, regularity
-from svfrac.rl import _hat_moments, _pow_diff, node_row
+from svfrac import RLOperator, Selection, gamma_fn, regularity
+from svfrac.gridmap import oracle_seeds, selection_draws
+from svfrac.rl import _hat_moments, _pow_diff, selection_integrals
 
 
 def kernel_hat_weights(c: float, rho: float, ts: np.ndarray) -> np.ndarray:
@@ -33,7 +36,27 @@ def kernel_hat_weights(c: float, rho: float, ts: np.ndarray) -> np.ndarray:
 
 def rl_scalar(f, rho: float, n: int) -> float:
     """Riemann-Liouville integral of order rho of the selection f, evaluated at node n."""
-    return float(node_row(f, rho, n) @ f.values[: n + 1])
+    return float(RLOperator(f.a, f.b, f.n_segments, rho).row(n) @ f.values[: n + 1])
+
+
+def random_selection(f, seed: int) -> Selection:
+    """Node values lo_i + u_i (hi_i - lo_i), with u_i draw i of the
+    SplitMix64 stream of `seed`, an integer in [0, 2**63) (see
+    selection_draws); pure in (f, seed)."""
+    return Selection(f.a, f.b, f.lo + selection_draws(f.lo.size, [seed])[0] * (f.hi - f.lo))
+
+
+def rl_selection_oracle(f, rho: float, n: int, samples: int, seed: int) -> tuple[float, ...]:
+    """Monte-Carlo image of the integrable-selection family at node n.
+
+    Returns the sorted, deduplicated set of RL integrals of `samples` random
+    selections plus both extremal selections (injected so the hull of the
+    returned set is tight against rl_setvalued).
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    draws = selection_draws(f.n_segments + 1, oracle_seeds(seed, samples))
+    return selection_integrals(f, RLOperator(f.a, f.b, f.n_segments, rho).row(n), draws)
 
 
 def rl_weight_matrix(a: float, b: float, n_segments: int, rho: float) -> np.ndarray:

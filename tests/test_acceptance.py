@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from _reference import _duty_cycle, rl_piecewise_constant, rl_scalar
+from _reference import _duty_cycle, rl_piecewise_constant, rl_scalar, rl_selection_oracle
 from svfrac import (
     GridMap,
     Interval,
@@ -16,7 +16,6 @@ from svfrac import (
     gamma_fn,
     hausdorff,
     lipschitz_constant,
-    rl_selection_oracle,
     rl_setvalued,
     total_variation,
 )

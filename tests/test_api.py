@@ -9,6 +9,10 @@ REMOVED = (
     "convex_combo",
     "hausdorff_to_zero",
     "convex_combination_selection",
+    "rl_apply",
+    "rl_operator",
+    "rl_selection_oracle",
+    "regular_selection",
 )
 
 

@@ -488,7 +488,7 @@ class TestInfiniteDomain:
     def test_infinite_b_option(self):
         proc = self.run_cli("integrate", "--rho", "0.5", "--b", "inf")
         assert proc.returncode == 3
-        assert proc.stderr == "parameter error: domain requires finite a < b, got [0.0, inf]\n"
+        assert proc.stderr == "parameter error: domain requires a < b with a finite length b - a, got [0.0, inf]\n"
 
     def test_infinite_b_in_map_file(self, tmp_path):
         path = tmp_path / "map.json"
@@ -496,7 +496,7 @@ class TestInfiniteDomain:
         path.write_text('{"a": 0, "b": 1e400, "segments": 8, "kind": "hat"}')
         proc = self.run_cli("integrate", "--rho", "0.5", "--input", str(path))
         assert proc.returncode == 2
-        assert proc.stderr == "input error: malformed map spec: domain requires finite a < b, got [0.0, inf]\n"
+        assert proc.stderr == "input error: malformed map spec: domain requires a < b with a finite length b - a, got [0.0, inf]\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -510,7 +510,7 @@ class TestInfiniteDomain:
         """Finite ends whose distance b - a overflows: one check, before any node."""
         proc = self.run_cli(*argv, "--a=-1e308", "--b=1e308")
         assert proc.returncode == 3
-        assert proc.stderr == "parameter error: domain requires finite a < b, got [-1e+308, 1e+308]\n"
+        assert proc.stderr == "parameter error: domain requires a < b with a finite length b - a, got [-1e+308, 1e+308]\n"
 
     @pytest.mark.parametrize(
         "spec",
@@ -526,7 +526,7 @@ class TestInfiniteDomain:
         proc = self.run_cli("verify", "--input", str(path))
         assert proc.returncode == 2
         assert proc.stderr == (
-            "input error: malformed fixture file: domain requires finite a < b, got [-1e+308, 1e+308]\n"
+            "input error: malformed fixture file: domain requires a < b with a finite length b - a, got [-1e+308, 1e+308]\n"
         )
         assert "Warning" not in proc.stderr and ".py:" not in proc.stderr
 
@@ -611,6 +611,25 @@ class TestZeroMapContinuity:
         reports = json.loads(out.read_text())
         assert {r["rho"] for r in reports if r["theorem"] == "3.4"} == {0.5, 1.0, 1.5, 2.7}
         assert all(r["pass"] for r in reports)
+
+
+class TestFarFromZero:
+    """A valid map far from 0, where 3.4's shrinking points a + (b - a) 2^-m
+    round to a: the bound over the empty interval [a, a] is 0."""
+
+    def test_verify_fixture_file_passes(self, tmp_path):
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(
+            json.dumps({"far": {"a": 1e15, "b": 1000000000000016.0, "segments": 16, "kind": "constant"}})
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "svfrac.cli", "verify", "--input", str(fixtures)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        reports = json.loads(proc.stdout)
+        assert len(reports) == 32 and all(r["pass"] for r in reports)
 
 
 class TestConsoleScript:

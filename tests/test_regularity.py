@@ -469,10 +469,8 @@ class TestTheoremSuites:
 
     def test_one_integral_per_fixture_and_order(self, monkeypatch):
         calls = []
-        real = verify._setvalued
-        monkeypatch.setattr(
-            verify, "_setvalued", lambda f, rho, apply: calls.append(rho) or real(f, rho, apply)
-        )
+        real = rl.RLOperator.setvalued
+        monkeypatch.setattr(rl.RLOperator, "setvalued", lambda op, f: calls.append(op.rho) or real(op, f))
         reports = run_verification()
         assert len(calls) == 24 == len(reports) // 8
 
@@ -508,8 +506,7 @@ class TestTheoremSuites:
             calls.append(args)
             return real(*args)
 
-        for mod in (rl, verify):
-            monkeypatch.setattr(mod, "quadrature_weights", counting)
+        monkeypatch.setattr(rl, "quadrature_weights", counting)
         run_verification()
         assert len(calls) == 4
         assert sorted(set(calls)) == [(0.0, 1.0, 64, rho) for rho in verify.DEFAULT_RHOS]

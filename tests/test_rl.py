@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from _reference import _duty_cycle, rl_piecewise_constant, rl_scalar, rl_weight_matrix
-from svfrac import (
-    GridMap,
-    Selection,
-    gamma_fn,
-    quadrature_weights,
+from _reference import (
+    _duty_cycle,
+    random_selection,
+    rl_piecewise_constant,
+    rl_scalar,
     rl_selection_oracle,
-    rl_setvalued,
+    rl_weight_matrix,
 )
+from svfrac import GridMap, RLOperator, Selection, gamma_fn, rl_setvalued
 from svfrac.gridmap import selection_draws
-from svfrac.rl import _row, node_row, selection_integrals
+from svfrac.rl import selection_integrals
 
 RHOS = (0.3, 0.5, 1.0, 1.5, 2.7)
 
@@ -45,7 +45,7 @@ class TestGamma:
 
 def weight_row(a, b, n_segments, rho, n):
     """Weights of nodes 0..n for target node n."""
-    return _row(quadrature_weights(a, b, n_segments, rho), n)
+    return RLOperator(a, b, n_segments, rho).row(n)
 
 
 class TestWeights:
@@ -73,9 +73,9 @@ class TestWeights:
     def test_invalid_parameters(self):
         f = Selection(0, 1, np.ones(9))
         with pytest.raises(ValueError):
-            node_row(f, -0.5, 4)
+            RLOperator(f.a, f.b, f.n_segments, -0.5).row(4)
         with pytest.raises(ValueError):
-            node_row(f, 0.5, 9)
+            RLOperator(f.a, f.b, f.n_segments, 0.5).row(9)
 
 
 class TestRlScalar:
@@ -189,7 +189,7 @@ class TestSelectionOracle:
         f = GridMap.from_builtin("sin_envelope", 0, 1, 48)
         seed, samples = 11, 30
         expected = sorted(
-            {rl_scalar(f.random_selection(seed + k), rho, n) for k in range(samples)}
+            {rl_scalar(random_selection(f, seed + k), rho, n) for k in range(samples)}
             | {rl_scalar(f.extremal_lower(), rho, n), rl_scalar(f.extremal_upper(), rho, n)}
         )
         vals = rl_selection_oracle(f, rho, n, samples=samples, seed=seed)
@@ -197,7 +197,7 @@ class TestSelectionOracle:
         assert np.abs(np.subtract(vals, expected)).max() <= 1e-13
         # the shared draws of the verification suite: more seeds, first rows used
         shared = selection_draws(49, range(seed, seed + 200))[:samples]
-        vals = selection_integrals(f, node_row(f, rho, n), shared)
+        vals = selection_integrals(f, RLOperator(f.a, f.b, f.n_segments, rho).row(n), shared)
         assert np.abs(np.subtract(vals, expected)).max() <= 1e-13
 
     def test_cardinality_with_one_sample(self):

@@ -9,7 +9,6 @@ from svfrac import (
     extremal_selections,
     lipschitz_constant,
     midpoint_selection,
-    regular_selection,
     rl_setvalued,
     total_variation,
 )
@@ -53,7 +52,7 @@ class TestExtremalSelections:
 
 class TestRegularSelection:
     def test_canonical_witness(self):
-        cert = regular_selection(integral_of_canonical())
+        cert = certify_extremals(integral_of_canonical())[0]
         assert cert.kind == "lower-extremal"
         assert cert.membership_checked
         assert abs(cert.variation - 0.5) < 1e-12
@@ -61,12 +60,12 @@ class TestRegularSelection:
 
     def test_degenerate_variation_equality(self):
         g = GridMap(0, 1, [0, 1, 0], [0, 1, 0])
-        cert = regular_selection(g)
+        cert = certify_extremals(g)[0]
         assert cert.variation == cert.parent_variation
 
     def test_zero_witness_of_constant_map(self):
         f = GridMap.from_builtin("constant", 0, 1, 32, lo=0.0, hi=1.0)
-        cert = regular_selection(rl_setvalued(f, 2.0))
+        cert = certify_extremals(rl_setvalued(f, 2.0))[0]
         assert np.allclose(cert.selection.values, 0.0, atol=1e-15)
         assert cert.variation <= 1e-15
         assert abs(cert.parent_variation - 0.5) < 1e-13
