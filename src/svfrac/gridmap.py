@@ -236,25 +236,24 @@ def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def selection_draws(n_nodes: int, seeds) -> np.ndarray:
+def selection_draws(n_nodes: int, seeds, first: int = 0) -> np.ndarray:
     """One row of uniform [0, 1) draws per seed, an integer in [0, 2**63):
-    row r holds draws 0..n_nodes-1 of the stream of seeds[r].
+    row r holds draws first..first+n_nodes-1 of the stream of seeds[r].
 
     Draw m of seed s is SplitMix64's counter-based (mix(mix(s) + (m + 1) G)
     >> 11) 2**-53, with G = 0x9E3779B97F4A7C15 and mix its output function
     (Steele, Lea & Flood, OOPSLA 2014): a multiple of 2**-53, a pure
-    function of (s, m). Each row is computed in place on uint64 arrays."""
-    out = np.empty((len(seeds), n_nodes))
+    function of (s, m), so a block of rows and nodes needs only its seeds
+    and counters. The block is computed at once, in place on one uint64
+    array of its shape (and one scratch array)."""
     keys = np.array([_check_seed(s) for s in seeds], dtype=np.uint64)
     _mix(keys, np.empty_like(keys))
-    counter = np.arange(1, n_nodes + 1, dtype=np.uint64)
+    counter = np.arange(first + 1, first + n_nodes + 1, dtype=np.uint64)
     counter *= _GOLDEN
-    z, tmp = np.empty_like(counter), np.empty_like(counter)
-    for row, key in zip(out, keys):
-        _mix(np.add(counter, key, out=z), tmp)
-        z >>= np.uint64(11)
-        np.multiply(z, 2.0**-53, out=row)
-    return out
+    z = np.add.outer(keys, counter)  # mod 2**64
+    _mix(z, np.empty_like(z))
+    z >>= np.uint64(11)
+    return z * 2.0**-53
 
 
 def draw_indices(seed: int, k: int, count: int) -> np.ndarray:

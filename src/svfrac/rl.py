@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import numpy.fft  # at module scope, so that no operation pays for the import
 
-from .gridmap import GridMap, _check_domain
+from .gridmap import GridMap, _check_domain, selection_draws
 
 
 def positive(name: str, value: float, *, strict: bool = True) -> float:
@@ -73,17 +73,30 @@ def _hat_moments(s0: np.ndarray, s1: np.ndarray, h, rho: float) -> tuple[np.ndar
     return at_s0, m0
 
 
+def _unit_moments(n_segments: int, rho: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hat moments (w_left, w_right) of distances 0..count-1 on the grid of
+    [0, 1] with n_segments segments: the weights of the far and the near
+    node of the segment [k, k + 1] / n_segments of s, for k < count."""
+    x = np.arange(count + 1) / n_segments
+    return _hat_moments(x[1:], x[:-1], 1.0 / n_segments, rho)
+
+
+def _weight_scale(a: float, b: float, rho: float) -> float:
+    """(b - a)^rho / Gamma(rho), through logs: the factor from the moments
+    on [0, 1] to the weights of order rho on [a, b]."""
+    try:
+        return math.exp(rho * math.log(b - a) - math.lgamma(rho))
+    except OverflowError:
+        raise OverflowError(f"the weights of order {rho} on [{a}, {b}] are not finite") from None
+
+
 def _scaled_moments(a: float, b: float, n_segments: int, rho: float, count: int):
     """Kernel b_0..b_{count-1} and column c_1..c_count of the operator of
     order rho on the uniform grid of [a, b], from the hat moments of
     distances 0..count-1. Every step is elementwise, so a prefix
     (count < n_segments) has the bits of the full build's."""
-    x = np.arange(count + 1) / n_segments
-    w_left, w_right = _hat_moments(x[1:], x[:-1], 1.0 / n_segments, rho)
-    try:
-        scale = math.exp(rho * math.log(b - a) - math.lgamma(rho))
-    except OverflowError:
-        raise OverflowError(f"the weights of order {rho} on [{a}, {b}] are not finite") from None
+    w_left, w_right = _unit_moments(n_segments, rho, count)
+    scale = _weight_scale(a, b, rho)
     kernel = w_right  # b_0 = w_right[0], b_k = w_right[k] + w_left[k - 1]
     kernel[1:] += w_left[:-1]
     kernel *= scale
@@ -111,6 +124,21 @@ def quadrature_weights(
     _check_domain(a, b)
     kernel, column = _scaled_moments(a, b, n_segments, rho, n_segments)
     return kernel, np.concatenate(([0.0], column))
+
+
+_SUM_RUN = 4096  # nodes per einsum call of _node_sums
+
+
+def _node_sums(hs: np.ndarray, first: int, w: np.ndarray) -> np.ndarray:
+    """w @ hs[m, first:first + w.size] for every row m of hs, one einsum per
+    run of _SUM_RUN nodes, the runs added in order. einsum sums a run of at
+    most its buffer (8192 entries) in one loop per row, so each value has
+    the same bits whichever other rows share the call."""
+    total = np.zeros(hs.shape[0])
+    for k in range(0, w.size, _SUM_RUN):
+        run = w[k : k + _SUM_RUN]
+        total += np.einsum("mk,k->m", hs[:, first + k : first + k + run.size], run)
+    return total
 
 
 class RLOperator:
@@ -154,6 +182,62 @@ class RLOperator:
         kernel, _ = _scaled_moments(self.a, self.b, self.n_segments, self.rho, n)
         return np.concatenate(([self.col0[n]], kernel[::-1]))
 
+    def modulus(self, h: np.ndarray, i, j) -> np.ndarray:
+        """regularity.continuity_modulus at the node pairs (x_i, x_j), i <= j,
+        for each node envelope h (shape (N+1,), or (M, N+1) for M maps): the
+        result has shape (P,), or (M, P), for P pairs.
+
+        With h interpolated between nodes, Phi = |A - B| + C, where A and C
+        are the integrals of h against the kernel at x_j over [a, x_i] and
+        [x_i, x_j], and B the one against the kernel at x_i over [a, x_i].
+        Each is a partial sum of operator rows, rebuilt (as row() is) from
+        the hat moments of distances 0..max(j)-1: C is the far-node moment
+        of segment i+1 and row j's weights of nodes i+1..j. A - B is one sum
+        over nodes 0..i of row j's weights (at node i, the near-node moment
+        of segment i) less row i's, so that its roundoff is relative to the
+        difference, not to A and B. No transcendental function is evaluated
+        per pair. Each sum runs over the nodes of its pair in a fixed order
+        (_node_sums), so each value depends on its map and pair alone;
+        i == j gives 0.0.
+        The moments are those of [0, 1], and the result is scaled once, by
+        (b - a)^rho / Gamma(rho). A result beyond the float range is an
+        OverflowError.
+        """
+        h = np.asarray(h, dtype=float)
+        n = self.n_segments
+        if h.shape[-1:] != (n + 1,):
+            raise ValueError(f"envelopes of shape {h.shape} do not end in the {n + 1} grid nodes")
+        i, j = np.asarray(i, dtype=np.intp).ravel(), np.asarray(j, dtype=np.intp).ravel()
+        if i.shape != j.shape or not np.all((0 <= i) & (i <= j) & (j <= n)):
+            raise ValueError(f"node pairs need 0 <= i <= j <= {n}")
+        top = int(j.max(initial=0))
+        w_left, w_right = _unit_moments(n, self.rho, top)
+        # rev[top - 1 - k] = b_k, the kernel as _scaled_moments sums it, so
+        # that the weights of nodes m < j for target j run forward in it.
+        kernel = w_right.copy()
+        kernel[1:] += w_left[:-1]
+        rev = kernel[::-1].copy()
+        hs = h.reshape(-1, n + 1)
+        sums = np.zeros((2, hs.shape[0], i.size))  # C over nodes i+1..j, A - B over nodes 1..i-1
+        for p, (ip, jp) in enumerate(zip(i.tolist(), j.tolist())):
+            if ip < jp:
+                sums[0, :, p] = _node_sums(hs, ip + 1, rev[top - jp + ip :])
+            if 1 < ip < jp:
+                sums[1, :, p] = _node_sums(hs, 1, rev[top - jp : top - jp + ip - 1] - rev[top - ip : top - 1])
+        # The edge nodes' moments; left[k + 1] is w_left[k], and left[0] and right[top] are 0.
+        left, right = np.append(0.0, w_left), np.append(w_right, 0.0)
+        inner = i > 0  # A and B integrate over [a, x_i]
+        h0, h_i = hs[:, :1], hs[:, i]
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            a_b = (np.where(inner, left[j] - left[i], 0.0) * h0 + sums[1]
+                   + np.where(inner, right[j - i] - right[0], 0.0) * h_i)
+            out = np.abs(a_b) + (left[j - i] * h_i + sums[0])
+            out[:, i == j] = 0.0
+            out *= _weight_scale(self.a, self.b, self.rho)
+        if not np.isfinite(out).all():
+            raise OverflowError(f"the continuity modulus of order {self.rho} on [{self.a}, {self.b}] is not finite")
+        return out.reshape(h.shape[:-1] + i.shape)
+
     def setvalued(self, f: GridMap) -> GridMap:
         """rl_setvalued(f, rho) for f on this operator's grid."""
         if (f.a, f.b, f.n_segments) != (self.a, self.b, self.n_segments):
@@ -181,11 +265,40 @@ def rl_setvalued(f: GridMap, rho: float) -> GridMap:
     return RLOperator(f.a, f.b, f.n_segments, rho).setvalued(f)
 
 
-def selection_integrals(f: GridMap, row: np.ndarray, draws: np.ndarray) -> tuple[float, ...]:
+DRAW_BLOCK_ENTRIES = 2048  # draws made and applied at once by selection_sums
+
+
+def integral_set(f: GridMap, row: np.ndarray, sums: np.ndarray) -> tuple[float, ...]:
     """Sorted, deduplicated RL integrals, at the target node of `row` (the
     weights of nodes 0..n), of both extremal selections of f and of the
-    selection lo + r * (hi - lo) for each row r of `draws`."""
+    selection lo + r * (hi - lo) for each value row @ (r * (hi - lo)) of
+    `sums` (see selection_sums)."""
     m = row.size
     base = float(row @ f.lo[:m])
-    sampled = base + draws[:, :m] @ (row * (f.hi[:m] - f.lo[:m]))
-    return tuple(sorted({base, float(row @ f.hi[:m]), *sampled.tolist()}))
+    return tuple(sorted({base, float(row @ f.hi[:m]), *(base + sums).tolist()}))
+
+
+def selection_sums(maps, rows, seeds) -> np.ndarray:
+    """row @ (r * (hi - lo)) for each map of `maps` (on one grid), each of
+    `rows` (weights of nodes 0..m-1, one m) and the draws r of nodes
+    0..m-1 of each seed, of shape (len(maps), len(rows), len(seeds)).
+
+    The draws are made and applied in blocks of at most DRAW_BLOCK_ENTRIES
+    entries, one selection_draws call each, so no len(seeds) x m array
+    exists. If m <= DRAW_BLOCK_ENTRIES, a block holds whole rows, and each
+    value is the one of
+    einsum("rk,k->r", selection_draws(m, seeds), row * (hi - lo)) on the
+    whole draws matrix, bit for bit (one sum per row, of its m products).
+    Otherwise the nodes are split into ceil(m / DRAW_BLOCK_ENTRIES) runs,
+    and each value adds up the partial sums of its runs, in order."""
+    m, budget = rows[0].size, DRAW_BLOCK_ENTRIES
+    runs = -(-m // budget)
+    out = np.zeros((len(maps) * len(rows), len(seeds)))
+    for k in range(runs):
+        c0, c1 = k * m // runs, (k + 1) * m // runs
+        vecs = np.array([row[c0:c1] * (f.hi[c0:c1] - f.lo[c0:c1]) for f in maps for row in rows])
+        step = budget // (c1 - c0)
+        for r0 in range(0, len(seeds), step):
+            draws = selection_draws(c1 - c0, seeds[r0 : r0 + step], first=c0)
+            out[:, r0 : r0 + step] += np.einsum("rk,vk->vr", draws, vecs)
+    return out.reshape(len(maps), len(rows), len(seeds))

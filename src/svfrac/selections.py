@@ -31,15 +31,21 @@ class SelectionCertificate:
         return obj
 
 
-def _certify(g: GridMap, sel: Selection, kind: str) -> SelectionCertificate:
-    return SelectionCertificate(
-        kind=kind,
-        selection=sel,
-        variation=total_variation(sel),
-        lipschitz=lipschitz_constant(sel),
-        parent_variation=total_variation(g),
-        parent_lipschitz=lipschitz_constant(g),
-        membership_checked=sel.is_selection_of(g),
+def _certify(g: GridMap, *kinds: tuple[Selection, str]) -> tuple[SelectionCertificate, ...]:
+    """One certificate per (selection, kind), against g's variation and
+    Lipschitz constant, measured once."""
+    parent_variation, parent_lipschitz = total_variation(g), lipschitz_constant(g)
+    return tuple(
+        SelectionCertificate(
+            kind=kind,
+            selection=sel,
+            variation=total_variation(sel),
+            lipschitz=lipschitz_constant(sel),
+            parent_variation=parent_variation,
+            parent_lipschitz=parent_lipschitz,
+            membership_checked=sel.is_selection_of(g),
+        )
+        for sel, kind in kinds
     )
 
 
@@ -60,8 +66,8 @@ def certify_extremals(g: GridMap) -> tuple[SelectionCertificate, SelectionCertif
     the hypotheses (integral map of order > 1 from a BV resp. Lipschitz map);
     a certificate records the measured inequalities either way."""
     lo, hi = extremal_selections(g)
-    return _certify(g, lo, "lower-extremal"), _certify(g, hi, "upper-extremal")
+    return _certify(g, (lo, "lower-extremal"), (hi, "upper-extremal"))
 
 
 def certify_midpoint(g: GridMap) -> SelectionCertificate:
-    return _certify(g, midpoint_selection(g), "midpoint")
+    return _certify(g, (midpoint_selection(g), "midpoint"))[0]

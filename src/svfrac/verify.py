@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gridmap import _BUILTIN_KINDS, GridMap, draw_indices, oracle_seeds, selection_draws
+from .gridmap import _BUILTIN_KINDS, GridMap, draw_indices, oracle_seeds
 from .interval import Interval, hausdorff
 from .regularity import (
     RegularityReport,
@@ -22,7 +22,7 @@ from .regularity import (
     lipschitz_constant,
     total_variation,
 )
-from .rl import RLOperator, rl_setvalued, selection_integrals
+from .rl import RLOperator, integral_set, rl_setvalued, selection_sums
 from .selections import certify_extremals
 
 DEFAULT_RHOS = (0.5, 1.0, 1.5, 2.7)
@@ -70,8 +70,8 @@ def check_nonempty(f: GridMap, name: str, rho: float, *,
     n = f.n_segments
     g = rl_setvalued(f, rho) if g is None else g
     if not vals:
-        draws = selection_draws(n + 1, oracle_seeds(DEFAULT_SEED, ENDPOINT_SAMPLES))
-        vals = selection_integrals(f, RLOperator(f.a, f.b, n, rho).row(n), draws)
+        row = RLOperator(f.a, f.b, n, rho).row(n)
+        vals = integral_set(f, row, selection_sums([f], [row], oracle_seeds(DEFAULT_SEED, ENDPOINT_SAMPLES))[0, 0])
     box = g.interval_at(n)
     worst = max(box.lo - vals[0], vals[-1] - box.hi)
     ok = bool(np.all(g.lo <= g.hi)) and worst <= BOUND_TOL
@@ -86,14 +86,17 @@ def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap):
 
 
 def continuity_pairs(f: GridMap, seed: int):
-    """3.4's pairs on f's grid: node index pairs (i, j), i <= j, drawn by
-    draw_indices of `seed`, and the modulus arguments u <= v, which are
-    those node pairs followed by the shrinking pairs (a, a + (b - a) 2^-m)."""
+    """3.4's pairs on f's grid, as node indices (i, j) and points u <= v:
+    the node pairs drawn by draw_indices of `seed`, then the shrinking pairs
+    (a, a + (b - a) 2^-m). j is -1 where v is not a node."""
     ij = draw_indices(seed, f.n_segments + 1, 2 * CONTINUITY_PAIRS).reshape(-1, 2)
     i, j = np.sort(ij, axis=1).T
     vs = f.a + (f.b - f.a) * 2.0 ** -np.arange(1, 13)
     nodes = f.nodes
-    return i, j, np.concatenate((nodes[i], np.full(vs.size, f.a))), np.concatenate((nodes[j], vs))
+    k = np.searchsorted(nodes, vs)  # <= N, as vs <= b
+    k[nodes[k] != vs] = -1
+    return (np.concatenate((i, np.zeros(vs.size, np.intp))), np.concatenate((j, k)),
+            np.concatenate((nodes[i], np.full(vs.size, f.a))), np.concatenate((nodes[j], vs)))
 
 
 def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, phi: np.ndarray):
@@ -101,6 +104,7 @@ def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, ph
     modulus vanishes along a shrinking interval. `pairs` is
     continuity_pairs on f's grid and `phi` the modulus of f at its (u, v)."""
     i, j, _, v = pairs
+    i, j = i[:CONTINUITY_PAIRS], j[:CONTINUITY_PAIRS]
     hd = np.maximum(np.abs(g.lo[i] - g.lo[j]), np.abs(g.hi[i] - g.hi[j]))
     worst = float(np.max(hd - phi[:CONTINUITY_PAIRS]))
     phis, vs = phi[CONTINUITY_PAIRS:], v[CONTINUITY_PAIRS:]
@@ -172,11 +176,13 @@ def run_verification(
 ) -> list[RegularityReport]:
     """Every check for every (fixture, rho) pair. Each pair integrates its
     fixture once. What depends only on the grid is computed once per grid
-    (a, b, N): the oracle's random selections and 3.4's pairs, and, per
-    rho, one RLOperator, which with its node-N row serves all the grid's
-    fixtures, and one modulus call for all of them. 3.2 and the
-    endpoint identity read the same oracle values, of oracle_seeds(seed, 200);
-    `seed` is an integer in [0, 2**63)."""
+    (a, b, N): 3.4's pairs and, per rho, one RLOperator, which with its
+    node-N row serves all the grid's fixtures. Per rho, the operator's
+    modulus takes 3.4's pairs whose v is a node for all the fixtures, and
+    one continuity_modulus call the others. One selection_sums pass gives
+    every fixture's oracle values at node N for every rho, of the 200 draws
+    of oracle_seeds(seed, 200): 3.2 and the endpoint identity read all of
+    them, 3.1 the first 64. `seed` is an integer in [0, 2**63)."""
     seeds = oracle_seeds(seed, ENDPOINT_SAMPLES)
     if fixtures is None:
         fixtures = fixture_catalog(n_segments)
@@ -185,32 +191,36 @@ def run_verification(
     for name in names:
         f = fixtures[name]
         grids.setdefault((f.a, f.b, f.n_segments), []).append(name)
-    pairs, ops, phis = {}, {}, {}
+    pairs, ops, phis, sums = {}, {}, {}, {}
     for grid, group in grids.items():
         maps = [fixtures[name] for name in group]
-        pairs[grid] = continuity_pairs(maps[0], seed)
-        _, _, u, v = pairs[grid]
+        pairs[grid] = i, j, u, v = continuity_pairs(maps[0], seed)
+        node = j >= 0
+        henv = np.array([np.maximum(np.abs(m.lo), np.abs(m.hi)) for m in maps])
         for rho in rhos:
             op = RLOperator(*grid, rho)
             ops[grid, rho] = op, op.row(grid[2])
-            for name, phi in zip(group, continuity_modulus(maps, rho, u, v)):
-                phis[name, rho] = phi
-    # Drawn after the modulus pass, so that its working set does not stack on the draws.
-    draws = {n: selection_draws(n + 1, seeds) for _, _, n in grids}
+            phi = np.empty((len(maps), u.size))
+            phi[:, node] = op.modulus(henv, i[node], j[node])
+            if not node.all():
+                phi[:, ~node] = continuity_modulus(maps, rho, u[~node], v[~node])
+            phis.update(zip([(name, rho) for name in group], phi))
+        oracle = selection_sums(maps, [ops[grid, rho][1] for rho in rhos], seeds)
+        for name, per_rho in zip(group, oracle):
+            sums.update(zip([(name, rho) for rho in rhos], per_rho))
     reports: list[RegularityReport] = []
     for name in names:
         f = fixtures[name]
-        n = f.n_segments
-        grid = (f.a, f.b, n)
+        grid = (f.a, f.b, f.n_segments)
         for rho in rhos:
             op, row = ops[grid, rho]
             g = op.setvalued(f)
-            # The convexity oracle's seeds seed..seed+63 are the first rows
-            # of the endpoint oracle's seed..seed+199.
-            convex_vals = selection_integrals(f, row, draws[n][:CONVEXITY_SAMPLES])
-            vals = selection_integrals(f, row, draws[n])
+            vals = integral_set(f, row, sums[name, rho])
             reports += [
-                check_convexity(f, name, rho, seed, g=g, vals=convex_vals),
+                # The convexity oracle's seeds seed..seed+63 are the first
+                # of the endpoint oracle's seed..seed+199.
+                check_convexity(f, name, rho, seed, g=g,
+                                vals=integral_set(f, row, sums[name, rho][:CONVEXITY_SAMPLES])),
                 check_nonempty(f, name, rho, g=g, vals=vals),
                 check_boundedness(f, name, rho, g=g),
                 check_continuity(f, name, rho, g=g, pairs=pairs[grid], phi=phis[name, rho]),

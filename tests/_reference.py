@@ -1,5 +1,6 @@
 """References for tests: the O(N^2) row-by-row RL weight matrix, the
-continuity modulus with every segment clipped for each pair, the RL integral
+continuity modulus with every segment clipped for each pair, the modulus at
+node pairs in mpmath, the one-pass selection-integral oracle, the RL integral
 of a selection at one node, the chattering demo on two-point values, CSV
 text formatted one value at a time, and the SplitMix64 draws in Python ints.
 None of them is used by the package; each is an independent construction
@@ -9,11 +10,12 @@ of a node's selection integrals."""
 
 import math
 
+import mpmath
 import numpy as np
 
 from svfrac import RLOperator, Selection, gamma_fn, regularity
 from svfrac.gridmap import oracle_seeds, selection_draws
-from svfrac.rl import _hat_moments, _pow_diff, selection_integrals
+from svfrac.rl import _hat_moments, _pow_diff, integral_set
 
 
 def kernel_hat_weights(c: float, rho: float, ts: np.ndarray) -> np.ndarray:
@@ -44,6 +46,16 @@ def random_selection(f, seed: int) -> Selection:
     SplitMix64 stream of `seed`, an integer in [0, 2**63) (see
     selection_draws); pure in (f, seed)."""
     return Selection(f.a, f.b, f.lo + selection_draws(f.lo.size, [seed])[0] * (f.hi - f.lo))
+
+
+def selection_integrals(f, row: np.ndarray, draws: np.ndarray) -> tuple[float, ...]:
+    """The oracle in one pass over the whole draws matrix: sorted,
+    deduplicated RL integrals, at the target node of `row`, of both
+    extremal selections of f and of lo + r * (hi - lo) for each row r of
+    `draws`. svfrac's blocked selection_sums must match it bit for bit
+    while a block holds whole rows."""
+    m = row.size
+    return integral_set(f, row, np.einsum("rk,k->r", draws[:, :m], row * (f.hi[:m] - f.lo[:m])))
 
 
 def rl_selection_oracle(f, rho: float, n: int, samples: int, seed: int) -> tuple[float, ...]:
@@ -100,6 +112,35 @@ def modulus_clipped_reference(f, rho, u, v):
         i_v, i_u = integrals(vk, head), integrals(uk, head)
         out[k : k + step] = np.abs(i_v - i_u) + integrals(vk, clip(uk, vk))
     return out.reshape(us.shape) * math.exp(-math.lgamma(rho))
+
+
+def modulus_mpmath(f, rho, pairs, dps=30):
+    """continuity_modulus at the node pairs (x_i, x_j), i <= j, of `pairs`,
+    in `dps` digits: the closed-form moments of s^(rho-1) and s^rho over
+    every segment [k h, (k + 1) h] of s = x_j - t, with h = (b - a) / N,
+    weigh the two node values of the interpolated envelope, and the sums
+    over the segments of [a, x_i] and [x_i, x_j] are exact."""
+    with mpmath.workdps(dps):
+        n, r = f.n_segments, mpmath.mpf(rho)
+        step = (mpmath.mpf(f.b) - mpmath.mpf(f.a)) / n
+        env = [mpmath.mpf(float(e)) for e in np.maximum(np.abs(f.lo), np.abs(f.hi))]
+        far, near = [], []  # weights of the nodes at s = (k + 1) h and s = k h
+        for k in range(n):
+            s0, s1 = (k + 1) * step, k * step
+            m0 = (s0**r - s1**r) / r
+            m1 = (s0 ** (r + 1) - s1 ** (r + 1)) / (r + 1)
+            far.append((m1 - s1 * m0) / step)
+            near.append((s0 * m0 - m1) / step)
+
+        def integral(c, first, last):
+            # segments first..last-1 against the kernel at node c
+            ks = range(c - first - 1, c - last - 1, -1)
+            return (mpmath.fdot([far[k] for k in ks], env[first:last])
+                    + mpmath.fdot([near[k] for k in ks], env[first + 1 : last + 1]))
+
+        gamma = mpmath.gamma(r)
+        return [float((abs(integral(j, 0, i) - integral(i, 0, i)) + integral(j, i, j)) / gamma)
+                for i, j in pairs]
 
 
 def rl_piecewise_constant(

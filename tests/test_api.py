@@ -13,6 +13,7 @@ REMOVED = (
     "rl_operator",
     "rl_selection_oracle",
     "regular_selection",
+    "selection_integrals",
 )
 
 

@@ -230,6 +230,15 @@ class TestSplitMix64:
         assert draws.shape == (len(self.SEEDS), n)
         assert draws.tolist() == expected
 
+    def test_blocks_of_nodes_are_the_slices_of_the_rows(self):
+        """Draws first..first+n-1 of each seed, for a block of the oracle's
+        draws, are the columns of the whole rows, bit for bit."""
+        whole = selection_draws(1000, self.SEEDS)
+        for first, n in [(0, 1000), (0, 1), (17, 64), (999, 1), (500, 0)]:
+            block = selection_draws(n, self.SEEDS[1:4], first=first)
+            assert np.array_equal(block, whole[1:4, first:first + n])
+        assert selection_draws(3, [7], first=2**40).tolist() == [[splitmix64_draw(7, 2**40 + m) for m in range(3)]]
+
     @pytest.mark.parametrize("k", [1, 2, 65, 4097])
     def test_indices_are_floor_of_the_stream(self, k):
         for seed in self.SEEDS:

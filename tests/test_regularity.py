@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from _reference import kernel_hat_weights, modulus_clipped_reference
+from _reference import kernel_hat_weights, modulus_clipped_reference, modulus_mpmath, selection_integrals
 from svfrac import (
     GridMap,
+    RLOperator,
     bound_l0,
     bound_sup,
     continuity_modulus,
@@ -22,9 +23,9 @@ from svfrac import (
     rl_setvalued,
     total_variation,
 )
-from svfrac import regularity, rl, verify
-from svfrac.gridmap import _BUILTIN_KINDS
-from svfrac.verify import fixture_catalog, run_verification
+from svfrac import gridmap, regularity, rl, verify
+from svfrac.gridmap import _BUILTIN_KINDS, oracle_seeds, selection_draws
+from svfrac.verify import continuity_pairs, fixture_catalog, run_verification
 
 RNG = np.random.default_rng(1)
 
@@ -317,12 +318,15 @@ class TestModulusTable:
 
     @pytest.mark.parametrize("n", [16, 64, 1024])  # a chunk holds 2 pairs at 1024
     def test_bit_identical_on_the_verification_pairs(self, monkeypatch, n):
+        """The modulus calls take the shrinking pairs (a, a + (b - a) 2^-m)
+        whose v is not a node: those of m > log2(n)."""
+        off_node = 12 - int(math.log2(n))
         calls = continuity_calls(monkeypatch, n_segments=n)
-        assert len(calls) == 4  # one per rho: six fixtures, node and shrinking pairs together
+        assert len(calls) == 4  # one per rho, for the six fixtures
         for maps, rho, u, v in calls:
-            assert u.shape == v.shape == (112,)
+            assert u.shape == v.shape == (off_node,)
             got = continuity_modulus(maps, rho, u, v)
-            assert got.shape == (6, 112)
+            assert got.shape == (6, off_node)
             for f, row in zip(maps, got):
                 assert np.array_equal(row, modulus_clipped_reference(f, rho, u, v)), rho
 
@@ -402,6 +406,100 @@ class TestModulusTable:
         finally:
             tracemalloc.stop()
         assert peak < 2e6, peak
+
+
+def envelope(f):
+    return np.maximum(np.abs(f.lo), np.abs(f.hi))
+
+
+class TestNodePairModulus:
+    """RLOperator.modulus, the modulus at node pairs from partial sums of
+    operator rows, against an mpmath evaluation and the per-pair breakpoint
+    reference; its values depend on their map and pair alone."""
+
+    @pytest.mark.parametrize("rho", [0.5, 1.5, 2.7])
+    @pytest.mark.parametrize("n", [1, 7, 64, 1024, 4096])
+    def test_against_mpmath_and_the_breakpoint_reference(self, n, rho):
+        """On 3.4's 100 drawn pairs and the pairs with i = 0, j = N or
+        i = j, to 1e-13 relative. On a close pair at large N, |A - B|
+        cancels, and the clipped path misses 1e-13 too (by up to 2.4e-13
+        at N = 4096); there this path may miss by twice the clipped
+        path's error, no more."""
+        f = GridMap.from_builtin("sin_envelope", 0, 1, n)
+        i, j, _, _ = continuity_pairs(f, 42)
+        edges = [(0, n), (0, 1), (0, (n + 1) // 2), (n // 3, n), (1, n), (0, 0), (n, n), (n // 2, n // 2)]
+        i = np.concatenate((i[:100], [p[0] for p in edges]))
+        j = np.concatenate((j[:100], [p[1] for p in edges]))
+        got = RLOperator(0, 1, n, rho).modulus(envelope(f), i, j)
+        ref = modulus_mpmath(f, rho, zip(i.tolist(), j.tolist()))
+        x = f.nodes
+        clipped = modulus_clipped_reference(f, rho, x[i], x[j])
+        for ip, jp, phi, exact, clip in zip(i, j, got, ref, clipped):
+            if ip == jp:
+                assert phi == 0.0 and exact == 0.0
+                continue
+            tol = max(1e-13 * exact, 2 * abs(clip - exact))
+            assert abs(phi - exact) <= tol, (ip, jp, phi, exact, clip)
+            near = modulus_reference(f, rho, x[ip], x[jp])
+            assert abs(phi - near) <= max(1e-13 * near, 2 * abs(clip - exact)), (ip, jp, phi, near)
+
+    def test_on_a_domain_other_than_the_unit_interval(self):
+        f = GridMap.from_builtin("hat", -1.0, 2.0, 48)
+        i, j = np.array([0, 3, 17, 47, 0]), np.array([48, 30, 17, 48, 5])
+        for rho in (0.3, 1.0, 2.7):
+            got = RLOperator(-1.0, 2.0, 48, rho).modulus(envelope(f), i, j)
+            ref = modulus_mpmath(f, rho, zip(i.tolist(), j.tolist()))
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), rho
+
+    @pytest.mark.parametrize("rho", [0.5, 2.7])
+    def test_batched_calls_equal_per_pair_and_per_map_calls(self, rho):
+        for n in (5, 64, 3000):
+            maps = list(fixture_catalog(n).values())
+            op = RLOperator(0, 1, n, rho)
+            i, j, _, _ = continuity_pairs(maps[0], 7)
+            i, j = np.concatenate((i[:40], [0, 0, n, 1])), np.concatenate((j[:40], [n, 0, n, 2]))
+            hs = np.array([envelope(f) for f in maps])
+            batched = op.modulus(hs, i, j)
+            assert batched.shape == (6, i.size)
+            for k in (0, 5):
+                single = op.modulus(hs[k], i, j)
+                assert single.shape == i.shape and np.array_equal(single, batched[k])
+                assert np.array_equal(op.modulus(hs[k:], i, j), batched[k:])
+            for p in (0, 7, i.size - 3, i.size - 1):
+                assert np.array_equal(op.modulus(hs, i[p:p + 1], j[p:p + 1])[:, 0], batched[:, p])
+                assert op.modulus(hs[2], [i[p]], [j[p]])[0] == batched[2, p]
+            assert np.array_equal(op.modulus(hs, i[::-1], j[::-1]), batched[:, ::-1])
+
+    def test_close_to_the_clipped_modulus_on_the_verification_pairs(self):
+        for n in (16, 1024):
+            maps = list(fixture_catalog(n).values())
+            i, j, u, v = continuity_pairs(maps[0], 42)
+            node = j >= 0
+            for rho in verify.DEFAULT_RHOS:
+                got = RLOperator(0, 1, n, rho).modulus([envelope(f) for f in maps], i[node], j[node])
+                clipped = continuity_modulus(maps, rho, u[node], v[node])
+                assert np.all(np.abs(got - clipped) <= 1e-13 * clipped), (n, rho)
+
+    def test_rebuilds_its_rows_and_keeps_nothing(self):
+        op = RLOperator(0, 1, 4096, 1.5)
+        kept = dict(vars(op))
+        f = GridMap.from_builtin("abs_envelope", 0, 1, 4096)
+        op.modulus(envelope(f), [0, 1, 2000], [4096, 4096, 2001])
+        assert vars(op).keys() == kept.keys() and all(vars(op)[k] is v for k, v in kept.items())
+
+    def test_invalid_pairs_and_envelopes(self):
+        op = RLOperator(0, 1, 8, 1.5)
+        h = np.ones(9)
+        for i, j in [([3], [2]), ([-1], [2]), ([0], [9]), ([0, 1], [2])]:
+            with pytest.raises(ValueError, match="node pairs"):
+                op.modulus(h, i, j)
+        with pytest.raises(ValueError, match="grid nodes"):
+            op.modulus(np.ones(8), [0], [1])
+        assert op.modulus(h, [], []).shape == (0,)
+        big = RLOperator(0, 1e100, 8, 3.0)  # weights near 1e300
+        assert np.isfinite(big.modulus(np.ones(9), [0, 2], [8, 5])).all()
+        with pytest.raises(OverflowError, match=r"continuity modulus of order 3.0 on \[0, 1e\+100\]"):
+            big.modulus(np.full(9, 1e10), [0, 2], [8, 5])
 
 
 @st.composite
@@ -513,21 +611,69 @@ class TestTheoremSuites:
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_one_oracle_per_grid(self, monkeypatch, n):
-        """Two oracle evaluations per (fixture, rho): 3.1's first 64 draws, and
-        all 200, shared by 3.2 and the endpoint identity."""
+        """One oracle pass per grid, for every (fixture, rho): 3.1 reads the
+        values of the first 64 draws, 3.2 and the endpoint identity those of
+        all 200. The draws come in blocks of whole rows, at most
+        DRAW_BLOCK_ENTRIES entries each."""
         calls = []
-        real = verify.selection_integrals
+        real = verify.selection_sums
         monkeypatch.setattr(
-            verify, "selection_integrals", lambda *args: calls.append(1) or real(*args)
+            verify, "selection_sums",
+            lambda maps, rows, seeds: calls.append((len(maps), len(rows), len(seeds))) or real(maps, rows, seeds),
         )
         draws = []
-        real_draws = verify.selection_draws
-        monkeypatch.setattr(
-            verify, "selection_draws", lambda *args: draws.append(1) or real_draws(*args)
-        )
+        real_draws = rl.selection_draws
+        monkeypatch.setattr(rl, "selection_draws", lambda *args, **kw: draws.append(real_draws(*args, **kw)) or draws[-1])
         reports = run_verification(n_segments=n)
-        assert len(calls) == 2 * 24 == 2 * len(reports) // 8
-        assert len(draws) == 1
+        assert calls == [(6, 4, 200)] and len(reports) == 8 * 24
+        rows = rl.DRAW_BLOCK_ENTRIES // (n + 1)
+        assert [d.shape for d in draws] == [(min(rows, 200 - r), n + 1) for r in range(0, 200, rows)]
+
+    @pytest.mark.parametrize("seed", [5, 42])
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_oracle_values_are_the_one_shot_values(self, monkeypatch, n, seed):
+        """The oracle values that 3.1, 3.2 and the endpoint identity read,
+        from one blocked pass, are bit for bit those of selection_integrals
+        on the whole draws matrix: of the first 64 seeds for 3.1, of all 200
+        for the others."""
+        seen = {}
+
+        def recording(check, real):
+            def record(f, name, rho, *args, **kwargs):
+                seen[check, name, rho] = kwargs["vals"]
+                return real(f, name, rho, *args, **kwargs)
+            return record
+
+        for check in ("check_convexity", "check_nonempty", "check_endpoint_identity"):
+            monkeypatch.setattr(verify, check, recording(check, getattr(verify, check)))
+        run_verification(n_segments=n, seed=seed)
+        draws = selection_draws(n + 1, oracle_seeds(seed, 200))
+        for rho in verify.DEFAULT_RHOS:
+            row = RLOperator(0, 1, n, rho).row(n)
+            for name, f in fixture_catalog(n).items():
+                full = selection_integrals(f, row, draws)
+                assert seen["check_nonempty", name, rho] == full == seen["check_endpoint_identity", name, rho]
+                assert seen["check_convexity", name, rho] == selection_integrals(f, row, draws[:64])
+
+    def test_no_draw_block_above_the_budget_at_65536(self, monkeypatch):
+        """No selection_draws call in a run at N = 65536 returns more than
+        DRAW_BLOCK_ENTRIES draws; together the oracle's calls make each of
+        the 200 x 65537 draws once."""
+        sizes = {rl: [], gridmap: []}
+
+        def recording(real, out):
+            def record(*args, **kwargs):
+                draws = real(*args, **kwargs)
+                out.append(draws.size)
+                return draws
+            return record
+
+        for module, out in sizes.items():
+            monkeypatch.setattr(module, "selection_draws", recording(module.selection_draws, out))
+        reports = run_verification(n_segments=65536)
+        assert all(r.passed for r in reports) and len(reports) == 192
+        assert max(sizes[rl] + sizes[gridmap]) <= rl.DRAW_BLOCK_ENTRIES
+        assert sum(sizes[rl]) == 200 * 65537
 
     def test_report_coerces_numpy_scalars(self):
         r = verify.RegularityReport("3.1", "x", 0.5, np.float64(1e-17), 1e-9, np.bool_(True))

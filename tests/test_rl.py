@@ -11,10 +11,12 @@ from _reference import (
     rl_scalar,
     rl_selection_oracle,
     rl_weight_matrix,
+    selection_integrals,
 )
 from svfrac import GridMap, RLOperator, Selection, gamma_fn, rl_setvalued
-from svfrac.gridmap import selection_draws
-from svfrac.rl import selection_integrals
+from svfrac import rl
+from svfrac.gridmap import oracle_seeds, selection_draws
+from svfrac.rl import integral_set, selection_sums
 
 RHOS = (0.3, 0.5, 1.0, 1.5, 2.7)
 
@@ -199,6 +201,43 @@ class TestSelectionOracle:
         shared = selection_draws(49, range(seed, seed + 200))[:samples]
         vals = selection_integrals(f, RLOperator(f.a, f.b, f.n_segments, rho).row(n), shared)
         assert np.abs(np.subtract(vals, expected)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 16, 64, 1024])
+    def test_blocked_sums_are_the_one_shot_values(self, monkeypatch, n):
+        """selection_sums, in blocks of whole rows, gives the values of one
+        selection_integrals call on the whole draws matrix, bit for bit, for
+        every map and row; in runs of nodes (a budget below N + 1) it adds
+        the runs' partial sums, to the same values within roundoff."""
+        maps = [GridMap.from_builtin(kind, 0, 1, n) for kind in ("sin_envelope", "hat", "constant")]
+        rows = [RLOperator(0, 1, n, rho).row(n) for rho in (0.5, 2.7)]
+        seeds = oracle_seeds(123, 200)
+        draws = selection_draws(n + 1, seeds)
+        sizes = []
+        real = rl.selection_draws
+        monkeypatch.setattr(rl, "selection_draws", lambda *a, **kw: sizes.append(real(*a, **kw).size) or real(*a, **kw))
+        for budget in (n + 1, 2 * n + 3, 2048, 10**6, max(1, n // 3)):
+            monkeypatch.setattr(rl, "DRAW_BLOCK_ENTRIES", budget)
+            sums = selection_sums(maps, rows, seeds)
+            assert sums.shape == (3, 2, 200)
+            assert max(sizes) <= budget and sum(sizes) == 200 * (n + 1)
+            sizes.clear()
+            for f, per_row in zip(maps, sums):
+                for row, s in zip(rows, per_row):
+                    vals = integral_set(f, row, s)
+                    expected = selection_integrals(f, row, draws)
+                    if budget >= n + 1:
+                        assert vals == expected
+                    else:
+                        assert len(vals) == len(expected)
+                        assert np.abs(np.subtract(vals, expected)).max() <= 1e-14 * max(map(abs, expected))
+
+    def test_prefix_of_the_seeds_is_the_prefix_of_the_sums(self):
+        f = GridMap.from_builtin("affine", 0, 1, 40)
+        row = RLOperator(0, 1, 40, 1.5).row(25)
+        seeds = oracle_seeds(9, 200)
+        sums = selection_sums([f], [row], seeds)[0, 0]
+        assert np.array_equal(selection_sums([f], [row], seeds[:64])[0, 0], sums[:64])
+        assert integral_set(f, row, sums[:64]) == selection_integrals(f, row, selection_draws(41, seeds[:64]))
 
     def test_cardinality_with_one_sample(self):
         f = GridMap.from_builtin("constant", 0, 1, 8, lo=-1.0, hi=1.0)

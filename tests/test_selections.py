@@ -12,6 +12,7 @@ from svfrac import (
     rl_setvalued,
     total_variation,
 )
+from svfrac import selections
 from svfrac.selections import certify_extremals, certify_midpoint
 
 
@@ -111,3 +112,20 @@ class TestCertificates:
         assert cert.kind == "midpoint"
         assert cert.membership_checked
         assert cert.variation <= cert.parent_variation + 1e-12
+
+
+def test_parent_regularity_is_measured_once_per_call(monkeypatch):
+    """certify_extremals measures the map's variation and Lipschitz constant
+    once for both certificates: three of each per call, not four."""
+    g = integral_of_canonical(1.5, 32)
+    calls = []
+    for name in ("total_variation", "lipschitz_constant"):
+        real = getattr(selections, name)
+        monkeypatch.setattr(selections, name, lambda f, _real=real, _name=name: calls.append((_name, f)) or _real(f))
+    certs = certify_extremals(g)
+    assert sorted(name for name, _ in calls) == ["lipschitz_constant"] * 3 + ["total_variation"] * 3
+    assert sum(f is g for _, f in calls) == 2
+    assert all(c.parent_variation == total_variation(g) and c.parent_lipschitz == lipschitz_constant(g) for c in certs)
+    calls.clear()
+    certify_midpoint(g)
+    assert len(calls) == 4
