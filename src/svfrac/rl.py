@@ -266,16 +266,25 @@ def rl_setvalued(f: GridMap, rho: float) -> GridMap:
 
 
 DRAW_BLOCK_ENTRIES = 2048  # draws made and applied at once by selection_sums
+_DOT_RUN = 8192  # entries per np.dot call of integral_set
 
 
 def integral_set(f: GridMap, row: np.ndarray, sums: np.ndarray) -> tuple[float, ...]:
     """Sorted, deduplicated RL integrals, at the target node of `row` (the
     weights of nodes 0..n), of both extremal selections of f and of the
     selection lo + r * (hi - lo) for each value row @ (r * (hi - lo)) of
-    `sums` (see selection_sums)."""
+    `sums` (see selection_sums). The extremal integrals add up np.dot over
+    runs of _DOT_RUN nodes: OpenBLAS splits a dot of more than 10000
+    entries across threads, which waits for them on a loaded host and
+    makes the sum depend on the thread count."""
     m = row.size
-    base = float(row @ f.lo[:m])
-    return tuple(sorted({base, float(row @ f.hi[:m]), *(base + sums).tolist()}))
+
+    def integral(values):
+        values = values[:m]
+        return float(sum(np.dot(row[k : k + _DOT_RUN], values[k : k + _DOT_RUN]) for k in range(0, m, _DOT_RUN)))
+
+    base = integral(f.lo)
+    return tuple(sorted({base, integral(f.hi), *(base + sums).tolist()}))
 
 
 def selection_sums(maps, rows, seeds) -> np.ndarray:

@@ -231,6 +231,22 @@ class TestSelectionOracle:
                         assert len(vals) == len(expected)
                         assert np.abs(np.subtract(vals, expected)).max() <= 1e-14 * max(map(abs, expected))
 
+    @pytest.mark.parametrize("n", [100, 8191, 20000])
+    def test_extremal_integrals_in_runs_of_dots(self, n):
+        """integral_set's extremal values are row @ lo and row @ hi: one dot,
+        bit for bit, up to 8192 nodes; beyond, dots over runs of 8192 nodes
+        added in order, within roundoff of the one dot."""
+        f = GridMap.from_builtin("sin_envelope", 0, 1, n)
+        row = RLOperator(0, 1, n, 1.5).row(n)
+        vals = integral_set(f, row, np.array([]))
+        runs = [float(sum(np.dot(row[k : k + 8192], v[k : k + 8192]) for k in range(0, n + 1, 8192)))
+                for v in (f.lo, f.hi)]
+        assert vals == tuple(sorted(runs))
+        one = sorted([float(row @ f.lo), float(row @ f.hi)])
+        if n + 1 <= 8192:
+            assert list(vals) == one
+        assert np.allclose(vals, one, rtol=1e-14, atol=0)
+
     def test_prefix_of_the_seeds_is_the_prefix_of_the_sums(self):
         f = GridMap.from_builtin("affine", 0, 1, 40)
         row = RLOperator(0, 1, 40, 1.5).row(25)
