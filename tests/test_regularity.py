@@ -453,7 +453,7 @@ class TestNodePairModulus:
 
     @pytest.mark.parametrize("rho", [0.5, 2.7])
     def test_batched_calls_equal_per_pair_and_per_map_calls(self, rho):
-        for n in (5, 64, 3000):
+        for n in (5, 64, 9000):  # at 9000, sums of up to three einsum runs
             maps = list(fixture_catalog(n).values())
             op = RLOperator(0, 1, n, rho)
             i, j, _, _ = continuity_pairs(maps[0], 7)
