@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .gridmap import GridMap, _check_domain
-from .rl import _hat_moments, positive
+from .rl import _unit_moments, _weight_scale, positive
 
 
 def total_variation(f: GridMap) -> float:
@@ -62,7 +62,31 @@ def bound_l0(rho: float, m: float, a: float, b: float) -> float:
     return _scaled_power(m, a, b, rho - 1.0, rho)
 
 
-_BLOCK_ENTRIES = 2048  # pairs x segments per chunk of continuity_modulus
+_SUM_RUN = 4096  # nodes per einsum call of _node_sums
+_PAIR_CHUNK = 512  # pairs whose edge terms continuity_modulus takes at once
+
+
+def _node_sums(hs: np.ndarray, first: int, w: np.ndarray) -> np.ndarray:
+    """w @ hs[m, first:first + w.size] for every row m of hs, one einsum per
+    run of _SUM_RUN nodes, the runs added in order. einsum sums a run of at
+    most its buffer (8192 entries) in one loop per row, so each value has
+    the same bits whichever other rows share the call."""
+    total = np.zeros(hs.shape[0])
+    for k in range(0, w.size, _SUM_RUN):
+        run = w[k : k + _SUM_RUN]
+        total += np.einsum("mk,k->m", hs[:, first + k : first + k + run.size], run)
+    return total
+
+
+def _row_moments(n: int, rho: float, count: int, shift: float = 0.0):
+    """The unscaled row of node `count` on n segments of [0, 1] (of a target
+    `shift` past node count - 1, for a shift > 0) as (rev, left, right):
+    rev[m - 1] weighs node m >= 1, and left[k + 1] and right[k] are the far-
+    and near-node moments of segment k below the target (rl._unit_moments)."""
+    w_left, w_right = _unit_moments(n, rho, count, shift)
+    left, right = np.append(0.0, w_left), np.append(w_right, 0.0)
+    w_right[1:] += w_left[:-1]  # the kernel: b_0 = w_right[0], b_k = w_right[k] + w_left[k - 1]
+    return w_right[::-1].copy(), left, right
 
 
 def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
@@ -85,14 +109,18 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
     row per map on a leading axis, each bit-identical to the call on that
     map alone. A result beyond the float range is an OverflowError.
 
-    Per chunk of _BLOCK_ENTRIES / N pairs, taken in the order of v so that
-    repeated targets share a chunk, the N segments clipped to [a, c] give
-    one row of terms per distinct target c (a u or a v), in kernel moments
-    that every map shares. The row sum at u is the integral over [a, u] at
-    u; the row at v, split at the node u, gives those at v over [a, u] and
-    [u, v]. Each sums the N terms of a per-pair clip of every segment, in
-    order, so the bits are those of the general form for any u,
-    tests/_reference.py::modulus_clipped_reference.
+    With u = x_i, Phi = |A - B| + C: A and C integrate h against the
+    kernel at v over [a, u] and [u, v], B against the kernel at u over
+    [a, u]. Each is a partial sum of an operator row in the hat moments of
+    [0, 1]: row j for v = x_j, and for v past x_k the row of a virtual node
+    j = k + 1 at v, whose segments end at the distances v - x_k,
+    v - x_k + step, ..., and whose first segment weighs h(v). A - B is one
+    sum of row j's weights less row i's, so that its roundoff is relative
+    to the difference. One table of moments serves the node rows; a virtual
+    row is built for its pair and dropped. Each sum runs over its pair's
+    nodes in a fixed order (_node_sums), and the edge terms are elementwise
+    over chunks of _PAIR_CHUNK pairs, so each value depends on its map and
+    pair alone.
     """
     single = isinstance(f, GridMap)
     maps = [f] if single else list(f)
@@ -110,27 +138,43 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
         k = bad[0]
         raise ValueError(f"need a <= u <= v <= b, got u={us[k]}, v={vs[k]} on [{a}, {b}]")
     x = maps[0].nodes
-    off = np.flatnonzero(x[np.searchsorted(x, us)] != us)  # an index <= n, as u <= b
+    i = np.searchsorted(x, us)  # <= n, as u <= b
+    off = np.flatnonzero(x[i] != us)
     if off.size:
         raise ValueError(f"u must be a grid node, got u={us[off[0]]} on {n} segments of [{a}, {b}]")
-    henvs = [np.maximum(np.abs(m.lo), np.abs(m.hi)) for m in maps]
-    chunk = max(1, _BLOCK_ENTRIES // n)
-    order = np.argsort(vs, kind="stable")
+    j = np.searchsorted(x, vs)  # v's node, or the virtual node k + 1 of x_k < v < x_(k+1)
+    at_node = x[j] == vs
+    hs = np.array([np.maximum(np.abs(m.lo), np.abs(m.hi)) for m in maps])
+    top = int(j.max(initial=0))
+    rev, left, right = _row_moments(n, rho, top)
     out = np.empty((len(maps), us.size))
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        for c0 in range(0, us.size, chunk):
-            pos = order[c0 : c0 + chunk]
-            targets, inverse = np.unique(np.concatenate((us[pos], vs[pos])), return_inverse=True)
-            c = targets[:, None]
-            left, right = np.minimum(x[:-1], c), np.minimum(x[1:], c)
-            w_left, w_right = _hat_moments(c - left, c - right, np.where(right > left, right - left, 1.0), rho)
-            # The segments left and right of the node u.
-            split = np.stack((x[1:] <= us[pos, None], x[:-1] >= us[pos, None]))
-            for h, o in zip(henvs, out):
-                row = w_left * np.interp(left, x, h) + w_right * np.interp(right, x, h)
-                i_v, tail = np.where(split, row[inverse[pos.size :]], 0.0).sum(axis=2)
-                o[pos] = np.abs(i_v - row.sum(axis=1)[inverse[: pos.size]]) + tail
-        out *= math.exp(-math.lgamma(rho))
+        for c in range(0, us.size, _PAIR_CHUNK):
+            ic, jc, vc, nodes = (arr[c : c + _PAIR_CHUNK] for arr in (i, j, vs, at_node))
+            # The moments at v of node 0 and node i over [a, u], of node i over [u, v], and of v.
+            edge = np.array([left[jc], right[jc - ic], left[jc - ic], np.zeros(ic.size)])
+            sums = np.zeros((2, len(maps), ic.size))  # C over nodes i+1..j, A - B over nodes 1..i-1
+            for p, (ip, jp, node) in enumerate(zip(ic.tolist(), jc.tolist(), nodes.tolist())):
+                row, end = rev, rev.size
+                if not node:
+                    row, left_v, right_v = _row_moments(n, rho, jp, (vc[p] - x[jp - 1]) / (b - a))
+                    edge[:, p] = left_v[jp], right_v[jp - ip], left_v[jp - ip], right_v[0]
+                    end = jp - 1  # hs holds no value at v: its weight is edge[3]
+                first = row.size - jp  # row[first + m - 1] weighs node m
+                sums[0, :, p] = _node_sums(hs, ip + 1, row[first + ip : end])
+                if 1 < ip < jp:
+                    sums[1, :, p] = _node_sums(hs, 1, row[first : first + ip - 1] - rev[top - ip : top - 1])
+            inner = ic > 0  # A and B integrate over [a, x_i]
+            h0, h_i = hs[:, :1], hs[:, ic]
+            a_b = (np.where(inner, edge[0] - left[ic], 0.0) * h0 + sums[1]
+                   + np.where(inner, edge[1] - right[0], 0.0) * h_i)
+            chunk = np.abs(a_b) + (edge[2] * h_i + sums[0]) + edge[3] * [np.interp(vc, x, h) for h in hs]
+            chunk[:, ic == jc] = 0.0
+            out[:, c : c + _PAIR_CHUNK] = chunk
+        try:
+            out *= _weight_scale(a, b, rho)
+        except OverflowError:  # the scale alone is beyond the float range
+            out[...] = math.inf
     if not np.isfinite(out).all():
         raise OverflowError(f"the continuity modulus of order {rho} on [{a}, {b}] is not finite")
     if single:

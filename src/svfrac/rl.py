@@ -73,12 +73,16 @@ def _hat_moments(s0: np.ndarray, s1: np.ndarray, h, rho: float) -> tuple[np.ndar
     return at_s0, m0
 
 
-def _unit_moments(n_segments: int, rho: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hat moments (w_left, w_right) of distances 0..count-1 on the grid of
-    [0, 1] with n_segments segments: the weights of the far and the near
-    node of the segment [k, k + 1] / n_segments of s, for k < count."""
+def _unit_moments(n_segments: int, rho: float, count: int, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Hat moments (w_left, w_right), the weights of the far and the near
+    node, of the segments [k, k + 1] / n_segments of s, k < count, on the
+    grid of [0, 1]. With a shift t > 0, for a target t past a node: of
+    [0, t], then of [t + (k - 1) / n_segments, t + k / n_segments], 0 < k < count."""
     x = np.arange(count + 1) / n_segments
-    return _hat_moments(x[1:], x[:-1], 1.0 / n_segments, rho)
+    if not shift:
+        return _hat_moments(x[1:], x[:-1], 1.0 / n_segments, rho)
+    x = np.append(0.0, shift + x[:-1])
+    return _hat_moments(x[1:], x[:-1], np.diff(x), rho)
 
 
 def _weight_scale(a: float, b: float, rho: float) -> float:
@@ -126,21 +130,6 @@ def quadrature_weights(
     return kernel, np.concatenate(([0.0], column))
 
 
-_SUM_RUN = 4096  # nodes per einsum call of _node_sums
-
-
-def _node_sums(hs: np.ndarray, first: int, w: np.ndarray) -> np.ndarray:
-    """w @ hs[m, first:first + w.size] for every row m of hs, one einsum per
-    run of _SUM_RUN nodes, the runs added in order. einsum sums a run of at
-    most its buffer (8192 entries) in one loop per row, so each value has
-    the same bits whichever other rows share the call."""
-    total = np.zeros(hs.shape[0])
-    for k in range(0, w.size, _SUM_RUN):
-        run = w[k : k + _SUM_RUN]
-        total += np.einsum("mk,k->m", hs[:, first + k : first + k + run.size], run)
-    return total
-
-
 class RLOperator:
     """The RL operator of order rho on the uniform grid of [a, b] with
     n_segments segments: one quadrature_weights build, kept as col0 and the
@@ -181,62 +170,6 @@ class RLOperator:
             raise ValueError(f"target index {n} outside 0..{self.n_segments}")
         kernel, _ = _scaled_moments(self.a, self.b, self.n_segments, self.rho, n)
         return np.concatenate(([self.col0[n]], kernel[::-1]))
-
-    def modulus(self, h: np.ndarray, i, j) -> np.ndarray:
-        """regularity.continuity_modulus at the node pairs (x_i, x_j), i <= j,
-        for each node envelope h (shape (N+1,), or (M, N+1) for M maps): the
-        result has shape (P,), or (M, P), for P pairs.
-
-        With h interpolated between nodes, Phi = |A - B| + C, where A and C
-        are the integrals of h against the kernel at x_j over [a, x_i] and
-        [x_i, x_j], and B the one against the kernel at x_i over [a, x_i].
-        Each is a partial sum of operator rows, rebuilt (as row() is) from
-        the hat moments of distances 0..max(j)-1: C is the far-node moment
-        of segment i+1 and row j's weights of nodes i+1..j. A - B is one sum
-        over nodes 0..i of row j's weights (at node i, the near-node moment
-        of segment i) less row i's, so that its roundoff is relative to the
-        difference, not to A and B. No transcendental function is evaluated
-        per pair. Each sum runs over the nodes of its pair in a fixed order
-        (_node_sums), so each value depends on its map and pair alone;
-        i == j gives 0.0.
-        The moments are those of [0, 1], and the result is scaled once, by
-        (b - a)^rho / Gamma(rho). A result beyond the float range is an
-        OverflowError.
-        """
-        h = np.asarray(h, dtype=float)
-        n = self.n_segments
-        if h.shape[-1:] != (n + 1,):
-            raise ValueError(f"envelopes of shape {h.shape} do not end in the {n + 1} grid nodes")
-        i, j = np.asarray(i, dtype=np.intp).ravel(), np.asarray(j, dtype=np.intp).ravel()
-        if i.shape != j.shape or not np.all((0 <= i) & (i <= j) & (j <= n)):
-            raise ValueError(f"node pairs need 0 <= i <= j <= {n}")
-        top = int(j.max(initial=0))
-        w_left, w_right = _unit_moments(n, self.rho, top)
-        # rev[top - 1 - k] = b_k, the kernel as _scaled_moments sums it, so
-        # that the weights of nodes m < j for target j run forward in it.
-        kernel = w_right.copy()
-        kernel[1:] += w_left[:-1]
-        rev = kernel[::-1].copy()
-        hs = h.reshape(-1, n + 1)
-        sums = np.zeros((2, hs.shape[0], i.size))  # C over nodes i+1..j, A - B over nodes 1..i-1
-        for p, (ip, jp) in enumerate(zip(i.tolist(), j.tolist())):
-            if ip < jp:
-                sums[0, :, p] = _node_sums(hs, ip + 1, rev[top - jp + ip :])
-            if 1 < ip < jp:
-                sums[1, :, p] = _node_sums(hs, 1, rev[top - jp : top - jp + ip - 1] - rev[top - ip : top - 1])
-        # The edge nodes' moments; left[k + 1] is w_left[k], and left[0] and right[top] are 0.
-        left, right = np.append(0.0, w_left), np.append(w_right, 0.0)
-        inner = i > 0  # A and B integrate over [a, x_i]
-        h0, h_i = hs[:, :1], hs[:, i]
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-            a_b = (np.where(inner, left[j] - left[i], 0.0) * h0 + sums[1]
-                   + np.where(inner, right[j - i] - right[0], 0.0) * h_i)
-            out = np.abs(a_b) + (left[j - i] * h_i + sums[0])
-            out[:, i == j] = 0.0
-            out *= _weight_scale(self.a, self.b, self.rho)
-        if not np.isfinite(out).all():
-            raise OverflowError(f"the continuity modulus of order {self.rho} on [{self.a}, {self.b}] is not finite")
-        return out.reshape(h.shape[:-1] + i.shape)
 
     def setvalued(self, f: GridMap) -> GridMap:
         """rl_setvalued(f, rho) for f on this operator's grid."""

@@ -86,17 +86,14 @@ def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap):
 
 
 def continuity_pairs(f: GridMap, seed: int):
-    """3.4's pairs on f's grid, as node indices (i, j) and points u <= v:
-    the node pairs drawn by draw_indices of `seed`, then the shrinking pairs
-    (a, a + (b - a) 2^-m). j is -1 where v is not a node."""
+    """3.4's pairs on f's grid: the node indices (i, j) of the node pairs
+    drawn by draw_indices of `seed`, and the points u <= v of those pairs
+    followed by the shrinking pairs (a, a + (b - a) 2^-m)."""
     ij = draw_indices(seed, f.n_segments + 1, 2 * CONTINUITY_PAIRS).reshape(-1, 2)
     i, j = np.sort(ij, axis=1).T
     vs = f.a + (f.b - f.a) * 2.0 ** -np.arange(1, 13)
     nodes = f.nodes
-    k = np.searchsorted(nodes, vs)  # <= N, as vs <= b
-    k[nodes[k] != vs] = -1
-    return (np.concatenate((i, np.zeros(vs.size, np.intp))), np.concatenate((j, k)),
-            np.concatenate((nodes[i], np.full(vs.size, f.a))), np.concatenate((nodes[j], vs)))
+    return i, j, np.concatenate((nodes[i], np.full(vs.size, f.a))), np.concatenate((nodes[j], vs))
 
 
 def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, phi: np.ndarray):
@@ -104,7 +101,6 @@ def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, ph
     modulus vanishes along a shrinking interval. `pairs` is
     continuity_pairs on f's grid and `phi` the modulus of f at its (u, v)."""
     i, j, _, v = pairs
-    i, j = i[:CONTINUITY_PAIRS], j[:CONTINUITY_PAIRS]
     hd = np.maximum(np.abs(g.lo[i] - g.lo[j]), np.abs(g.hi[i] - g.hi[j]))
     worst = float(np.max(hd - phi[:CONTINUITY_PAIRS]))
     phis, vs = phi[CONTINUITY_PAIRS:], v[CONTINUITY_PAIRS:]
@@ -177,9 +173,8 @@ def run_verification(
     """Every check for every (fixture, rho) pair. Each pair integrates its
     fixture once. What depends only on the grid is computed once per grid
     (a, b, N): 3.4's pairs and, per rho, one RLOperator, which with its
-    node-N row serves all the grid's fixtures. Per rho, the operator's
-    modulus takes 3.4's pairs whose v is a node for all the fixtures, and
-    one continuity_modulus call the others. One selection_sums pass gives
+    node-N row serves all the grid's fixtures, and one continuity_modulus
+    call on all of 3.4's pairs for all the fixtures. One selection_sums pass gives
     every fixture's oracle values at node N for every rho, of the 200 draws
     of oracle_seeds(seed, 200): 3.2 and the endpoint identity read all of
     them, 3.1 the first 64. `seed` is an integer in [0, 2**63)."""
@@ -194,17 +189,11 @@ def run_verification(
     pairs, ops, phis, sums = {}, {}, {}, {}
     for grid, group in grids.items():
         maps = [fixtures[name] for name in group]
-        pairs[grid] = i, j, u, v = continuity_pairs(maps[0], seed)
-        node = j >= 0
-        henv = np.array([np.maximum(np.abs(m.lo), np.abs(m.hi)) for m in maps])
+        pairs[grid] = _, _, u, v = continuity_pairs(maps[0], seed)
         for rho in rhos:
             op = RLOperator(*grid, rho)
             ops[grid, rho] = op, op.row(grid[2])
-            phi = np.empty((len(maps), u.size))
-            phi[:, node] = op.modulus(henv, i[node], j[node])
-            if not node.all():
-                phi[:, ~node] = continuity_modulus(maps, rho, u[~node], v[~node])
-            phis.update(zip([(name, rho) for name in group], phi))
+            phis.update(zip([(name, rho) for name in group], continuity_modulus(maps, rho, u, v)))
         oracle = selection_sums(maps, [ops[grid, rho][1] for rho in rhos], seeds)
         for name, per_rho in zip(group, oracle):
             sums.update(zip([(name, rho) for rho in rhos], per_rho))

@@ -1,6 +1,6 @@
 """References for tests: the O(N^2) row-by-row RL weight matrix, the
-continuity modulus with every segment clipped for each pair, the modulus at
-node pairs in mpmath, the one-pass selection-integral oracle, the RL integral
+continuity modulus with every segment clipped for each pair, the modulus in
+mpmath, the one-pass selection-integral oracle, the RL integral
 of a selection at one node, the chattering demo on two-point values, CSV
 text formatted one value at a time, and the SplitMix64 draws in Python ints.
 None of them is used by the package; each is an independent construction
@@ -13,7 +13,7 @@ import math
 import mpmath
 import numpy as np
 
-from svfrac import RLOperator, Selection, gamma_fn, regularity
+from svfrac import RLOperator, Selection, gamma_fn
 from svfrac.gridmap import oracle_seeds, selection_draws
 from svfrac.rl import _hat_moments, _pow_diff, integral_set
 
@@ -84,9 +84,10 @@ def rl_weight_matrix(a: float, b: float, n_segments: int, rho: float) -> np.ndar
 
 def modulus_clipped_reference(f, rho, u, v):
     """The array modulus with every segment clipped to [a, u] and to [u, v]
-    for each pair, in blocks of pairs. continuity_modulus, from one row of
-    terms per distinct target, sums the same N terms of each integral in the
-    same order, so it must match bit for bit."""
+    for each pair, in blocks of 2048 // N pairs: the moments of each clipped
+    segment in the distances c - x_k from the target c, against the
+    interpolated envelope at its two ends. It shares with continuity_modulus
+    only rl._hat_moments, not the Toeplitz rows."""
     us, vs = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     x = f.nodes
     henv = np.maximum(np.abs(f.lo), np.abs(f.hi))
@@ -104,7 +105,7 @@ def modulus_clipped_reference(f, rho, u, v):
         )
         return (w_left * h_left + w_right * h_right).sum(axis=1)
 
-    step = max(1, regularity._BLOCK_ENTRIES // f.n_segments)
+    step = max(1, 2048 // f.n_segments)
     out = np.empty(us.size)
     for k in range(0, us.size, step):
         uk, vk = us.ravel()[k : k + step, None], vs.ravel()[k : k + step, None]
@@ -115,32 +116,51 @@ def modulus_clipped_reference(f, rho, u, v):
 
 
 def modulus_mpmath(f, rho, pairs, dps=30):
-    """continuity_modulus at the node pairs (x_i, x_j), i <= j, of `pairs`,
-    in `dps` digits: the closed-form moments of s^(rho-1) and s^rho over
-    every segment [k h, (k + 1) h] of s = x_j - t, with h = (b - a) / N,
-    weigh the two node values of the interpolated envelope, and the sums
-    over the segments of [a, x_i] and [x_i, x_j] are exact."""
+    """continuity_modulus at the pairs (x_i, v) of `pairs`, in `dps`
+    digits. v is a node index j >= i (an int) or a point of [x_i, b] (a
+    float). The nodes sit at a + m h, h = (b - a) / N, exactly; a float v
+    sits at x_k + (v - x_k) past the float node x_k <= v below it, that
+    offset d taken exactly. The closed-form moments of s^(rho-1) and s^rho
+    over each piece of s = v - t on which the interpolated envelope is
+    linear (the segments [k h + d, (k + 1) h + d], then [0, d] with h(v) at
+    its near end) weigh the envelope at the two ends of the piece, and the
+    sums over the pieces of [a, x_i] and [x_i, v] are exact."""
     with mpmath.workdps(dps):
         n, r = f.n_segments, mpmath.mpf(rho)
         step = (mpmath.mpf(f.b) - mpmath.mpf(f.a)) / n
         env = [mpmath.mpf(float(e)) for e in np.maximum(np.abs(f.lo), np.abs(f.hi))]
-        far, near = [], []  # weights of the nodes at s = (k + 1) h and s = k h
-        for k in range(n):
-            s0, s1 = (k + 1) * step, k * step
+        tables = {}
+
+        def moments(s0, s1):
+            # weights of the ends at s0 and at s1 of the piece [s1, s0] of s
             m0 = (s0**r - s1**r) / r
             m1 = (s0 ** (r + 1) - s1 ** (r + 1)) / (r + 1)
-            far.append((m1 - s1 * m0) / step)
-            near.append((s0 * m0 - m1) / step)
+            return (m1 - s1 * m0) / (s0 - s1), (s0 * m0 - m1) / (s0 - s1)
 
-        def integral(c, first, last):
-            # segments first..last-1 against the kernel at node c
-            ks = range(c - first - 1, c - last - 1, -1)
-            return (mpmath.fdot([far[k] for k in ks], env[first:last])
-                    + mpmath.fdot([near[k] for k in ks], env[first + 1 : last + 1]))
+        def integral(k, d, first, last):
+            # nodes first..last against the kernel at x_k + d
+            far, near = tables.setdefault(d, ([], []))
+            for q in range(len(far), k):  # the segments [q h + d, (q + 1) h + d] of s
+                w_far, w_near = moments((q + 1) * step + d, q * step + d)
+                far.append(w_far)
+                near.append(w_near)
+            qs = range(k - first - 1, k - last - 1, -1)
+            return (mpmath.fdot([far[q] for q in qs], env[first:last])
+                    + mpmath.fdot([near[q] for q in qs], env[first + 1 : last + 1]))
 
         gamma = mpmath.gamma(r)
-        return [float((abs(integral(j, 0, i) - integral(i, 0, i)) + integral(j, i, j)) / gamma)
-                for i, j in pairs]
+        out = []
+        for i, v in pairs:
+            k, d = v, mpmath.mpf(0)
+            if not isinstance(v, (int, np.integer)):
+                k = int(np.searchsorted(f.nodes, v, side="right")) - 1
+                d = mpmath.mpf(v) - mpmath.mpf(float(f.nodes[k]))
+            phi = abs(integral(k, d, 0, i) - integral(i, 0, 0, i)) + integral(k, d, i, k)
+            if d:
+                far, near = moments(d, mpmath.mpf(0))
+                phi += far * env[k] + near * (env[k] + (env[k + 1] - env[k]) * d / step)
+            out.append(float(phi / gamma))
+        return out
 
 
 def rl_piecewise_constant(
