@@ -10,21 +10,17 @@ from .inclusion import (
     solution_funnel,
     solve_with_policy,
 )
-from .interval import Interval, hausdorff
 from .regularity import (
     RegularityReport,
     bound_l0,
     bound_sup,
     continuity_modulus,
+    hausdorff,
     lipschitz_constant,
     total_variation,
 )
 from .rl import RLOperator, gamma_fn, quadrature_weights, rl_setvalued
-from .selections import (
-    SelectionCertificate,
-    extremal_selections,
-    midpoint_selection,
-)
+from .selections import SelectionCertificate, midpoint_selection
 from .verify import fixture_catalog, run_verification
 
 __version__ = "0.1.0"
@@ -32,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CaputoProblem",
     "GridMap",
-    "Interval",
     "NonConvergenceError",
     "RLOperator",
     "RegularityReport",
@@ -42,7 +37,6 @@ __all__ = [
     "bound_l0",
     "bound_sup",
     "continuity_modulus",
-    "extremal_selections",
     "fixture_catalog",
     "gamma_fn",
     "hausdorff",

@@ -14,8 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .interval import Interval
-
 _BUILTIN_KINDS = ("constant", "sym_linear", "affine", "abs_envelope", "sin_envelope", "hat")
 CSV_BLOCK = 512  # CSV rows formatted by one % and written by one write
 
@@ -60,18 +58,6 @@ class GridMap:
     @property
     def step(self) -> float:
         return (self.b - self.a) / self.n_segments
-
-    def interval_at(self, i: int) -> Interval:
-        return Interval(float(self.lo[i]), float(self.hi[i]))
-
-    def eval(self, u: float) -> Interval:
-        if not self.a <= u <= self.b:
-            raise ValueError(f"evaluation point {u} outside [{self.a}, {self.b}]")
-        nodes = self.nodes
-        return Interval(
-            float(np.interp(u, nodes, self.lo)),
-            float(np.interp(u, nodes, self.hi)),
-        )
 
     def sup_bound(self) -> float:
         """sup over [a,b] of sup_{x in F(u)} |x|.
@@ -171,9 +157,6 @@ class Selection(GridMap):
     @property
     def values(self) -> np.ndarray:
         return self.lo
-
-    def eval(self, u: float) -> float:
-        return super().eval(u).lo
 
     def is_selection_of(self, f: GridMap) -> bool:
         """Node-wise membership; implies membership on all of [a,b] because

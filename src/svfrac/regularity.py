@@ -14,7 +14,19 @@ from typing import Sequence
 import numpy as np
 
 from .gridmap import GridMap, _check_domain
-from .rl import _unit_moments, _weight_scale, positive
+from .rl import _row_moments, _weight_scale, positive
+
+
+def hausdorff(a, b):
+    """Hausdorff distance between intervals a = (lo, hi) and b = (lo, hi),
+    the larger of the endpoint distances. The endpoints may be floats or
+    arrays, broadcast against each other, for one distance per entry."""
+    return np.maximum(np.abs(a[0] - b[0]), np.abs(a[1] - b[1]))
+
+
+def _increments(f: GridMap) -> np.ndarray:
+    """Hausdorff distances between consecutive node intervals of f."""
+    return hausdorff((f.lo[1:], f.hi[1:]), (f.lo[:-1], f.hi[:-1]))
 
 
 def total_variation(f: GridMap) -> float:
@@ -25,13 +37,12 @@ def total_variation(f: GridMap) -> float:
     refinement cannot increase the partition sum. The node sum is the exact
     supremum over all partitions.
     """
-    return float(np.maximum(np.abs(np.diff(f.lo)), np.abs(np.diff(f.hi))).sum())
+    return float(_increments(f).sum())
 
 
 def lipschitz_constant(f: GridMap) -> float:
     """Smallest Hausdorff-metric Lipschitz constant of the representation."""
-    du = f.step
-    return float(np.maximum(np.abs(np.diff(f.lo)), np.abs(np.diff(f.hi))).max() / du)
+    return float(_increments(f).max() / f.step)
 
 
 def _scaled_power(m: float, a: float, b: float, power: float, gamma_arg: float) -> float:
@@ -76,17 +87,6 @@ def _node_sums(hs: np.ndarray, first: int, w: np.ndarray) -> np.ndarray:
         run = w[k : k + _SUM_RUN]
         total += np.einsum("mk,k->m", hs[:, first + k : first + k + run.size], run)
     return total
-
-
-def _row_moments(n: int, rho: float, count: int, shift: float = 0.0):
-    """The unscaled row of node `count` on n segments of [0, 1] (of a target
-    `shift` past node count - 1, for a shift > 0) as (rev, left, right):
-    rev[m - 1] weighs node m >= 1, and left[k + 1] and right[k] are the far-
-    and near-node moments of segment k below the target (rl._unit_moments)."""
-    w_left, w_right = _unit_moments(n, rho, count, shift)
-    left, right = np.append(0.0, w_left), np.append(w_right, 0.0)
-    w_right[1:] += w_left[:-1]  # the kernel: b_0 = w_right[0], b_k = w_right[k] + w_left[k - 1]
-    return w_right[::-1].copy(), left, right
 
 
 def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
@@ -146,7 +146,10 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
     at_node = x[j] == vs
     hs = np.array([np.maximum(np.abs(m.lo), np.abs(m.hi)) for m in maps])
     top = int(j.max(initial=0))
-    rev, left, right = _row_moments(n, rho, top)
+    kernel, left, right = _row_moments(n, rho, top)
+    # rev[m - 1] weighs node m of row top. Reversed rows are contiguous
+    # copies: einsum sums a reversed view in another order, with other bits.
+    rev = kernel[::-1].copy()
     out = np.empty((len(maps), us.size))
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         for c in range(0, us.size, _PAIR_CHUNK):
@@ -157,7 +160,8 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
             for p, (ip, jp, node) in enumerate(zip(ic.tolist(), jc.tolist(), nodes.tolist())):
                 row, end = rev, rev.size
                 if not node:
-                    row, left_v, right_v = _row_moments(n, rho, jp, (vc[p] - x[jp - 1]) / (b - a))
+                    kernel_v, left_v, right_v = _row_moments(n, rho, jp, (vc[p] - x[jp - 1]) / (b - a))
+                    row = kernel_v[::-1].copy()
                     edge[:, p] = left_v[jp], right_v[jp - ip], left_v[jp - ip], right_v[0]
                     end = jp - 1  # hs holds no value at v: its weight is edge[3]
                 first = row.size - jp  # row[first + m - 1] weighs node m

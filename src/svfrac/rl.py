@@ -73,16 +73,25 @@ def _hat_moments(s0: np.ndarray, s1: np.ndarray, h, rho: float) -> tuple[np.ndar
     return at_s0, m0
 
 
-def _unit_moments(n_segments: int, rho: float, count: int, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Hat moments (w_left, w_right), the weights of the far and the near
-    node, of the segments [k, k + 1] / n_segments of s, k < count, on the
-    grid of [0, 1]. With a shift t > 0, for a target t past a node: of
-    [0, t], then of [t + (k - 1) / n_segments, t + k / n_segments], 0 < k < count."""
-    x = np.arange(count + 1) / n_segments
-    if not shift:
-        return _hat_moments(x[1:], x[:-1], 1.0 / n_segments, rho)
-    x = np.append(0.0, shift + x[:-1])
-    return _hat_moments(x[1:], x[:-1], np.diff(x), rho)
+def _row_moments(n_segments: int, rho: float, count: int, shift: float = 0.0):
+    """The unscaled row of target node `count` on n_segments segments of
+    [0, 1] (of a target `shift` past node count - 1, for a shift > 0), from
+    the hat moments of its segments in s: [k, k + 1] / n_segments, k < count,
+    or with a shift [0, shift], then [shift + (k - 1) / n_segments,
+    shift + k / n_segments], 0 < k < count. Returns (kernel, left, right):
+    left[k + 1] and right[k] are the far- and near-node moments of segment
+    k, and kernel[k] = right[k] + left[k] weighs the node at distance k.
+    left[0] is 0, so left times the scale is col0. Every step is
+    elementwise, so a prefix (count < n_segments) has the bits of the full
+    build's."""
+    x, h = np.arange(count + 1) / n_segments, 1.0 / n_segments
+    if shift:
+        x = np.append(0.0, shift + x[:-1])
+        h = np.diff(x)
+    left, right = _hat_moments(x[1:], x[:-1], h, rho)
+    left = np.append(0.0, left)
+    right = np.append(right, 0.0)
+    return right[:-1] + left[:-1], left, right
 
 
 def _weight_scale(a: float, b: float, rho: float) -> float:
@@ -92,20 +101,6 @@ def _weight_scale(a: float, b: float, rho: float) -> float:
         return math.exp(rho * math.log(b - a) - math.lgamma(rho))
     except OverflowError:
         raise OverflowError(f"the weights of order {rho} on [{a}, {b}] are not finite") from None
-
-
-def _scaled_moments(a: float, b: float, n_segments: int, rho: float, count: int):
-    """Kernel b_0..b_{count-1} and column c_1..c_count of the operator of
-    order rho on the uniform grid of [a, b], from the hat moments of
-    distances 0..count-1. Every step is elementwise, so a prefix
-    (count < n_segments) has the bits of the full build's."""
-    w_left, w_right = _unit_moments(n_segments, rho, count)
-    scale = _weight_scale(a, b, rho)
-    kernel = w_right  # b_0 = w_right[0], b_k = w_right[k] + w_left[k - 1]
-    kernel[1:] += w_left[:-1]
-    kernel *= scale
-    w_left *= scale
-    return kernel, w_left
 
 
 def quadrature_weights(
@@ -126,8 +121,11 @@ def quadrature_weights(
     if n_segments < 1:
         raise ValueError(f"grid needs at least 1 segment, got {n_segments}")
     _check_domain(a, b)
-    kernel, column = _scaled_moments(a, b, n_segments, rho, n_segments)
-    return kernel, np.concatenate(([0.0], column))
+    kernel, col0, _ = _row_moments(n_segments, rho, n_segments)
+    scale = _weight_scale(a, b, rho)
+    kernel *= scale
+    col0 *= scale
+    return kernel, col0
 
 
 class RLOperator:
@@ -168,7 +166,8 @@ class RLOperator:
         moments of distances 0..n-1."""
         if not 0 <= n <= self.n_segments:
             raise ValueError(f"target index {n} outside 0..{self.n_segments}")
-        kernel, _ = _scaled_moments(self.a, self.b, self.n_segments, self.rho, n)
+        kernel, _, _ = _row_moments(self.n_segments, self.rho, n)
+        kernel *= _weight_scale(self.a, self.b, self.rho)
         return np.concatenate(([self.col0[n]], kernel[::-1]))
 
     def setvalued(self, f: GridMap) -> GridMap:

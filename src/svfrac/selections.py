@@ -49,11 +49,6 @@ def _certify(g: GridMap, *kinds: tuple[Selection, str]) -> tuple[SelectionCertif
     )
 
 
-def extremal_selections(g: GridMap) -> tuple[Selection, Selection]:
-    """Pointwise min and max selections (g_minus, g_plus); g_minus <= g_plus."""
-    return g.extremal_lower(), g.extremal_upper()
-
-
 def midpoint_selection(g: GridMap) -> Selection:
     """Midpoint selection, the default policy of the inclusion solver."""
     return Selection(g.a, g.b, 0.5 * (g.lo + g.hi))
@@ -65,8 +60,7 @@ def certify_extremals(g: GridMap) -> tuple[SelectionCertificate, SelectionCertif
     the map's, so either witnesses both regularity kinds. The caller asserts
     the hypotheses (integral map of order > 1 from a BV resp. Lipschitz map);
     a certificate records the measured inequalities either way."""
-    lo, hi = extremal_selections(g)
-    return _certify(g, (lo, "lower-extremal"), (hi, "upper-extremal"))
+    return _certify(g, (g.extremal_lower(), "lower-extremal"), (g.extremal_upper(), "upper-extremal"))
 
 
 def certify_midpoint(g: GridMap) -> SelectionCertificate:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .gridmap import _BUILTIN_KINDS, GridMap, draw_indices, oracle_seeds
-from .interval import Interval, hausdorff
 from .regularity import (
     RegularityReport,
     bound_l0,
     bound_sup,
     continuity_modulus,
+    hausdorff,
     lipschitz_constant,
     total_variation,
 )
@@ -53,11 +53,11 @@ def check_convexity(f: GridMap, name: str, rho: float, seed: int, *,
                     g: GridMap, vals: tuple[float, ...]):
     """Thm 3.1: convex combinations of oracle values stay in the node interval.
     The pairs combined are drawn from `vals` by draw_indices of `seed`."""
-    box = g.interval_at(f.n_segments)
+    n = f.n_segments
     picks = np.asarray(vals)[draw_indices(seed, len(vals), 2 * CONVEXITY_TRIALS).reshape(-1, 2)]
     lam = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     y = lam * picks[:, :1] + (1.0 - lam) * picks[:, 1:]
-    worst = max(0.0, box.lo - y.min(), y.max() - box.hi)
+    worst = max(0.0, g.lo[n] - y.min(), y.max() - g.hi[n])
     return RegularityReport("3.1", name, rho, worst, BOUND_TOL, worst <= BOUND_TOL)
 
 
@@ -72,8 +72,7 @@ def check_nonempty(f: GridMap, name: str, rho: float, *,
     if not vals:
         row = RLOperator(f.a, f.b, n, rho).row(n)
         vals = integral_set(f, row, selection_sums([f], [row], oracle_seeds(DEFAULT_SEED, ENDPOINT_SAMPLES))[0, 0])
-    box = g.interval_at(n)
-    worst = max(box.lo - vals[0], vals[-1] - box.hi)
+    worst = max(g.lo[n] - vals[0], vals[-1] - g.hi[n])
     ok = bool(np.all(g.lo <= g.hi)) and worst <= BOUND_TOL
     return RegularityReport("3.2", name, rho, worst, BOUND_TOL, ok)
 
@@ -101,7 +100,7 @@ def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, ph
     modulus vanishes along a shrinking interval. `pairs` is
     continuity_pairs on f's grid and `phi` the modulus of f at its (u, v)."""
     i, j, _, v = pairs
-    hd = np.maximum(np.abs(g.lo[i] - g.lo[j]), np.abs(g.hi[i] - g.hi[j]))
+    hd = hausdorff((g.lo[i], g.hi[i]), (g.lo[j], g.hi[j]))
     worst = float(np.max(hd - phi[:CONTINUITY_PAIRS]))
     phis, vs = phi[CONTINUITY_PAIRS:], v[CONTINUITY_PAIRS:]
     if rho >= 1.0:
@@ -157,9 +156,9 @@ def check_endpoint_identity(f: GridMap, name: str, rho: float, *,
                             g: GridMap, vals: tuple[float, ...]):
     """Endpoint identity: hull of the selection-integral oracle equals the
     interval spanned by the extremal integrals."""
-    box = g.interval_at(f.n_segments)
-    hull_err = hausdorff(box, Interval(vals[0], vals[-1]))
-    inside = max(box.lo - vals[0], vals[-1] - box.hi)
+    n = f.n_segments
+    hull_err = hausdorff((g.lo[n], g.hi[n]), (vals[0], vals[-1]))
+    inside = max(g.lo[n] - vals[0], vals[-1] - g.hi[n])
     ok = hull_err <= BOUND_TOL and inside <= BOUND_TOL
     return RegularityReport("3.5-endpoint-identity", name, rho, hull_err, BOUND_TOL, ok)
 

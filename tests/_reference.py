@@ -2,11 +2,13 @@
 continuity modulus with every segment clipped for each pair, the modulus in
 mpmath, the one-pass selection-integral oracle, the RL integral
 of a selection at one node, the chattering demo on two-point values, CSV
-text formatted one value at a time, and the SplitMix64 draws in Python ints.
+text formatted one value at a time, the SplitMix64 draws in Python ints,
+and the variation and Lipschitz constant written with np.diff.
 None of them is used by the package; each is an independent construction
-that its fast counterpart is checked against. Two test-only conveniences
-sit with them: one random selection of a map, and the Monte-Carlo oracle
-of a node's selection integrals."""
+that its fast counterpart is checked against. Three test-only conveniences
+sit with them: the interval value of a map at a point, one random
+selection of a map, and the Monte-Carlo oracle of a node's selection
+integrals."""
 
 import math
 
@@ -34,6 +36,25 @@ def kernel_hat_weights(c: float, rho: float, ts: np.ndarray) -> np.ndarray:
     w[:-1] += w_left
     w[1:] += w_right
     return w
+
+
+def eval_interval(f, u: float) -> tuple[float, float]:
+    """The value (lo, hi) of the map f at the point u of its domain, by
+    linear interpolation of both endpoint functions between the nodes."""
+    nodes = f.nodes
+    return float(np.interp(u, nodes, f.lo)), float(np.interp(u, nodes, f.hi))
+
+
+def variation_by_diff(f) -> float:
+    """Hausdorff-metric total variation of f as the sum of the node increments
+    max(|diff(lo)|, |diff(hi)|)."""
+    return float(np.maximum(np.abs(np.diff(f.lo)), np.abs(np.diff(f.hi))).sum())
+
+
+def lipschitz_by_diff(f) -> float:
+    """Hausdorff-metric Lipschitz constant of f as the largest node increment
+    max(|diff(lo)|, |diff(hi)|) over the step."""
+    return float(np.maximum(np.abs(np.diff(f.lo)), np.abs(np.diff(f.hi))).max() / f.step)
 
 
 def rl_scalar(f, rho: float, n: int) -> float:

@@ -10,7 +10,6 @@ import pytest
 from _reference import _duty_cycle, rl_piecewise_constant, rl_scalar, rl_selection_oracle
 from svfrac import (
     GridMap,
-    Interval,
     Selection,
     continuity_modulus,
     gamma_fn,
@@ -76,26 +75,26 @@ def oracle_setup():
 class TestCriterion2EndpointIdentity:
     def test_oracle_hull_matches_interval(self, oracle_setup):
         _, g, vals = oracle_setup
-        box = g.interval_at(256)
-        assert all(box.lo - 1e-9 <= v <= box.hi + 1e-9 for v in vals)
-        hull = Interval(min(vals), max(vals))
-        assert hausdorff(hull, box) <= 1e-9
-        report(2, f"oracle hull vs extremal interval: H_d {hausdorff(hull, box):.2e}")
+        lo, hi = g.lo[256], g.hi[256]
+        assert all(lo - 1e-9 <= v <= hi + 1e-9 for v in vals)
+        hull = min(vals), max(vals)
+        assert hausdorff(hull, (lo, hi)) <= 1e-9
+        report(2, f"oracle hull vs extremal interval: H_d {hausdorff(hull, (lo, hi)):.2e}")
 
 
 class TestCriterion3Convexity:
     def test_random_combinations_are_members(self, oracle_setup):
         _, g, vals = oracle_setup
-        box = g.interval_at(256)
+        lo, hi = g.lo[256], g.hi[256]
         rng = np.random.default_rng(42)
         failures = 0
         for _ in range(100):
             y1, y2 = rng.choice(vals, 2)
             for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-                if not box.lo <= min(max(lam * y1 + (1 - lam) * y2, box.lo), box.hi) <= box.hi:
+                if not lo <= min(max(lam * y1 + (1 - lam) * y2, lo), hi) <= hi:
                     failures += 1
                 y = lam * y1 + (1 - lam) * y2
-                if not (box.lo - 1e-12 <= y <= box.hi + 1e-12):
+                if not (lo - 1e-12 <= y <= hi + 1e-12):
                     failures += 1
         assert failures == 0
         report(3, "500 convex combinations of oracle values, zero membership failures")
@@ -106,7 +105,7 @@ class TestCriterion4BoundednessBound:
         for name, f in fixture_catalog(64).items():
             for rho in BOUND_RHOS:
                 g = rl_setvalued(f, rho)
-                measured = max(hausdorff(g.interval_at(i), Interval(0.0, 0.0)) for i in range(65))
+                measured = max(hausdorff((g.lo[i], g.hi[i]), (0.0, 0.0)) for i in range(65))
                 bound = bound_sup(rho, f.sup_bound(), f.a, f.b)
                 assert measured <= bound + 1e-9, (name, rho)
 
@@ -114,7 +113,7 @@ class TestCriterion4BoundednessBound:
         m = 2.0
         f = GridMap.from_builtin("constant", 0.0, 1.0, 64, lo=-m, hi=m)
         g = rl_setvalued(f, 1.0)
-        measured = hausdorff(g.interval_at(64), Interval(0.0, 0.0))
+        measured = hausdorff((g.lo[64], g.hi[64]), (0.0, 0.0))
         bound = bound_sup(1.0, m, 0.0, 1.0)
         assert abs(measured - bound) <= 1e-12
         report(4, f"sup bound holds on all fixtures; tight at rho=1 "
@@ -130,7 +129,7 @@ class TestCriterion5ContinuityModulus:
                 nodes = g.nodes
                 for _ in range(100):
                     i, j = sorted(rng.integers(0, 65, 2))
-                    hd = hausdorff(g.interval_at(i), g.interval_at(j))
+                    hd = hausdorff((g.lo[i], g.hi[i]), (g.lo[j], g.hi[j]))
                     phi = continuity_modulus(f, rho, nodes[i], nodes[j])
                     assert hd <= phi + 1e-8, (name, rho)
 

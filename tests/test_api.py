@@ -14,6 +14,8 @@ REMOVED = (
     "rl_selection_oracle",
     "regular_selection",
     "selection_integrals",
+    "Interval",
+    "extremal_selections",
 )
 
 

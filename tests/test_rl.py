@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from _reference import (
     _duty_cycle,
+    eval_interval,
     random_selection,
     rl_piecewise_constant,
     rl_scalar,
@@ -25,7 +26,7 @@ def reference_rl(sel: Selection, rho: float, u: float) -> float:
     """Independent oracle: adaptive quadrature with algebraic endpoint weight."""
     if u == sel.a:
         return 0.0
-    val, _ = quad(sel.eval, sel.a, u, weight="alg", wvar=(0.0, rho - 1.0), limit=200)
+    val, _ = quad(lambda t: eval_interval(sel, t)[0], sel.a, u, weight="alg", wvar=(0.0, rho - 1.0), limit=200)
     return val / gamma_fn(rho)
 
 
@@ -264,15 +265,15 @@ class TestSelectionOracle:
         f = GridMap.from_builtin("affine", 0, 1, 32)
         rho = 1.3
         g = rl_setvalued(f, rho)
-        box = g.interval_at(32)
+        lo, hi = g.lo[32], g.hi[32]
         vals = rl_selection_oracle(f, rho, 32, samples=40, seed=5)
         rng = np.random.default_rng(7)
         for _ in range(100):
             y1, y2 = rng.choice(vals, 2)
             for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
                 y = lam * y1 + (1 - lam) * y2
-                assert box.lo <= min(max(y, box.lo - 0), box.hi) <= box.hi or (
-                    box.lo - 1e-9 <= y <= box.hi + 1e-9
+                assert lo <= min(max(y, lo - 0), hi) <= hi or (
+                    lo - 1e-9 <= y <= hi + 1e-9
                 )
 
 

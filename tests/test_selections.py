@@ -6,7 +6,6 @@ import pytest
 from svfrac import (
     GridMap,
     Selection,
-    extremal_selections,
     lipschitz_constant,
     midpoint_selection,
     rl_setvalued,
@@ -23,7 +22,7 @@ def integral_of_canonical(rho=1.0, n=64):
 class TestExtremalSelections:
     def test_canonical_integral_map(self):
         g = integral_of_canonical()
-        lo, hi = extremal_selections(g)
+        lo, hi = g.extremal_lower(), g.extremal_upper()
         u = g.nodes
         assert np.allclose(lo.values, -(u**2) / 2, atol=1e-14)
         assert np.allclose(hi.values, u**2 / 2, atol=1e-14)
@@ -31,13 +30,13 @@ class TestExtremalSelections:
 
     def test_degenerate(self):
         g = GridMap(0, 1, [0, 1], [0, 1])
-        lo, hi = extremal_selections(g)
+        lo, hi = g.extremal_lower(), g.extremal_upper()
         assert np.array_equal(lo.values, hi.values)
 
     def test_constant_map_order_two(self):
         f = GridMap.from_builtin("constant", 0, 1, 32, lo=0.0, hi=1.0)
         g = rl_setvalued(f, 2.0)
-        lo, hi = extremal_selections(g)
+        lo, hi = g.extremal_lower(), g.extremal_upper()
         assert np.allclose(lo.values, 0.0, atol=1e-15)
         assert np.allclose(hi.values, g.nodes**2 / 2, atol=1e-13)
 
@@ -45,7 +44,7 @@ class TestExtremalSelections:
         for name in ("affine", "sin_envelope", "hat"):
             f = GridMap.from_builtin(name, 0, 1, 48)
             g = rl_setvalued(f, 1.5)
-            for sel in extremal_selections(g):
+            for sel in (g.extremal_lower(), g.extremal_upper()):
                 assert sel.is_selection_of(g)
                 assert total_variation(sel) <= total_variation(g) + 1e-12
                 assert lipschitz_constant(sel) <= lipschitz_constant(g) + 1e-12
