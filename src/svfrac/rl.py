@@ -237,7 +237,8 @@ def selection_sums(maps, rows, seeds) -> np.ndarray:
     out = np.zeros((len(maps) * len(rows), len(seeds)))
     for k in range(runs):
         c0, c1 = k * m // runs, (k + 1) * m // runs
-        vecs = np.array([row[c0:c1] * (f.hi[c0:c1] - f.lo[c0:c1]) for f in maps for row in rows])
+        with np.errstate(over="ignore", invalid="ignore"):  # the operator rejects an overflow
+            vecs = np.array([row[c0:c1] * (f.hi[c0:c1] - f.lo[c0:c1]) for f in maps for row in rows])
         step = budget // (c1 - c0)
         for r0 in range(0, len(seeds), step):
             draws = selection_draws(c1 - c0, seeds[r0 : r0 + step], first=c0)

@@ -4,8 +4,8 @@ set-valued fractional integral, over a built-in fixture catalog.
 Each entry compares a measured quantity against its analytic bound and is
 reported as a RegularityReport. Runs are deterministic: fixture catalog,
 random draws, and report order are all fixed by the seed. run_verification
-integrates each (fixture, rho) pair once and hands the integral map `g`, and
-the oracle values `vals` at node N, to the checks.
+measures each (fixture, rho) pair's integral map `g` once and hands it, and
+what is measured of it, to the checks.
 """
 
 from __future__ import annotations
@@ -13,15 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gridmap import _BUILTIN_KINDS, GridMap, draw_indices, oracle_seeds
-from .regularity import (
-    RegularityReport,
-    bound_l0,
-    bound_sup,
-    continuity_modulus,
-    hausdorff,
-    lipschitz_constant,
-    total_variation,
-)
+from .regularity import RegularityReport, bound_l0, bound_sup, continuity_modulus, hausdorff
 from .rl import RLOperator, integral_set, rl_setvalued, selection_sums
 from .selections import certify_extremals
 
@@ -77,10 +69,11 @@ def check_nonempty(f: GridMap, name: str, rho: float, *,
     return RegularityReport("3.2", name, rho, worst, BOUND_TOL, ok)
 
 
-def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap):
-    """Thm 3.3: sup-node distance of the integral map to {0} vs the bound."""
+def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap, sup_f: float):
+    """Thm 3.3: sup-node distance of the integral map to {0} vs the bound;
+    `sup_f` is f.sup_bound()."""
     measured = g.sup_bound()
-    bound = bound_sup(rho, f.sup_bound(), f.a, f.b)
+    bound = bound_sup(rho, sup_f, f.a, f.b)
     return RegularityReport("3.3", name, rho, measured, bound, measured <= bound + BOUND_TOL)
 
 
@@ -95,7 +88,7 @@ def continuity_pairs(f: GridMap, seed: int):
     return i, j, np.concatenate((nodes[i], np.full(vs.size, f.a))), np.concatenate((nodes[j], vs))
 
 
-def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, phi: np.ndarray):
+def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, phi, sup_f: float):
     """Thm 3.4: Hausdorff increments dominated by the modulus, and the
     modulus vanishes along a shrinking interval. `pairs` is
     continuity_pairs on f's grid and `phi` the modulus of f at its (u, v)."""
@@ -110,7 +103,7 @@ def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, ph
     else:
         # Phi(a, v) may rise as v -> a, but M (v - a)^rho / Gamma(rho + 1) dominates it.
         # Far from 0, a + (b - a) 2^-m can round to a: the bound over [a, a] is 0.
-        bounds = [bound_sup(rho, f.sup_bound(), f.a, v) if v > f.a else 0.0 for v in vs]
+        bounds = [bound_sup(rho, sup_f, f.a, v) if v > f.a else 0.0 for v in vs]
         shrinks = all(phi <= bound + EXACT_TOL for phi, bound in zip(phis, bounds))
     ok = worst <= MODULUS_TOL and shrinks
     return RegularityReport(
@@ -119,32 +112,33 @@ def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, ph
     )
 
 
-def check_bounded_variation(f: GridMap, name: str, rho: float, *, g: GridMap):
-    """Thm 3.5 (rho > 1): V(G) between max and sum of extremal variations."""
+def check_bounded_variation(f: GridMap, name: str, rho: float, *, certs):
+    """Thm 3.5 (rho > 1): V(G) between max and sum of extremal variations,
+    read from the extremal certificates `certs` of G."""
     if rho <= 1.0:
         return _skip("3.5", name, rho)
-    va = total_variation(g.extremal_lower())
-    vb = total_variation(g.extremal_upper())
-    vg = total_variation(g)
+    va, vb = (c.variation for c in certs)
+    vg = certs[0].parent_variation
     ok = max(va, vb) - EXACT_TOL <= vg <= va + vb + EXACT_TOL
     return RegularityReport("3.5", name, rho, vg, va + vb, ok, details=dict(lower=max(va, vb)))
 
 
-def check_lipschitz(f: GridMap, name: str, rho: float, *, g: GridMap):
-    """Thm 3.6 (rho > 1): measured Lipschitz constant of G vs L0."""
+def check_lipschitz(f: GridMap, name: str, rho: float, *, certs, sup_f: float):
+    """Thm 3.6 (rho > 1): Lipschitz constant of G, read from its
+    certificates `certs`, vs L0."""
     if rho <= 1.0:
         return _skip("3.6", name, rho)
-    measured = lipschitz_constant(g)
-    bound = bound_l0(rho, f.sup_bound(), f.a, f.b)
+    measured = certs[0].parent_lipschitz
+    bound = bound_l0(rho, sup_f, f.a, f.b)
     return RegularityReport("3.6", name, rho, measured, bound, measured <= bound + BOUND_TOL)
 
 
-def check_selections(f: GridMap, name: str, rho: float, *, g: GridMap):
+def check_selections(f: GridMap, name: str, rho: float, *, certs):
     """Thms 3.7/3.8: extremal selections are members and inherit variation
-    and Lipschitz bounds from the integral map."""
+    and Lipschitz bounds from the integral map; `certs` is
+    certify_extremals of it."""
     if rho <= 1.0:
         return _skip("3.7/3.8", name, rho)
-    certs = certify_extremals(g)
     worst = max(
         0.0, *(max(c.variation - c.parent_variation, c.lipschitz - c.parent_lipschitz) for c in certs)
     )
@@ -155,12 +149,11 @@ def check_selections(f: GridMap, name: str, rho: float, *, g: GridMap):
 def check_endpoint_identity(f: GridMap, name: str, rho: float, *,
                             g: GridMap, vals: tuple[float, ...]):
     """Endpoint identity: hull of the selection-integral oracle equals the
-    interval spanned by the extremal integrals."""
+    interval spanned by the extremal integrals. hull_err bounds 3.2's
+    measure, so the hull also lies inside the interval to BOUND_TOL."""
     n = f.n_segments
     hull_err = hausdorff((g.lo[n], g.hi[n]), (vals[0], vals[-1]))
-    inside = max(g.lo[n] - vals[0], vals[-1] - g.hi[n])
-    ok = hull_err <= BOUND_TOL and inside <= BOUND_TOL
-    return RegularityReport("3.5-endpoint-identity", name, rho, hull_err, BOUND_TOL, ok)
+    return RegularityReport("3.5-endpoint-identity", name, rho, hull_err, BOUND_TOL, hull_err <= BOUND_TOL)
 
 
 def run_verification(
@@ -169,52 +162,49 @@ def run_verification(
     seed: int = DEFAULT_SEED,
     n_segments: int = 64,
 ) -> list[RegularityReport]:
-    """Every check for every (fixture, rho) pair. Each pair integrates its
-    fixture once. What depends only on the grid is computed once per grid
-    (a, b, N): 3.4's pairs and, per rho, one RLOperator, which with its
-    node-N row serves all the grid's fixtures, and one continuity_modulus
-    call on all of 3.4's pairs for all the fixtures. One selection_sums pass gives
-    every fixture's oracle values at node N for every rho, of the 200 draws
-    of oracle_seeds(seed, 200): 3.2 and the endpoint identity read all of
-    them, 3.1 the first 64. `seed` is an integer in [0, 2**63)."""
+    """Every check for every (fixture, rho) pair, in sorted name, then rho
+    order, from one pass per grid (a, b, N). The pass builds 3.4's pairs
+    and, per rho, one RLOperator, whose node-N row serves all the grid's
+    fixtures, and one continuity_modulus call on all 3.4's pairs of them
+    all; then one selection_sums pass, of the 200 draws of oracle_seeds(seed,
+    200), gives the oracle values at node N (3.1 reads the first 64). Each
+    pair integrates its fixture once and, for rho > 1, certifies the
+    integral's extremal selections once. `seed` is in [0, 2**63)."""
     seeds = oracle_seeds(seed, ENDPOINT_SAMPLES)
     if fixtures is None:
         fixtures = fixture_catalog(n_segments)
-    names = sorted(fixtures)
     grids: dict[tuple[float, float, int], list[str]] = {}
-    for name in names:
+    for name in sorted(fixtures):
         f = fixtures[name]
         grids.setdefault((f.a, f.b, f.n_segments), []).append(name)
-    pairs, ops, phis, sums = {}, {}, {}, {}
+    reports: dict[str, list[RegularityReport]] = {}
     for grid, group in grids.items():
         maps = [fixtures[name] for name in group]
-        pairs[grid] = _, _, u, v = continuity_pairs(maps[0], seed)
+        pairs = _, _, u, v = continuity_pairs(maps[0], seed)
+        ops, rows, phis = [], [], []
         for rho in rhos:
-            op = RLOperator(*grid, rho)
-            ops[grid, rho] = op, op.row(grid[2])
-            phis.update(zip([(name, rho) for name in group], continuity_modulus(maps, rho, u, v)))
-        oracle = selection_sums(maps, [ops[grid, rho][1] for rho in rhos], seeds)
-        for name, per_rho in zip(group, oracle):
-            sums.update(zip([(name, rho) for rho in rhos], per_rho))
-    reports: list[RegularityReport] = []
-    for name in names:
-        f = fixtures[name]
-        grid = (f.a, f.b, f.n_segments)
-        for rho in rhos:
-            op, row = ops[grid, rho]
-            g = op.setvalued(f)
-            vals = integral_set(f, row, sums[name, rho])
-            reports += [
-                # The convexity oracle's seeds seed..seed+63 are the first
-                # of the endpoint oracle's seed..seed+199.
-                check_convexity(f, name, rho, seed, g=g,
-                                vals=integral_set(f, row, sums[name, rho][:CONVEXITY_SAMPLES])),
-                check_nonempty(f, name, rho, g=g, vals=vals),
-                check_boundedness(f, name, rho, g=g),
-                check_continuity(f, name, rho, g=g, pairs=pairs[grid], phi=phis[name, rho]),
-                check_bounded_variation(f, name, rho, g=g),
-                check_lipschitz(f, name, rho, g=g),
-                check_selections(f, name, rho, g=g),
-                check_endpoint_identity(f, name, rho, g=g, vals=vals),
-            ]
-    return reports
+            ops.append(RLOperator(*grid, rho))
+            rows.append(ops[-1].row(grid[2]))
+            phis.append(continuity_modulus(maps, rho, u, v))
+        oracle = selection_sums(maps, rows, seeds)
+        for k, (name, f) in enumerate(zip(group, maps)):
+            sup_f = f.sup_bound()
+            reports[name] = []
+            for r, rho in enumerate(rhos):
+                g = ops[r].setvalued(f)
+                vals = integral_set(f, rows[r], oracle[k, r])
+                certs = certify_extremals(g) if rho > 1.0 else ()
+                reports[name] += [
+                    # The convexity oracle's seeds seed..seed+63 are the first
+                    # of the endpoint oracle's seed..seed+199.
+                    check_convexity(f, name, rho, seed, g=g,
+                                    vals=integral_set(f, rows[r], oracle[k, r, :CONVEXITY_SAMPLES])),
+                    check_nonempty(f, name, rho, g=g, vals=vals),
+                    check_boundedness(f, name, rho, g=g, sup_f=sup_f),
+                    check_continuity(f, name, rho, g=g, pairs=pairs, phi=phis[r][k], sup_f=sup_f),
+                    check_bounded_variation(f, name, rho, certs=certs),
+                    check_lipschitz(f, name, rho, certs=certs, sup_f=sup_f),
+                    check_selections(f, name, rho, certs=certs),
+                    check_endpoint_identity(f, name, rho, g=g, vals=vals),
+                ]
+    return [report for name in sorted(fixtures) for report in reports[name]]

@@ -98,6 +98,14 @@ class TestHausdorff:
     def test_triangle_inequality(self, a, b, c):
         assert hausdorff(a, c) <= hausdorff(a, b) + hausdorff(b, c) + 1e-9
 
+    @given(*[st.floats(allow_nan=False, allow_infinity=False)] * 4)
+    def test_bounds_how_far_an_interval_sticks_out(self, lo, hi, v0, v1):
+        """H((lo, hi), (v0, v1)) >= max(lo - v0, v1 - hi) for any finite
+        floats, rounding and overflow included: |x| >= x and
+        fl(v1 - hi) = -fl(hi - v1). So the endpoint identity's Hausdorff
+        test implies that the oracle's hull lies inside the interval."""
+        assert hausdorff((lo, hi), (v0, v1)) >= max(lo - v0, v1 - hi)
+
     @given(intervals())
     def test_to_zero_matches_distance_to_origin(self, a):
         assert max(abs(a[0]), abs(a[1])) == hausdorff(a, (0.0, 0.0))

@@ -29,7 +29,7 @@ from svfrac import (
     rl_setvalued,
     total_variation,
 )
-from svfrac import gridmap, rl, verify
+from svfrac import gridmap, regularity, rl, selections, verify
 from svfrac.gridmap import _BUILTIN_KINDS, oracle_seeds, selection_draws
 from svfrac.verify import continuity_pairs, fixture_catalog, run_verification
 
@@ -633,6 +633,41 @@ class TestTheoremSuites:
         monkeypatch.setattr(rl.RLOperator, "setvalued", lambda op, f: calls.append(op.rho) or real(op, f))
         reports = run_verification()
         assert len(calls) == 24 == len(reports) // 8
+
+    def test_one_measure_per_integral(self, monkeypatch):
+        """A default run certifies the extremal selections of each of its 12
+        integrals of order > 1 once, and 3.5 to 3.8 read those certificates:
+        3 variations and 3 Lipschitz constants per certificate pair, none
+        besides. Each fixture's sup bound is taken once, each integral's
+        once (3.3): 6 + 24."""
+        calls = {}
+
+        def count(owner, name, modules=()):
+            real = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            for holder in (owner, *modules):
+                if vars(holder).get(name) is real:
+                    monkeypatch.setattr(holder, name, counting)
+
+        count(selections, "certify_extremals", (verify,))
+        for name in ("total_variation", "lipschitz_constant"):
+            count(regularity, name, (selections, verify))
+        count(GridMap, "sup_bound")
+        run_verification()
+        assert calls == {"certify_extremals": 12, "total_variation": 36, "lipschitz_constant": 36,
+                         "sup_bound": 30}
+
+    def test_overflowing_width_is_one_overflow_error(self):
+        """A finite map whose width hi - lo overflows: the oracle pass forms
+        that width without a RuntimeWarning, and the operator rejects the
+        integral."""
+        f = GridMap.from_builtin("affine", 0, 1, 2, c_lo=-1.5e308, s_lo=0, c_hi=1.5e308, s_hi=0)
+        with pytest.raises(OverflowError, match=r"integral of order 40.0 on \[0.0, 1.0\] is not finite"):
+            run_verification(rhos=(40,), fixtures={"h": f})
 
     def test_one_modulus_call_per_grid_and_order(self, monkeypatch):
         """A default run makes one modulus call per rho, on the six fixtures; a
