@@ -19,7 +19,7 @@ from .regularity import (
     lipschitz_constant,
     total_variation,
 )
-from .rl import RLOperator, gamma_fn, quadrature_weights, rl_setvalued
+from .rl import RLOperator, quadrature_weights, rl_setvalued
 from .selections import SelectionCertificate, midpoint_selection
 from .verify import fixture_catalog, run_verification
 
@@ -38,7 +38,6 @@ __all__ = [
     "bound_sup",
     "continuity_modulus",
     "fixture_catalog",
-    "gamma_fn",
     "hausdorff",
     "lipschitz_constant",
     "midpoint_selection",

@@ -81,6 +81,7 @@ class GridMap:
         """The builtin map `kind` on [a, b]; an unknown parameter is a TypeError."""
         _check_domain(a, b)  # before the nodes, which an infinite b - a makes NaN
         u = np.linspace(a, b, n_segments + 1)
+        mid = 0.5 * a + 0.5 * b  # not 0.5 * (a + b), which overflows near the float limit
         if kind == "constant":
             lo = np.full(u.size, float(params.pop("lo", -1.0)))
             hi = np.full(u.size, float(params.pop("hi", 1.0)))
@@ -94,7 +95,7 @@ class GridMap:
             s_hi = float(params.pop("s_hi", 1.0))
             lo, hi = c_lo + s_lo * u, c_hi + s_hi * u
         elif kind == "abs_envelope":
-            c = float(params.pop("center", 0.5 * (a + b)))
+            c = float(params.pop("center", mid))
             lo, hi = -np.abs(u - c), np.abs(u - c)
         elif kind == "sin_envelope":
             amp = float(params.pop("amp", 1.0))
@@ -103,7 +104,6 @@ class GridMap:
             lo, hi = -amp + off * np.sin(freq * u), amp + off * np.cos(freq * u)
         elif kind == "hat":
             h = float(params.pop("height", 1.0))
-            mid = 0.5 * (a + b)
             lo, hi = np.zeros(u.size), h * (1.0 - np.abs(u - mid) / (0.5 * (b - a)))
         else:
             raise ValueError(f"unknown builtin map kind {kind!r}; known: {sorted(_BUILTIN_KINDS)}")

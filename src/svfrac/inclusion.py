@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .gridmap import GridMap, _csv
-from .rl import RLOperator, gamma_fn, positive
+from .regularity import bound_sup
+from .rl import RLOperator, positive
 
 POLICIES = ("lower", "upper", "midpoint")
 PROBE_NODES = 17  # times and states on the probe grid of rhs_monotone_in_u
@@ -72,7 +73,8 @@ class CaputoProblem:
         positive("declared Lipschitz constant", self.rhs_lipschitz_u, strict=False)
 
     def contraction_factor(self) -> float:
-        return self.rhs_lipschitz_u * (self.T - self.t0) ** self.alpha / gamma_fn(self.alpha + 1.0)
+        """L (T - t0)^alpha / Gamma(alpha + 1), the sup bound of 3.3 with M = L."""
+        return bound_sup(self.alpha, self.rhs_lipschitz_u, self.t0, self.T)
 
     @classmethod
     def from_json(cls, obj: dict) -> "CaputoProblem":
@@ -138,7 +140,7 @@ def _policy_values(p: CaputoProblem, ts: np.ndarray, us: np.ndarray, policy: str
         return lo
     if policy == "upper":
         return hi
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def solve_with_policy(

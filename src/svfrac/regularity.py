@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gridmap import GridMap, _check_domain
-from .rl import _row_moments, _weight_scale, positive
+from .gridmap import GridMap
+from .rl import _row_moments, _scaled_power, positive
 
 
 def hausdorff(a, b):
@@ -43,19 +43,6 @@ def total_variation(f: GridMap) -> float:
 def lipschitz_constant(f: GridMap) -> float:
     """Smallest Hausdorff-metric Lipschitz constant of the representation."""
     return float(_increments(f).max() / f.step)
-
-
-def _scaled_power(m: float, a: float, b: float, power: float, gamma_arg: float) -> float:
-    """m * (b-a)^power / Gamma(gamma_arg), through logs; OverflowError when
-    the value is beyond the float range."""
-    m = positive("sup-norm bound M", m, strict=False)
-    _check_domain(a, b)
-    if m == 0.0:
-        return 0.0
-    try:
-        return math.exp(math.log(m) + power * math.log(b - a) - math.lgamma(gamma_arg))
-    except OverflowError:
-        raise OverflowError(f"the bound with exponent {power} on [{a}, {b}] is not finite") from None
 
 
 def bound_sup(rho: float, m: float, a: float, b: float) -> float:
@@ -176,7 +163,7 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
             chunk[:, ic == jc] = 0.0
             out[:, c : c + _PAIR_CHUNK] = chunk
         try:
-            out *= _weight_scale(a, b, rho)
+            out *= _scaled_power(1.0, a, b, rho, rho)
         except OverflowError:  # the scale alone is beyond the float range
             out[...] = math.inf
     if not np.isfinite(out).all():

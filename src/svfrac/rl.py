@@ -33,9 +33,17 @@ def positive(name: str, value: float, *, strict: bool = True) -> float:
     return value
 
 
-def gamma_fn(x: float) -> float:
-    """Euler gamma on the positive half-line."""
-    return math.gamma(positive("gamma_fn argument", x))
+def _scaled_power(m: float, a: float, b: float, power: float, gamma_arg: float) -> float:
+    """m * (b-a)^power / Gamma(gamma_arg), through logs; OverflowError when
+    the value is beyond the float range."""
+    m = positive("sup-norm bound M", m, strict=False)
+    _check_domain(a, b)
+    if m == 0.0:
+        return 0.0
+    try:
+        return math.exp(math.log(m) + power * math.log(b - a) - math.lgamma(gamma_arg))
+    except OverflowError:
+        raise OverflowError(f"the scale with exponent {power} on [{a}, {b}] is not finite") from None
 
 
 def _pow_diff(s0: np.ndarray, s1: np.ndarray, p: float) -> np.ndarray:
@@ -94,15 +102,6 @@ def _row_moments(n_segments: int, rho: float, count: int, shift: float = 0.0):
     return right[:-1] + left[:-1], left, right
 
 
-def _weight_scale(a: float, b: float, rho: float) -> float:
-    """(b - a)^rho / Gamma(rho), through logs: the factor from the moments
-    on [0, 1] to the weights of order rho on [a, b]."""
-    try:
-        return math.exp(rho * math.log(b - a) - math.lgamma(rho))
-    except OverflowError:
-        raise OverflowError(f"the weights of order {rho} on [{a}, {b}] are not finite") from None
-
-
 def quadrature_weights(
     a: float, b: float, n_segments: int, rho: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +121,7 @@ def quadrature_weights(
         raise ValueError(f"grid needs at least 1 segment, got {n_segments}")
     _check_domain(a, b)
     kernel, col0, _ = _row_moments(n_segments, rho, n_segments)
-    scale = _weight_scale(a, b, rho)
+    scale = _scaled_power(1.0, a, b, rho, rho)
     kernel *= scale
     col0 *= scale
     return kernel, col0
@@ -167,7 +166,7 @@ class RLOperator:
         if not 0 <= n <= self.n_segments:
             raise ValueError(f"target index {n} outside 0..{self.n_segments}")
         kernel, _, _ = _row_moments(self.n_segments, self.rho, n)
-        kernel *= _weight_scale(self.a, self.b, self.rho)
+        kernel *= _scaled_power(1.0, self.a, self.b, self.rho, self.rho)
         return np.concatenate(([self.col0[n]], kernel[::-1]))
 
     def setvalued(self, f: GridMap) -> GridMap:

@@ -51,7 +51,7 @@ def _certify(g: GridMap, *kinds: tuple[Selection, str]) -> tuple[SelectionCertif
 
 def midpoint_selection(g: GridMap) -> Selection:
     """Midpoint selection, the default policy of the inclusion solver."""
-    return Selection(g.a, g.b, 0.5 * (g.lo + g.hi))
+    return Selection(g.a, g.b, 0.5 * g.lo + 0.5 * g.hi)
 
 
 def certify_extremals(g: GridMap) -> tuple[SelectionCertificate, SelectionCertificate]:

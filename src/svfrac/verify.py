@@ -55,18 +55,17 @@ def check_convexity(f: GridMap, name: str, rho: float, seed: int, *,
 
 def check_nonempty(f: GridMap, name: str, rho: float, *,
                    g: GridMap | None = None, vals: tuple[float, ...] = ()):
-    """Thm 3.2: the integral map is made of valid (nonempty) intervals, and a
-    sampled selection integral lands inside them. Called alone, it integrates
-    f and draws its oracle values (the endpoint oracle's, at DEFAULT_SEED)
-    itself."""
+    """Thm 3.2: a sampled selection integral lands inside the integral map's
+    interval at the last node. The values are nonempty since GridMap rejects
+    lo > hi. Called alone, it integrates f and draws its oracle values (the
+    endpoint oracle's, at DEFAULT_SEED) itself."""
     n = f.n_segments
     g = rl_setvalued(f, rho) if g is None else g
     if not vals:
         row = RLOperator(f.a, f.b, n, rho).row(n)
         vals = integral_set(f, row, selection_sums([f], [row], oracle_seeds(DEFAULT_SEED, ENDPOINT_SAMPLES))[0, 0])
     worst = max(g.lo[n] - vals[0], vals[-1] - g.hi[n])
-    ok = bool(np.all(g.lo <= g.hi)) and worst <= BOUND_TOL
-    return RegularityReport("3.2", name, rho, worst, BOUND_TOL, ok)
+    return RegularityReport("3.2", name, rho, worst, BOUND_TOL, worst <= BOUND_TOL)
 
 
 def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap, sup_f: float):

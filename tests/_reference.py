@@ -1,4 +1,5 @@
 """References for tests: the O(N^2) row-by-row RL weight matrix, the
+weight scale (b - a)^rho / Gamma(rho) in its own log form, the
 continuity modulus with every segment clipped for each pair, the modulus in
 mpmath, the one-pass selection-integral oracle, the RL integral
 of a selection at one node, the chattering demo on two-point values, CSV
@@ -11,11 +12,12 @@ selection of a map, and the Monte-Carlo oracle of a node's selection
 integrals."""
 
 import math
+from math import gamma as gamma_fn
 
 import mpmath
 import numpy as np
 
-from svfrac import RLOperator, Selection, gamma_fn
+from svfrac import RLOperator, Selection
 from svfrac.gridmap import oracle_seeds, selection_draws
 from svfrac.rl import _hat_moments, _pow_diff, integral_set
 
@@ -101,6 +103,13 @@ def rl_weight_matrix(a: float, b: float, n_segments: int, rho: float) -> np.ndar
     for n in range(1, n_segments + 1):
         w[n, : n + 1] = kernel_hat_weights(float(nodes[n]), rho, nodes[: n + 1]) / g
     return w
+
+
+def weight_scale_reference(a: float, b: float, rho: float) -> float:
+    """(b - a)^rho / Gamma(rho) as exp(rho log(b - a) - lgamma(rho)), the
+    expression the weights were scaled by before the one log-form scale;
+    OverflowError where it leaves the float range."""
+    return math.exp(rho * math.log(b - a) - math.lgamma(rho))
 
 
 def modulus_clipped_reference(f, rho, u, v):

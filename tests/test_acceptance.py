@@ -3,6 +3,7 @@ values, one test per criterion, one printed pass line each (run with -s to
 see them)."""
 
 import json
+from math import gamma as gamma_fn
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from svfrac import (
     GridMap,
     Selection,
     continuity_modulus,
-    gamma_fn,
     hausdorff,
     lipschitz_constant,
     rl_setvalued,

@@ -16,6 +16,7 @@ REMOVED = (
     "selection_integrals",
     "Interval",
     "extremal_selections",
+    "gamma_fn",
 )
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from math import gamma as gamma_fn
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svfrac
-from svfrac import cli, gamma_fn, verify
+from svfrac import cli, verify
 from svfrac.cli import main
 
 SRC = Path(svfrac.__file__).resolve().parents[1]
@@ -433,6 +434,19 @@ class TestParameterRobustness:
         assert main(argv + extra) == 3
         assert not out.exists()
         assert "parameter error" in capsys.readouterr().err
+
+
+    def test_contraction_factor_beyond_float_range(self, tmp_path, capsys):
+        """An overflowing contraction factor names its exponent and domain on
+        one line, not the errno tuple of `**`."""
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"alpha": 1.5, "t0": 0, "T": 1e207, "u0": 1, "u1": 0, "lipschitz_u": 1,
+                                       "rhs": {"kind": "affine", "params": {"p": -1}}}))
+        assert main(["inclusion", "--input", str(problem)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("parameter error: result beyond the float range "
+                       "(the scale with exponent 1.5 on [0.0, 1e+207] is not finite)\n")
+        assert "(34," not in err
 
 
 class TestGridTooLarge:

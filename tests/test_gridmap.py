@@ -31,6 +31,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GridMap(0.0, 1.0, [0, np.inf], [1, np.inf])
 
+    def test_hat_near_the_float_limit(self):
+        """The hat's midpoint of [1e308, 1.7e308] is finite, though a + b is not."""
+        f = GridMap.from_builtin("hat", 1e308, 1.7e308, 4)
+        assert np.array_equal(f.lo, np.zeros(5))
+        assert np.allclose(f.hi, [0.0, 0.5, 1.0, 0.5, 0.0])
+
+    def test_abs_envelope_default_center_near_the_float_limit(self):
+        f = GridMap.from_builtin("abs_envelope", 1e308, 1.7e308, 4)
+        assert np.array_equal(f.lo, -f.hi)
+        assert f.hi[2] == 0.0
+        assert np.allclose(f.hi[[0, 4]], 0.35e308)
+
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):
             GridMap.from_builtin("nope")

@@ -1,3 +1,5 @@
+from math import gamma as gamma_fn
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,11 @@ from svfrac import (
     GridMap,
     NonConvergenceError,
     Trajectory,
-    gamma_fn,
+    bound_sup,
     solution_funnel,
     solve_with_policy,
 )
-from svfrac.inclusion import funnel_to_csv, rhs_monotone_in_u
+from svfrac.inclusion import _policy_values, funnel_to_csv, rhs_monotone_in_u
 
 
 def constant_problem(c=1.0, alpha=1.5):
@@ -39,6 +41,17 @@ class TestProblemValidation:
             }
         )
         assert p.rhs(0.3, 7.0) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("lipschitz", [0.0, 0.4, 3.0])
+    @pytest.mark.parametrize("t0, T", [(0.0, 1.0), (-2.0, 10.0)])
+    def test_contraction_factor_is_the_sup_bound_with_m_l(self, lipschitz, t0, T):
+        p = CaputoProblem(1.5, t0, T, 0.0, 0.0, lambda t, u: (0, 0), rhs_lipschitz_u=lipschitz)
+        assert p.contraction_factor() == bound_sup(1.5, lipschitz, t0, T)
+
+    def test_contraction_factor_beyond_float_range_names_the_scale(self):
+        p = CaputoProblem(1.5, 0.0, 1e207, 1.0, 0.0, lambda t, u: (0, 0), rhs_lipschitz_u=1.0)
+        with pytest.raises(OverflowError, match=r"exponent 1.5 on \[0.0, 1e\+207\] is not finite"):
+            p.contraction_factor()
 
     def test_unknown_rhs_kind(self):
         with pytest.raises(ValueError):
@@ -199,6 +212,12 @@ class TestArrayProtocol:
         p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, rhs)
         with pytest.raises(ValueError, match=f"at node {node} "):
             solve_with_policy(p, "midpoint", n=16)
+
+    def test_midpoint_policy_near_the_float_limit(self):
+        """lo + hi overflows here; the midpoint itself does not."""
+        p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: (1e308, 1.7e308))
+        ts = np.linspace(0.0, 1.0, 5)
+        assert np.array_equal(_policy_values(p, ts, ts, "midpoint"), np.full(5, 1.35e308))
 
     def test_probe_checks_endpoints(self):
         # valid near the solution (|u| < 1), invalid on the probe grid's u > 5

@@ -4,19 +4,21 @@ closed forms."""
 
 import math
 import tracemalloc
+from math import gamma as gamma_fn
 
 import mpmath as mp
 import numpy as np
 import numpy.fft
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
-from _reference import rl_scalar, rl_weight_matrix
+from _reference import rl_scalar, rl_weight_matrix, weight_scale_reference
 from svfrac import (
     CaputoProblem,
     GridMap,
     RLOperator,
     Selection,
-    gamma_fn,
     quadrature_weights,
     rl,
     rl_setvalued,
@@ -231,6 +233,30 @@ def test_large_order_underflows_instead_of_overflowing():
     assert all(np.isfinite(w).all() for w in weights)
     g = rl_setvalued(GridMap.from_builtin("sym_linear", 0.0, 1.0, 16), 200.0)
     assert np.abs(g.hi).max() <= 1e-300
+
+
+def _scale_or_overflow(scale, *args):
+    try:
+        return scale(*args).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+@given(
+    a=st.floats(-1e308, 1e308),
+    b=st.floats(-1e308, 1e308),
+    rho=st.floats(min_value=2.2250738585072014e-308, max_value=1e308),
+)
+@example(a=0.0, b=1e308, rho=2.7)  # overflow
+@example(a=0.0, b=1e-5, rho=200.0)  # underflow to 0
+@example(a=-3.5, b=11.0, rho=0.5)
+def test_weight_scale_is_the_former_expression_bit_for_bit(a, b, rho):
+    """The weights' scale (b - a)^rho / Gamma(rho) is _scaled_power with M = 1,
+    the former exp(rho log(b - a) - lgamma(rho)) bit for bit, and overflows
+    where it did."""
+    assume(a < b and math.isfinite(b - a))
+    got = _scale_or_overflow(rl._scaled_power, 1.0, a, b, rho, rho)
+    assert got == _scale_or_overflow(weight_scale_reference, a, b, rho)
 
 
 def test_invalid_arguments():

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from math import gamma as gamma_fn
 
 import mpmath
 import numpy as np
@@ -23,7 +24,6 @@ from svfrac import (
     bound_l0,
     bound_sup,
     continuity_modulus,
-    gamma_fn,
     hausdorff,
     lipschitz_constant,
     rl_setvalued,

@@ -1,4 +1,4 @@
-import math
+from math import gamma as gamma_fn
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from _reference import (
     rl_weight_matrix,
     selection_integrals,
 )
-from svfrac import GridMap, RLOperator, Selection, gamma_fn, rl_setvalued
+from svfrac import GridMap, RLOperator, Selection, rl_setvalued
 from svfrac import rl
 from svfrac.gridmap import oracle_seeds, selection_draws
 from svfrac.rl import integral_set, selection_sums
@@ -28,22 +28,6 @@ def reference_rl(sel: Selection, rho: float, u: float) -> float:
         return 0.0
     val, _ = quad(lambda t: eval_interval(sel, t)[0], sel.a, u, weight="alg", wvar=(0.0, rho - 1.0), limit=200)
     return val / gamma_fn(rho)
-
-
-class TestGamma:
-    def test_integer_values(self):
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(3.0) == 2.0
-
-    def test_half_integer_against_duplication_oracle(self):
-        # Gamma(1.5) = 0.5 * Gamma(0.5) = sqrt(pi)/2
-        assert abs(gamma_fn(1.5) - math.sqrt(math.pi) / 2.0) < 1e-12 * gamma_fn(1.5)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_fn(0.0)
-        with pytest.raises(ValueError):
-            gamma_fn(-1.0)
 
 
 def weight_row(a, b, n_segments, rho, n):

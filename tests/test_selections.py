@@ -80,6 +80,11 @@ class TestMidpointSelection:
         g = GridMap(0, 1, [1, 2], [1, 2])
         assert np.array_equal(midpoint_selection(g).values, [1, 2])
 
+    def test_near_the_float_limit(self):
+        """lo + hi overflows here; the midpoint itself does not."""
+        g = GridMap(0, 1, [1e308, 1e308], [1.7e308, 1.7e308])
+        assert np.array_equal(midpoint_selection(g).values, [1.35e308, 1.35e308])
+
     def test_half_slope(self):
         u = np.linspace(0, 1, 17)
         g = GridMap(0, 1, np.zeros(17), u)
