@@ -18,6 +18,12 @@ import sys
 import warnings
 from typing import NoReturn
 
+# numpy's OpenBLAS starts a worker thread as it loads, and svfrac has no use
+# for it: its dots stay below OpenBLAS's threading threshold, and einsum and
+# the FFT do not call BLAS. Set before the imports below load numpy; a value
+# the caller sets wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .gridmap import GridMap
 from .inclusion import POLICIES, CaputoProblem, NonConvergenceError, funnel_to_csv, solution_funnel, solve_with_policy
 from .regularity import bound_l0, bound_sup

@@ -41,9 +41,13 @@ def _scaled_power(m: float, a: float, b: float, power: float, gamma_arg: float) 
     if m == 0.0:
         return 0.0
     try:
-        return math.exp(math.log(m) + power * math.log(b - a) - math.lgamma(gamma_arg))
+        value = math.exp(math.log(m) + power * math.log(b - a) - math.lgamma(gamma_arg))
     except OverflowError:
-        raise OverflowError(f"the scale with exponent {power} on [{a}, {b}] is not finite") from None
+        value = math.inf
+    # exp(inf) is inf without an error: power * log(b - a) can overflow alone.
+    if not math.isfinite(value):
+        raise OverflowError(f"the scale with exponent {power} on [{a}, {b}] is not finite")
+    return value
 
 
 def _pow_diff(s0: np.ndarray, s1: np.ndarray, p: float) -> np.ndarray:
@@ -141,23 +145,36 @@ class RLOperator:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the results
             self.spectrum = numpy.fft.rfft(kernel, self._size)
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
+    def __call__(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The operator applied to each row of `values`, of shape (..., N+1),
-        by a zero-padded FFT convolution. The rows are transformed one at a
-        time, each spectrum multiplied by the kernel's in place, so the FFT
-        temporaries are those of one row."""
+        by a zero-padded FFT convolution, into `out` (a new array if None; a
+        float array of the same shape, `values` itself included). The rows
+        go one at a time through one workspace, a spectrum and a real buffer
+        of the FFT size, so an apply allocates nothing else.
+
+        Each row is scaled by 2^-e, with 2^e just above max|row[1:]|, before
+        its transform and by 2^e after it, so the FFT's sums stay in range
+        for a row near the float limit. Power-of-two scaling commutes with
+        every operation in the normal range: other rows keep their bits."""
         values = np.asarray(values, dtype=float)
         n, size = self.n_segments, self._size
         if values.shape[-1:] != (n + 1,):
             raise ValueError(f"values of shape {values.shape} do not end in the {n + 1} grid nodes")
-        out = np.zeros(values.shape)
+        if out is None:
+            out = np.empty(values.shape)
+        spec, work = np.empty(size // 2 + 1, dtype=complex), np.empty(size)
+        head = work[:n]
         for row, target in zip(values.reshape(-1, n + 1), out.reshape(-1, n + 1)):
-            spec = numpy.fft.rfft(row[1:], size)
+            first = row[0]  # before target, which may be row, is written
+            e = math.frexp(np.abs(row[1:], out=head).max())[1]
+            numpy.fft.rfft(np.ldexp(row[1:], -e, out=head), size, out=spec)
             # Kernel first, as in spectrum * spec: swapping the operands of the
             # complex product can change its last bits.
             np.multiply(self.spectrum, spec, out=spec)
-            target[1:] = numpy.fft.irfft(spec, size)[:n]
-            target[1:] += self.col0[1:] * row[0]
+            numpy.fft.irfft(spec, size, out=work)
+            np.ldexp(head, e, out=target[1:])
+            target[1:] += np.multiply(self.col0[1:], first, out=head)
+            target[0] = 0.0
         return out
 
     def row(self, n: int) -> np.ndarray:
@@ -175,7 +192,8 @@ class RLOperator:
             raise ValueError(f"the map's grid ({f.a}, {f.b}, {f.n_segments}) is not the operator's")
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
             lo = self(f.lo)
-            width = self(f.hi - f.lo)
+            width = f.hi - f.lo
+            self(width, out=width)
             hi = np.add(lo, np.maximum(width, 0.0, out=width), out=width)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise OverflowError(f"the integral of order {self.rho} on [{f.a}, {f.b}] is not finite")

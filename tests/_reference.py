@@ -109,7 +109,10 @@ def weight_scale_reference(a: float, b: float, rho: float) -> float:
     """(b - a)^rho / Gamma(rho) as exp(rho log(b - a) - lgamma(rho)), the
     expression the weights were scaled by before the one log-form scale;
     OverflowError where it leaves the float range."""
-    return math.exp(rho * math.log(b - a) - math.lgamma(rho))
+    value = math.exp(rho * math.log(b - a) - math.lgamma(rho))
+    if not math.isfinite(value):  # exp(inf) is inf, without an error
+        raise OverflowError("math range error")
+    return value
 
 
 def modulus_clipped_reference(f, rho, u, v):

@@ -368,6 +368,52 @@ class TestParameterRobustness:
         assert not out.exists()
         assert "result beyond the float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--rho", "2.55e305", "--M", "1", "--a", "0", "--b", "1.7e308"],
+            ["integrate", "--rho", "2.55e305", "--grid", "4", "--b", "1.7e308"],
+        ],
+        ids=["bounds", "integrate"],
+    )
+    def test_scale_whose_power_overflows_alone(self, argv, capsys):
+        """rho log(b - a) = inf with a finite lgamma(rho): exp(inf) is inf
+        without an error, and the scale is still a parameter error on one
+        line, with no numpy warning and no Infinity on stdout."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("parameter error: result beyond the float range "
+                       "(the scale with exponent 2.55e+305 on [0.0, 1.7e+308] is not finite)\n")
+
+    def test_integral_near_the_float_limit(self, tmp_path):
+        """A finite integral of a map near the float limit: its apply
+        transforms a power-of-two scaled row, whose FFT sums stay in range."""
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"a": 0, "b": 1, "segments": 4, "kind": "constant",
+                                    "params": {"lo": 1e308, "hi": 1e308}}))
+        out = tmp_path / "g.csv"
+        assert main(["integrate", "--input", str(spec), "--rho", "1", "--grid", "4", "--output", str(out)]) == 0
+        # J^1 1e308 = 1e308 u
+        assert out.read_text() == ("u,lo,hi\n0,0,0\n0.25,2.5e+307,2.5e+307\n0.5,5e+307,5e+307\n"
+                                   "0.75,7.5e+307,7.5e+307\n1,1e+308,1e+308\n")
+
+    def test_inclusion_near_the_float_limit(self, tmp_path, capsys):
+        """The midpoint policy on the constant field [1e308, 1.7e308]: the
+        Picard sweep's apply stays in range, and the solution is the closed
+        form u(t) = m t^1.5 / Gamma(2.5) with the midpoint m = 1.35e308."""
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"alpha": 1.5, "t0": 0, "T": 1, "u0": 0, "u1": 0,
+                                       "rhs": {"kind": "constant", "params": {"lo": 1e308, "hi": 1.7e308}}}))
+        out = tmp_path / "u.csv"
+        assert main(["inclusion", "--input", str(problem), "--grid", "4", "--output", str(out)]) == 0
+        assert capsys.readouterr().err.startswith("iterations_used=")
+        for row in out.read_text().strip().split("\n")[1:]:
+            t, u = map(float, row.split(","))
+            assert u == pytest.approx(1.35e308 * t**1.5 / gamma_fn(2.5), rel=1e-11)
+
     def test_modulus_beyond_float_range(self, tmp_path, capsys):
         """A fixture whose continuity modulus overflows is a parameter error
         on one line, and raises no numpy warning on the way."""
@@ -602,6 +648,28 @@ class TestNoNumpyRandom:
         imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
         assert "svfrac.verify" in imported and "numpy" in imported
         assert not {m for m in imported if m == "numpy.random" or m.startswith("numpy.random.")}
+
+
+class TestStartup:
+    """The command line starts numpy without OpenBLAS's worker thread,
+    unless the caller sets OPENBLAS_NUM_THREADS."""
+
+    def python(self, code, **env):
+        base = {k: v for k, v in cli_env().items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**base, **env}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_cli_import_leaves_one_thread(self):
+        code = ("import svfrac.cli\n"
+                "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')))")
+        assert self.python(code) == "1\n"
+
+    def test_callers_thread_setting_is_kept(self):
+        code = "import os, svfrac.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self.python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
 
 
 class TestZeroMapContinuity:

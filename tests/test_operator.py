@@ -10,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import numpy.fft
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _reference import rl_scalar, rl_weight_matrix, weight_scale_reference
@@ -58,6 +58,37 @@ def test_batched_rows_match_single_applies():
         assert np.array_equal(got, op(v))
 
 
+@pytest.mark.parametrize("shape", [(51,), (3, 51)])
+def test_apply_in_place_matches_a_new_output(shape):
+    """op(v, out=v) writes op(v)'s bits into v, its zero column 0 included."""
+    v = np.random.default_rng(2).uniform(-1.0, 1.0, shape)
+    op = RLOperator(-1.0, 2.0, 50, 0.7)
+    expected = op(v)
+    assert op(v, out=v) is v
+    assert np.array_equal(v, expected)
+    assert not v[..., 0].any()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    ints=st.lists(st.integers(-(2**20), 2**20), min_size=2, max_size=65),
+    shift=st.integers(-40, 20),
+    rho=st.sampled_from((0.3, 1.0, 2.7)),
+    k=st.integers(-800, 1023),
+)
+@example(ints=[1, 1, 1, 1, 1], shift=0, rho=1.0, k=1022)  # sums beyond the float range unscaled
+@example(ints=[3, -5, 7], shift=-40, rho=0.3, k=-800)
+def test_power_of_two_scaling_commutes_with_the_apply(ints, shift, rho, k):
+    """op(2^k v) == 2^k op(v) bit for bit, for every integer k that keeps
+    2^k v finite with a bit to spare: the integral on [0, 1] is at most
+    1/Gamma(rho + 1) < 2 times max|v|. The entries of v, 0 or at least
+    2^-40 in size, stay normal down to k = -800."""
+    v = np.ldexp(np.array(ints, dtype=float), shift)
+    assume(np.isfinite(np.ldexp(v, k + 1)).all())
+    op = RLOperator(0.0, 1.0, v.size - 1, rho)
+    assert np.array_equal(op(np.ldexp(v, k)), np.ldexp(op(v), k))
+
+
 @pytest.mark.parametrize("shape", [(), (50,), (2, 52), (51, 2)])
 def test_values_must_end_in_the_grid_nodes(shape):
     op = RLOperator(0.0, 1.0, 50, 0.7)
@@ -94,6 +125,22 @@ def test_setvalued_takes_only_maps_on_the_operators_grid():
             op.setvalued(f)
     f = GridMap.from_builtin("hat", 0.0, 1.0, 8)
     assert np.array_equal(op.setvalued(f).hi, rl_setvalued(f, 0.5).hi)
+
+
+def test_setvalued_holds_two_results_and_one_workspace():
+    """At N = 4096 the integral's peak holds lo, the width (applied in
+    place) and one apply's workspace, a spectrum and a real buffer of the
+    FFT size: about 197 KB. One more spectrum, output or product of an
+    apply takes it above 216 KB."""
+    f = GridMap.from_builtin("sin_envelope", 0.0, 1.0, 4096)
+    op = RLOperator(0.0, 1.0, 4096, 0.5)
+    tracemalloc.start()
+    try:
+        op.setvalued(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 216_000
 
 
 @pytest.fixture
@@ -250,6 +297,7 @@ def _scale_or_overflow(scale, *args):
 @example(a=0.0, b=1e308, rho=2.7)  # overflow
 @example(a=0.0, b=1e-5, rho=200.0)  # underflow to 0
 @example(a=-3.5, b=11.0, rho=0.5)
+@example(a=0.0, b=1.7e308, rho=2.55e305)  # rho log(b - a) = inf, lgamma(rho) finite
 def test_weight_scale_is_the_former_expression_bit_for_bit(a, b, rho):
     """The weights' scale (b - a)^rho / Gamma(rho) is _scaled_power with M = 1,
     the former exp(rho log(b - a) - lgamma(rho)) bit for bit, and overflows
