@@ -202,13 +202,6 @@ def _check_seed(seed) -> int:
     return value
 
 
-def oracle_seeds(seed: int, count: int) -> list[int]:
-    """The seeds of an oracle of `count` draws: seed, seed + 1, ..., each
-    mod 2**63, so that every seed in [0, 2**63) has its oracle."""
-    seed = _check_seed(seed)
-    return [(seed + k) % SEED_LIMIT for k in range(count)]
-
-
 def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """SplitMix64's output function on the uint64 array z, in place and
     mod 2**64; tmp is scratch space of z's shape."""
@@ -219,21 +212,20 @@ def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def selection_draws(n_nodes: int, seeds, first: int = 0) -> np.ndarray:
-    """One row of uniform [0, 1) draws per seed, an integer in [0, 2**63):
-    row r holds draws first..first+n_nodes-1 of the stream of seeds[r].
+def selection_draws(n_nodes: int, seed: int) -> np.ndarray:
+    """Draws 0..n_nodes-1, uniform in [0, 1), of the stream of `seed`, an
+    integer in [0, 2**63).
 
     Draw m of seed s is SplitMix64's counter-based (mix(mix(s) + (m + 1) G)
     >> 11) 2**-53, with G = 0x9E3779B97F4A7C15 and mix its output function
     (Steele, Lea & Flood, OOPSLA 2014): a multiple of 2**-53, a pure
-    function of (s, m), so a block of rows and nodes needs only its seeds
-    and counters. The block is computed at once, in place on one uint64
-    array of its shape (and one scratch array)."""
-    keys = np.array([_check_seed(s) for s in seeds], dtype=np.uint64)
-    _mix(keys, np.empty_like(keys))
-    counter = np.arange(first + 1, first + n_nodes + 1, dtype=np.uint64)
-    counter *= _GOLDEN
-    z = np.add.outer(keys, counter)  # mod 2**64
+    function of (s, m). The draws are computed at once, in place on one
+    uint64 array (and one scratch array)."""
+    key = np.array([_check_seed(seed)], dtype=np.uint64)
+    _mix(key, np.empty_like(key))
+    z = np.arange(1, n_nodes + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += key  # mod 2**64
     _mix(z, np.empty_like(z))
     z >>= np.uint64(11)
     return z * 2.0**-53
@@ -242,4 +234,4 @@ def selection_draws(n_nodes: int, seeds, first: int = 0) -> np.ndarray:
 def draw_indices(seed: int, k: int, count: int) -> np.ndarray:
     """floor(u * k) for the first `count` draws u of the stream of `seed`:
     integers in [0, k), for k up to 2**53."""
-    return (selection_draws(count, [seed])[0] * k).astype(np.intp)
+    return (selection_draws(count, seed) * k).astype(np.intp)

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import numpy.fft  # at module scope, so that no operation pays for the import
 
-from .gridmap import GridMap, _check_domain, selection_draws
+from .gridmap import GridMap, _check_domain
 
 
 def positive(name: str, value: float, *, strict: bool = True) -> float:
@@ -214,50 +214,22 @@ def rl_setvalued(f: GridMap, rho: float) -> GridMap:
     return RLOperator(f.a, f.b, f.n_segments, rho).setvalued(f)
 
 
-DRAW_BLOCK_ENTRIES = 2048  # draws made and applied at once by selection_sums
 _DOT_RUN = 8192  # entries per np.dot call of integral_set
 
 
-def integral_set(f: GridMap, row: np.ndarray, sums: np.ndarray) -> tuple[float, ...]:
-    """Sorted, deduplicated RL integrals, at the target node of `row` (the
-    weights of nodes 0..n), of both extremal selections of f and of the
-    selection lo + r * (hi - lo) for each value row @ (r * (hi - lo)) of
-    `sums` (see selection_sums). The extremal integrals add up np.dot over
-    runs of _DOT_RUN nodes: OpenBLAS splits a dot of more than 10000
-    entries across threads, which waits for them on a loaded host and
-    makes the sum depend on the thread count."""
+def integral_set(f: GridMap, row: np.ndarray) -> tuple[float, ...]:
+    """The RL integrals, at the target node of `row` (the weights of nodes
+    0..n), of both extremal selections of f, row @ lo and row @ hi, sorted
+    and deduplicated: one value for a point map. For nonnegative weights
+    they are the ends of the discrete integral set, since every selection
+    lo + r (hi - lo), 0 <= r <= 1, integrates to a value between them. Each
+    adds up np.dot over runs of _DOT_RUN nodes: OpenBLAS splits a dot of
+    more than 10000 entries across threads, which waits for them on a
+    loaded host and makes the sum depend on the thread count."""
     m = row.size
 
     def integral(values):
         values = values[:m]
         return float(sum(np.dot(row[k : k + _DOT_RUN], values[k : k + _DOT_RUN]) for k in range(0, m, _DOT_RUN)))
 
-    base = integral(f.lo)
-    return tuple(sorted({base, integral(f.hi), *(base + sums).tolist()}))
-
-
-def selection_sums(maps, rows, seeds) -> np.ndarray:
-    """row @ (r * (hi - lo)) for each map of `maps` (on one grid), each of
-    `rows` (weights of nodes 0..m-1, one m) and the draws r of nodes
-    0..m-1 of each seed, of shape (len(maps), len(rows), len(seeds)).
-
-    The draws are made and applied in blocks of at most DRAW_BLOCK_ENTRIES
-    entries, one selection_draws call each, so no len(seeds) x m array
-    exists. If m <= DRAW_BLOCK_ENTRIES, a block holds whole rows, and each
-    value is the one of
-    einsum("rk,k->r", selection_draws(m, seeds), row * (hi - lo)) on the
-    whole draws matrix, bit for bit (one sum per row, of its m products).
-    Otherwise the nodes are split into ceil(m / DRAW_BLOCK_ENTRIES) runs,
-    and each value adds up the partial sums of its runs, in order."""
-    m, budget = rows[0].size, DRAW_BLOCK_ENTRIES
-    runs = -(-m // budget)
-    out = np.zeros((len(maps) * len(rows), len(seeds)))
-    for k in range(runs):
-        c0, c1 = k * m // runs, (k + 1) * m // runs
-        with np.errstate(over="ignore", invalid="ignore"):  # the operator rejects an overflow
-            vecs = np.array([row[c0:c1] * (f.hi[c0:c1] - f.lo[c0:c1]) for f in maps for row in rows])
-        step = budget // (c1 - c0)
-        for r0 in range(0, len(seeds), step):
-            draws = selection_draws(c1 - c0, seeds[r0 : r0 + step], first=c0)
-            out[:, r0 : r0 + step] += np.einsum("rk,vk->vr", draws, vecs)
-    return out.reshape(len(maps), len(rows), len(seeds))
+    return tuple(sorted({integral(f.lo), integral(f.hi)}))

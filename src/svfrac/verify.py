@@ -3,18 +3,18 @@ set-valued fractional integral, over a built-in fixture catalog.
 
 Each entry compares a measured quantity against its analytic bound and is
 reported as a RegularityReport. Runs are deterministic: fixture catalog,
-random draws, and report order are all fixed by the seed. run_verification
-measures each (fixture, rho) pair's integral map `g` once and hands it, and
-what is measured of it, to the checks.
+3.4's random node pairs, and report order are all fixed by the seed.
+run_verification measures each (fixture, rho) pair's integral map `g` once
+and hands it, and what is measured of it, to the checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gridmap import _BUILTIN_KINDS, GridMap, draw_indices, oracle_seeds
+from .gridmap import _BUILTIN_KINDS, GridMap, _check_seed, draw_indices
 from .regularity import RegularityReport, bound_l0, bound_sup, continuity_modulus, hausdorff
-from .rl import RLOperator, integral_set, rl_setvalued, selection_sums
+from .rl import RLOperator, integral_set, rl_setvalued
 from .selections import certify_extremals
 
 DEFAULT_RHOS = (0.5, 1.0, 1.5, 2.7)
@@ -22,12 +22,9 @@ DEFAULT_RHOS = (0.5, 1.0, 1.5, 2.7)
 BOUND_TOL = 1e-9  # additive: quadrature exactness class
 MODULUS_TOL = 1e-8
 EXACT_TOL = 1e-12
+WEIGHT_TOL = float(np.finfo(float).eps)  # relative to the row's sum: roundoff of a weight
 
 DEFAULT_SEED = 42
-# Random selections drawn by the oracle checks.
-CONVEXITY_SAMPLES = 64
-ENDPOINT_SAMPLES = 200
-CONVEXITY_TRIALS = 100  # pairs of oracle values combined by 3.1
 CONTINUITY_PAIRS = 100  # random node pairs compared by 3.4
 
 
@@ -41,31 +38,38 @@ def _skip(theorem, fixture, rho):
     return RegularityReport(theorem, fixture, rho, 0.0, 0.0, True, status="skipped (requires rho>1)")
 
 
-def check_convexity(f: GridMap, name: str, rho: float, seed: int, *,
-                    g: GridMap, vals: tuple[float, ...]):
-    """Thm 3.1: convex combinations of oracle values stay in the node interval.
-    The pairs combined are drawn from `vals` by draw_indices of `seed`."""
+def check_convexity(f: GridMap, name: str, rho: float, *, g: GridMap, vals: tuple[float, ...]):
+    """Thm 3.1: convex combinations of the extremal integrals `vals`
+    (integral_set at node N), over every ordered pair of them, stay in the
+    node interval."""
     n = f.n_segments
-    picks = np.asarray(vals)[draw_indices(seed, len(vals), 2 * CONVEXITY_TRIALS).reshape(-1, 2)]
+    picks = np.array([(p, q) for p in vals for q in vals])
     lam = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     y = lam * picks[:, :1] + (1.0 - lam) * picks[:, 1:]
     worst = max(0.0, g.lo[n] - y.min(), y.max() - g.hi[n])
     return RegularityReport("3.1", name, rho, worst, BOUND_TOL, worst <= BOUND_TOL)
 
 
-def check_nonempty(f: GridMap, name: str, rho: float, *,
-                   g: GridMap | None = None, vals: tuple[float, ...] = ()):
-    """Thm 3.2: a sampled selection integral lands inside the integral map's
-    interval at the last node. The values are nonempty since GridMap rejects
-    lo > hi. Called alone, it integrates f and draws its oracle values (the
-    endpoint oracle's, at DEFAULT_SEED) itself."""
+def check_nonempty(f: GridMap, name: str, rho: float, *, g: GridMap | None = None,
+                   row: np.ndarray | None = None, vals: tuple[float, ...] = ()):
+    """Thm 3.2: every selection integral at node N lands inside the integral
+    map's interval there. With nonnegative weights `row` (node N's), those
+    integrals fill [v0, v1], the ends `vals` of integral_set, so the check
+    measures how far v0 and v1 lie outside g's interval, and passes only if
+    also no weight is below -WEIGHT_TOL times the row's absolute sum; a
+    failing sign records the smallest weight. The values are nonempty since
+    GridMap rejects lo > hi. Called without g, it integrates f and builds
+    the row and its values itself."""
     n = f.n_segments
-    g = rl_setvalued(f, rho) if g is None else g
-    if not vals:
+    if g is None:
+        g = rl_setvalued(f, rho)
         row = RLOperator(f.a, f.b, n, rho).row(n)
-        vals = integral_set(f, row, selection_sums([f], [row], oracle_seeds(DEFAULT_SEED, ENDPOINT_SAMPLES))[0, 0])
+        vals = integral_set(f, row)
     worst = max(g.lo[n] - vals[0], vals[-1] - g.hi[n])
-    return RegularityReport("3.2", name, rho, worst, BOUND_TOL, worst <= BOUND_TOL)
+    low = row.min()
+    signed = low >= -WEIGHT_TOL * np.abs(row).sum()
+    return RegularityReport("3.2", name, rho, worst, BOUND_TOL, worst <= BOUND_TOL and signed,
+                            details={} if signed else dict(min_weight=float(low)))
 
 
 def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap, sup_f: float):
@@ -147,9 +151,10 @@ def check_selections(f: GridMap, name: str, rho: float, *, certs):
 
 def check_endpoint_identity(f: GridMap, name: str, rho: float, *,
                             g: GridMap, vals: tuple[float, ...]):
-    """Endpoint identity: hull of the selection-integral oracle equals the
-    interval spanned by the extremal integrals. hull_err bounds 3.2's
-    measure, so the hull also lies inside the interval to BOUND_TOL."""
+    """Endpoint identity: the node-N interval of the integral map equals
+    [v0, v1], the extremal integrals `vals` of integral_set, taken by dot
+    products with the row instead of the FFT. hull_err bounds 3.2's
+    measure, so [v0, v1] also lies inside the interval to BOUND_TOL."""
     n = f.n_segments
     hull_err = hausdorff((g.lo[n], g.hi[n]), (vals[0], vals[-1]))
     return RegularityReport("3.5-endpoint-identity", name, rho, hull_err, BOUND_TOL, hull_err <= BOUND_TOL)
@@ -165,11 +170,11 @@ def run_verification(
     order, from one pass per grid (a, b, N). The pass builds 3.4's pairs
     and, per rho, one RLOperator, whose node-N row serves all the grid's
     fixtures, and one continuity_modulus call on all 3.4's pairs of them
-    all; then one selection_sums pass, of the 200 draws of oracle_seeds(seed,
-    200), gives the oracle values at node N (3.1 reads the first 64). Each
-    pair integrates its fixture once and, for rho > 1, certifies the
-    integral's extremal selections once. `seed` is in [0, 2**63)."""
-    seeds = oracle_seeds(seed, ENDPOINT_SAMPLES)
+    all. Each pair integrates its fixture once, takes its extremal integrals
+    at node N from the row (integral_set, for 3.1, 3.2 and the endpoint
+    identity) and, for rho > 1, certifies the integral's extremal selections
+    once. `seed`, in [0, 2**63), picks 3.4's pairs."""
+    seed = _check_seed(seed)
     if fixtures is None:
         fixtures = fixture_catalog(n_segments)
     grids: dict[tuple[float, float, int], list[str]] = {}
@@ -185,20 +190,16 @@ def run_verification(
             ops.append(RLOperator(*grid, rho))
             rows.append(ops[-1].row(grid[2]))
             phis.append(continuity_modulus(maps, rho, u, v))
-        oracle = selection_sums(maps, rows, seeds)
         for k, (name, f) in enumerate(zip(group, maps)):
             sup_f = f.sup_bound()
             reports[name] = []
             for r, rho in enumerate(rhos):
                 g = ops[r].setvalued(f)
-                vals = integral_set(f, rows[r], oracle[k, r])
+                vals = integral_set(f, rows[r])
                 certs = certify_extremals(g) if rho > 1.0 else ()
                 reports[name] += [
-                    # The convexity oracle's seeds seed..seed+63 are the first
-                    # of the endpoint oracle's seed..seed+199.
-                    check_convexity(f, name, rho, seed, g=g,
-                                    vals=integral_set(f, rows[r], oracle[k, r, :CONVEXITY_SAMPLES])),
-                    check_nonempty(f, name, rho, g=g, vals=vals),
+                    check_convexity(f, name, rho, g=g, vals=vals),
+                    check_nonempty(f, name, rho, g=g, row=rows[r], vals=vals),
                     check_boundedness(f, name, rho, g=g, sup_f=sup_f),
                     check_continuity(f, name, rho, g=g, pairs=pairs, phi=phis[r][k], sup_f=sup_f),
                     check_bounded_variation(f, name, rho, certs=certs),

@@ -1,7 +1,7 @@
 """References for tests: the O(N^2) row-by-row RL weight matrix, the
 weight scale (b - a)^rho / Gamma(rho) in its own log form, the
 continuity modulus with every segment clipped for each pair, the modulus in
-mpmath, the one-pass selection-integral oracle, the RL integral
+mpmath, the random-selection integrals at one node, the RL integral
 of a selection at one node, the chattering demo on two-point values, CSV
 text formatted one value at a time, the SplitMix64 draws in Python ints,
 and the variation and Lipschitz constant written with np.diff.
@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 
 from svfrac import RLOperator, Selection
-from svfrac.gridmap import oracle_seeds, selection_draws
+from svfrac.gridmap import SEED_LIMIT, _check_seed, selection_draws
 from svfrac.rl import _hat_moments, _pow_diff, integral_set
 
 
@@ -68,30 +68,32 @@ def random_selection(f, seed: int) -> Selection:
     """Node values lo_i + u_i (hi_i - lo_i), with u_i draw i of the
     SplitMix64 stream of `seed`, an integer in [0, 2**63) (see
     selection_draws); pure in (f, seed)."""
-    return Selection(f.a, f.b, f.lo + selection_draws(f.lo.size, [seed])[0] * (f.hi - f.lo))
+    return Selection(f.a, f.b, f.lo + selection_draws(f.lo.size, seed) * (f.hi - f.lo))
 
 
-def selection_integrals(f, row: np.ndarray, draws: np.ndarray) -> tuple[float, ...]:
-    """The oracle in one pass over the whole draws matrix: sorted,
-    deduplicated RL integrals, at the target node of `row`, of both
-    extremal selections of f and of lo + r * (hi - lo) for each row r of
-    `draws`. svfrac's blocked selection_sums must match it bit for bit
-    while a block holds whole rows."""
+def selection_integrals(f, row: np.ndarray, seeds) -> np.ndarray:
+    """RL integrals, at the target node of `row` (the weights of nodes
+    0..m-1), of the random selections of `seeds` (see random_selection),
+    each as row @ lo + row @ (r * (hi - lo)) with r the seed's draws."""
     m = row.size
-    return integral_set(f, row, np.einsum("rk,k->r", draws[:, :m], row * (f.hi[:m] - f.lo[:m])))
+    draws = np.array([selection_draws(m, seed) for seed in seeds])
+    return float(row @ f.lo[:m]) + draws @ (row * (f.hi[:m] - f.lo[:m]))
 
 
 def rl_selection_oracle(f, rho: float, n: int, samples: int, seed: int) -> tuple[float, ...]:
     """Monte-Carlo image of the integrable-selection family at node n.
 
     Returns the sorted, deduplicated set of RL integrals of `samples` random
-    selections plus both extremal selections (injected so the hull of the
-    returned set is tight against rl_setvalued).
+    selections, of seeds seed, seed + 1, ..., each mod 2**63, plus both
+    extremal selections (injected so the hull of the returned set is tight
+    against rl_setvalued).
     """
+    seed = _check_seed(seed)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    draws = selection_draws(f.n_segments + 1, oracle_seeds(seed, samples))
-    return selection_integrals(f, RLOperator(f.a, f.b, f.n_segments, rho).row(n), draws)
+    row = RLOperator(f.a, f.b, f.n_segments, rho).row(n)
+    seeds = [(seed + k) % SEED_LIMIT for k in range(samples)]
+    return tuple(sorted({*integral_set(f, row), *selection_integrals(f, row, seeds).tolist()}))
 
 
 def rl_weight_matrix(a: float, b: float, n_segments: int, rho: float) -> np.ndarray:

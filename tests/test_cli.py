@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from math import gamma as gamma_fn
 from pathlib import Path
@@ -175,6 +177,55 @@ class TestVerify:
         out = tmp_path / "report.json"
         assert main(["verify", "--grid", "8", "--seed", seed, "--output", str(out)]) == 0
         assert all(r["pass"] for r in json.loads(out.read_text()))
+
+
+class TestVerifyReport:
+    """verify writes its report one entry at a time, with the bytes of one
+    json.dump of the whole list."""
+
+    NEG = {"neg": {"a": -3, "b": 7, "segments": 37, "kind": "hat"}}
+
+    @pytest.mark.parametrize("argv", [["--grid", "64"], ["--input", "neg.json"], ["--grid", "16", "--rho", "1.5"]])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_streamed_text_is_the_whole_list_dump(self, tmp_path, monkeypatch, capsys, argv, to_file):
+        (tmp_path / "neg.json").write_text(json.dumps(self.NEG))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        seen = []
+        real = cli.run_verification
+        monkeypatch.setattr(cli, "run_verification", lambda **kw: seen.append(real(**kw)) or seen[-1])
+        out = tmp_path / "report.json"
+        assert main(["verify", *argv, *(["--output", str(out)] if to_file else [])]) == 0
+        text = out.read_text() if to_file else capsys.readouterr().out
+        assert text == json.dumps([r.to_json() for r in seen[0]], sort_keys=True, indent=1) + "\n"
+
+    def test_output_phase_stays_small(self, tmp_path, monkeypatch):
+        """Writing the 192 computed reports of grid 64 traces under 100 KB:
+        each report's dict is made as the encoder reaches it, so no list of
+        them all exists."""
+        reports = verify.run_verification(n_segments=64)
+        monkeypatch.setattr(cli, "run_verification", lambda **kw: reports)
+        args = cli.build_parser().parse_args(["verify", "--output", str(tmp_path / "report.json")])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert args.func(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
+
+    def test_roundoff_below_zero_in_a_weight_passes(self, tmp_path):
+        """At rho 200 on [0, 75], N = 1000, a weight of the node-N row is
+        roundoff just below 0 (about -5e-318, from hat moments near
+        underflow); 3.2's sign rule is relative to the row, so every report
+        passes."""
+        assert svfrac.RLOperator(0.0, 75.0, 1000, 200.0).row(1000).min() < 0
+        path, out = tmp_path / "fixtures.json", tmp_path / "report.json"
+        path.write_text(json.dumps({kind: {"a": 0, "b": 75, "segments": 1000, "kind": kind}
+                                    for kind in ("hat", "constant")}))
+        assert main(["verify", "--input", str(path), "--rho", "200", "--output", str(out)]) == 0
+        reports = json.loads(out.read_text())
+        assert len(reports) == 16 and all(r["pass"] for r in reports)
 
 
 class TestInclusion:
@@ -623,7 +674,7 @@ class TestUnreadableJson:
 
 
 class TestNoNumpyRandom:
-    """No command imports numpy.random: the oracle draws are svfrac's own."""
+    """No command imports numpy.random: 3.4's draws are svfrac's own."""
 
     @pytest.mark.parametrize(
         "argv",

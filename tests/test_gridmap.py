@@ -8,8 +8,8 @@ import pytest
 from _reference import csv_reference, eval_interval, random_selection, rl_selection_oracle, splitmix64_draw
 
 from svfrac import GridMap, Selection, hausdorff, lipschitz_constant, rl_setvalued, total_variation
-from svfrac.gridmap import CSV_BLOCK, _csv, draw_indices, oracle_seeds, selection_draws
-from svfrac.verify import check_convexity, continuity_pairs, run_verification
+from svfrac.gridmap import CSV_BLOCK, _csv, draw_indices, selection_draws
+from svfrac.verify import continuity_pairs, run_verification
 
 RNG = np.random.default_rng(0)
 
@@ -188,14 +188,12 @@ class TestSelections:
         assert np.array_equal(s1.values, s2.values)
 
     def test_random_selection_draw_recipe(self):
-        # The verification oracle draws the same rows for many selections at once.
         f = GridMap.from_builtin("sin_envelope", 0, 1, 16)
-        draws = selection_draws(17, range(40, 43))
-        for k, seed in enumerate(range(40, 43)):
+        for seed in range(40, 43):
             row = np.array([splitmix64_draw(seed, m) for m in range(17)])
             expected = f.lo + row * (f.hi - f.lo)
             assert np.array_equal(random_selection(f, seed).values, expected)
-            assert np.array_equal(draws[k], row)
+            assert np.array_equal(selection_draws(17, seed), row)
 
     def test_degenerate_unique_selection(self):
         f = GridMap(0, 1, [1, 2, 3], [1, 2, 3])
@@ -226,26 +224,18 @@ class TestSelections:
 
 
 class TestSplitMix64:
-    """The draws of every oracle: SplitMix64's counter-based stream, one
-    per seed, against a Python-int construction and statistical checks."""
+    """The draws of 3.4's pairs and of the tests' random selections:
+    SplitMix64's counter-based stream, one per seed, against a Python-int
+    construction and statistical checks."""
 
     SEEDS = (0, 1, 42, 2**32 + 5, 2**63 - 1)
 
     @pytest.mark.parametrize("n", [1, 2, 17, 1000])
     def test_rows_match_the_reference_bit_for_bit(self, n):
-        draws = selection_draws(n, self.SEEDS)
-        expected = [[splitmix64_draw(seed, m) for m in range(n)] for seed in self.SEEDS]
-        assert draws.shape == (len(self.SEEDS), n)
-        assert draws.tolist() == expected
-
-    def test_blocks_of_nodes_are_the_slices_of_the_rows(self):
-        """Draws first..first+n-1 of each seed, for a block of the oracle's
-        draws, are the columns of the whole rows, bit for bit."""
-        whole = selection_draws(1000, self.SEEDS)
-        for first, n in [(0, 1000), (0, 1), (17, 64), (999, 1), (500, 0)]:
-            block = selection_draws(n, self.SEEDS[1:4], first=first)
-            assert np.array_equal(block, whole[1:4, first:first + n])
-        assert selection_draws(3, [7], first=2**40).tolist() == [[splitmix64_draw(7, 2**40 + m) for m in range(3)]]
+        for seed in self.SEEDS:
+            draws = selection_draws(n, seed)
+            assert draws.shape == (n,)
+            assert draws.tolist() == [splitmix64_draw(seed, m) for m in range(n)]
 
     @pytest.mark.parametrize("k", [1, 2, 65, 4097])
     def test_indices_are_floor_of_the_stream(self, k):
@@ -254,20 +244,14 @@ class TestSplitMix64:
             assert idx.tolist() == [math.floor(splitmix64_draw(seed, m) * k) for m in range(300)]
             assert idx.min() >= 0 and idx.max() < k
 
-    def test_oracle_seeds_wrap_below_the_seed_limit(self):
-        assert oracle_seeds(5, 3) == [5, 6, 7]
-        assert oracle_seeds(2**63 - 2, 4) == [2**63 - 2, 2**63 - 1, 0, 1]
-
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**64, 1.5, "3"])
     def test_seed_outside_the_range_is_named(self, seed):
         f = sym_linear(8)
         calls = [
-            lambda: selection_draws(9, [0, seed]),
+            lambda: selection_draws(9, seed),
             lambda: random_selection(f, seed),
             lambda: draw_indices(seed, 4, 2),
-            lambda: oracle_seeds(seed, 2),
             lambda: continuity_pairs(f, seed),
-            lambda: check_convexity(f, "x", 0.5, seed, g=f, vals=(0.0, 1.0)),
             lambda: rl_selection_oracle(f, 0.5, 8, samples=2, seed=seed),
             lambda: run_verification(rhos=(0.5,), n_segments=4, seed=seed),
         ]
@@ -276,7 +260,7 @@ class TestSplitMix64:
                 call()
 
     def test_uniform_mean_variance_and_bins(self):
-        u = selection_draws(1000, range(200)).ravel()  # 2e5 draws
+        u = np.concatenate([selection_draws(1000, seed) for seed in range(200)])  # 2e5 draws
         n = u.size
         assert u.min() >= 0.0 and u.max() < 1.0
         # a draw's variance is 1/12, and that of its squared deviation 1/80 - 1/144
@@ -289,7 +273,7 @@ class TestSplitMix64:
 
     def test_rows_of_consecutive_seeds_are_uncorrelated(self):
         n = 1 << 16
-        draws = selection_draws(n, range(40, 51))
+        draws = np.array([selection_draws(n, seed) for seed in range(40, 51)])
         r = [float(np.corrcoef(a, b)[0, 1]) for a, b in zip(draws[:-1], draws[1:])]
         assert max(abs(x) for x in r) < 5 / math.sqrt(n)
         # within a row, consecutive draws are uncorrelated too

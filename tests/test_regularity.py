@@ -30,7 +30,7 @@ from svfrac import (
     total_variation,
 )
 from svfrac import gridmap, regularity, rl, selections, verify
-from svfrac.gridmap import _BUILTIN_KINDS, oracle_seeds, selection_draws
+from svfrac.gridmap import _BUILTIN_KINDS
 from svfrac.verify import continuity_pairs, fixture_catalog, run_verification
 
 RNG = np.random.default_rng(1)
@@ -662,9 +662,8 @@ class TestTheoremSuites:
                          "sup_bound": 30}
 
     def test_overflowing_width_is_one_overflow_error(self):
-        """A finite map whose width hi - lo overflows: the oracle pass forms
-        that width without a RuntimeWarning, and the operator rejects the
-        integral."""
+        """A finite map whose width hi - lo overflows: the operator rejects
+        the integral, without a RuntimeWarning."""
         f = GridMap.from_builtin("affine", 0, 1, 2, c_lo=-1.5e308, s_lo=0, c_hi=1.5e308, s_hi=0)
         with pytest.raises(OverflowError, match=r"integral of order 40.0 on \[0.0, 1.0\] is not finite"):
             run_verification(rhos=(40,), fixtures={"h": f})
@@ -729,33 +728,28 @@ class TestTheoremSuites:
         assert len(calls) == 4
         assert sorted(set(calls)) == [(0.0, 1.0, 64, rho) for rho in verify.DEFAULT_RHOS]
 
-    @pytest.mark.parametrize("n", [16, 64])
-    def test_one_oracle_per_grid(self, monkeypatch, n):
-        """One oracle pass per grid, for every (fixture, rho): 3.1 reads the
-        values of the first 64 draws, 3.2 and the endpoint identity those of
-        all 200. The draws come in blocks of whole rows, at most
-        DRAW_BLOCK_ENTRIES entries each."""
-        calls = []
-        real = verify.selection_sums
-        monkeypatch.setattr(
-            verify, "selection_sums",
-            lambda maps, rows, seeds: calls.append((len(maps), len(rows), len(seeds))) or real(maps, rows, seeds),
-        )
-        draws = []
-        real_draws = rl.selection_draws
-        monkeypatch.setattr(rl, "selection_draws", lambda *args, **kw: draws.append(real_draws(*args, **kw)) or draws[-1])
+    @pytest.mark.parametrize("n", [16, 64, 65536])
+    def test_one_row_per_grid_and_order(self, monkeypatch, n):
+        """One node-N row per (grid, rho), read by every fixture, and no
+        random draw but 3.4's: one stream of 200 draws per grid. All 192
+        reports pass, at N = 65536 too."""
+        rows, draws = [], []
+        real_row, real_draws = rl.RLOperator.row, gridmap.selection_draws
+        monkeypatch.setattr(rl.RLOperator, "row", lambda op, m: rows.append((op.rho, m)) or real_row(op, m))
+        monkeypatch.setattr(gridmap, "selection_draws", lambda *args: draws.append(args) or real_draws(*args))
         reports = run_verification(n_segments=n)
-        assert calls == [(6, 4, 200)] and len(reports) == 8 * 24
-        rows = rl.DRAW_BLOCK_ENTRIES // (n + 1)
-        assert [d.shape for d in draws] == [(min(rows, 200 - r), n + 1) for r in range(0, 200, rows)]
+        assert rows == [(rho, n) for rho in verify.DEFAULT_RHOS]
+        assert draws == [(200, verify.DEFAULT_SEED)]
+        assert all(r.passed for r in reports) and len(reports) == 8 * 24
 
     @pytest.mark.parametrize("seed", [5, 42])
     @pytest.mark.parametrize("n", [16, 64, 1024])
     def test_oracle_values_are_the_one_shot_values(self, monkeypatch, n, seed):
-        """The oracle values that 3.1, 3.2 and the endpoint identity read,
-        from one blocked pass, are bit for bit those of selection_integrals
-        on the whole draws matrix: of the first 64 seeds for 3.1, of all 200
-        for the others."""
+        """The values that 3.1, 3.2 and the endpoint identity read, whatever
+        the seed, are bit for bit the one-shot dots row @ lo and row @ hi
+        (one np.dot each up to 8192 nodes), sorted and deduplicated; and the
+        Monte-Carlo oracle's random-selection integrals of 200 seeds from
+        `seed` lie between them, up to the dots' roundoff."""
         seen = {}
 
         def recording(check, real):
@@ -767,33 +761,34 @@ class TestTheoremSuites:
         for check in ("check_convexity", "check_nonempty", "check_endpoint_identity"):
             monkeypatch.setattr(verify, check, recording(check, getattr(verify, check)))
         run_verification(n_segments=n, seed=seed)
-        draws = selection_draws(n + 1, oracle_seeds(seed, 200))
         for rho in verify.DEFAULT_RHOS:
             row = RLOperator(0, 1, n, rho).row(n)
             for name, f in fixture_catalog(n).items():
-                full = selection_integrals(f, row, draws)
-                assert seen["check_nonempty", name, rho] == full == seen["check_endpoint_identity", name, rho]
-                assert seen["check_convexity", name, rho] == selection_integrals(f, row, draws[:64])
+                one_shot = tuple(sorted({float(row @ f.lo), float(row @ f.hi)}))
+                for check in ("check_convexity", "check_nonempty", "check_endpoint_identity"):
+                    assert seen[check, name, rho] == one_shot
+                tol = 8 * row.size * np.finfo(float).eps * float(np.abs(row) @ np.maximum(np.abs(f.lo), np.abs(f.hi)))
+                vals = selection_integrals(f, row, range(seed, seed + 200))
+                assert one_shot[0] - tol <= vals.min() and vals.max() <= one_shot[-1] + tol
 
-    def test_no_draw_block_above_the_budget_at_65536(self, monkeypatch):
-        """No selection_draws call in a run at N = 65536 returns more than
-        DRAW_BLOCK_ENTRIES draws; together the oracle's calls make each of
-        the 200 x 65537 draws once."""
-        sizes = {rl: [], gridmap: []}
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_negative_weight_fails_the_sign_rule(self, monkeypatch, n):
+        """A quadrature with one negative weight (kernel[2] negated) integrates
+        consistently, so the interval checks cannot see it; 3.2's sign rule
+        fails it on every (fixture, rho) pair and records the weight."""
+        real = rl._row_moments
 
-        def recording(real, out):
-            def record(*args, **kwargs):
-                draws = real(*args, **kwargs)
-                out.append(draws.size)
-                return draws
-            return record
+        def negated(*args):
+            kernel, left, right = real(*args)
+            if kernel.size > 2:
+                kernel[2] = -kernel[2]
+            return kernel, left, right
 
-        for module, out in sizes.items():
-            monkeypatch.setattr(module, "selection_draws", recording(module.selection_draws, out))
-        reports = run_verification(n_segments=65536)
-        assert all(r.passed for r in reports) and len(reports) == 192
-        assert max(sizes[rl] + sizes[gridmap]) <= rl.DRAW_BLOCK_ENTRIES
-        assert sum(sizes[rl]) == 200 * 65537
+        monkeypatch.setattr(rl, "_row_moments", negated)
+        nonempty = [r for r in run_verification(n_segments=n) if r.theorem == "3.2"]
+        assert len(nonempty) == 24
+        assert not any(r.passed for r in nonempty)
+        assert all(r.details["min_weight"] < 0 for r in nonempty)
 
     def test_report_coerces_numpy_scalars(self):
         r = verify.RegularityReport("3.1", "x", 0.5, np.float64(1e-17), 1e-9, np.bool_(True))

@@ -15,9 +15,8 @@ from _reference import (
     selection_integrals,
 )
 from svfrac import GridMap, RLOperator, Selection, rl_setvalued
-from svfrac import rl
-from svfrac.gridmap import oracle_seeds, selection_draws
-from svfrac.rl import integral_set, selection_sums
+from svfrac.rl import integral_set
+from svfrac.verify import DEFAULT_RHOS, fixture_catalog
 
 RHOS = (0.3, 0.5, 1.0, 1.5, 2.7)
 
@@ -182,39 +181,20 @@ class TestSelectionOracle:
         vals = rl_selection_oracle(f, rho, n, samples=samples, seed=seed)
         assert len(vals) == len(expected) == samples + 2
         assert np.abs(np.subtract(vals, expected)).max() <= 1e-13
-        # the shared draws of the verification suite: more seeds, first rows used
-        shared = selection_draws(49, range(seed, seed + 200))[:samples]
-        vals = selection_integrals(f, RLOperator(f.a, f.b, f.n_segments, rho).row(n), shared)
-        assert np.abs(np.subtract(vals, expected)).max() <= 1e-13
 
-    @pytest.mark.parametrize("n", [1, 16, 64, 1024])
-    def test_blocked_sums_are_the_one_shot_values(self, monkeypatch, n):
-        """selection_sums, in blocks of whole rows, gives the values of one
-        selection_integrals call on the whole draws matrix, bit for bit, for
-        every map and row; in runs of nodes (a budget below N + 1) it adds
-        the runs' partial sums, to the same values within roundoff."""
-        maps = [GridMap.from_builtin(kind, 0, 1, n) for kind in ("sin_envelope", "hat", "constant")]
-        rows = [RLOperator(0, 1, n, rho).row(n) for rho in (0.5, 2.7)]
-        seeds = oracle_seeds(123, 200)
-        draws = selection_draws(n + 1, seeds)
-        sizes = []
-        real = rl.selection_draws
-        monkeypatch.setattr(rl, "selection_draws", lambda *a, **kw: sizes.append(real(*a, **kw).size) or real(*a, **kw))
-        for budget in (n + 1, 2 * n + 3, 2048, 10**6, max(1, n // 3)):
-            monkeypatch.setattr(rl, "DRAW_BLOCK_ENTRIES", budget)
-            sums = selection_sums(maps, rows, seeds)
-            assert sums.shape == (3, 2, 200)
-            assert max(sizes) <= budget and sum(sizes) == 200 * (n + 1)
-            sizes.clear()
-            for f, per_row in zip(maps, sums):
-                for row, s in zip(rows, per_row):
-                    vals = integral_set(f, row, s)
-                    expected = selection_integrals(f, row, draws)
-                    if budget >= n + 1:
-                        assert vals == expected
-                    else:
-                        assert len(vals) == len(expected)
-                        assert np.abs(np.subtract(vals, expected)).max() <= 1e-14 * max(map(abs, expected))
+    @pytest.mark.parametrize("n", [16, 1024])
+    def test_random_selections_integrate_between_the_two_dots(self, n):
+        """Every random-selection integral at node N lies in [row @ lo,
+        row @ hi], the values 3.1, 3.2 and the endpoint identity read, up to
+        the roundoff of the dot products: gamma_m sum |row_k| max(|lo_k|,
+        |hi_k|) each, with gamma_m = m eps (Higham 2002, ch. 3)."""
+        for name, f in fixture_catalog(n).items():
+            for rho in DEFAULT_RHOS:
+                row = RLOperator(f.a, f.b, n, rho).row(n)
+                lo, hi = sorted([float(row @ f.lo), float(row @ f.hi)])
+                tol = 8 * row.size * np.finfo(float).eps * float(np.abs(row) @ np.maximum(np.abs(f.lo), np.abs(f.hi)))
+                vals = selection_integrals(f, row, range(7, 207))
+                assert lo - tol <= vals.min() and vals.max() <= hi + tol, (name, rho)
 
     @pytest.mark.parametrize("n", [100, 8191, 20000])
     def test_extremal_integrals_in_runs_of_dots(self, n):
@@ -223,7 +203,7 @@ class TestSelectionOracle:
         added in order, within roundoff of the one dot."""
         f = GridMap.from_builtin("sin_envelope", 0, 1, n)
         row = RLOperator(0, 1, n, 1.5).row(n)
-        vals = integral_set(f, row, np.array([]))
+        vals = integral_set(f, row)
         runs = [float(sum(np.dot(row[k : k + 8192], v[k : k + 8192]) for k in range(0, n + 1, 8192)))
                 for v in (f.lo, f.hi)]
         assert vals == tuple(sorted(runs))
@@ -231,14 +211,6 @@ class TestSelectionOracle:
         if n + 1 <= 8192:
             assert list(vals) == one
         assert np.allclose(vals, one, rtol=1e-14, atol=0)
-
-    def test_prefix_of_the_seeds_is_the_prefix_of_the_sums(self):
-        f = GridMap.from_builtin("affine", 0, 1, 40)
-        row = RLOperator(0, 1, 40, 1.5).row(25)
-        seeds = oracle_seeds(9, 200)
-        sums = selection_sums([f], [row], seeds)[0, 0]
-        assert np.array_equal(selection_sums([f], [row], seeds[:64])[0, 0], sums[:64])
-        assert integral_set(f, row, sums[:64]) == selection_integrals(f, row, selection_draws(41, seeds[:64]))
 
     def test_cardinality_with_one_sample(self):
         f = GridMap.from_builtin("constant", 0, 1, 8, lo=-1.0, hi=1.0)
