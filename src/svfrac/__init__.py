@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 # Each public name, and the submodule that defines it.
 _EXPORTS = {
+    "AffineField": "inclusion",
     "CaputoProblem": "inclusion",
     "GridMap": "gridmap",
     "NonConvergenceError": "inclusion",

@@ -6,12 +6,20 @@ result beyond the float range, and a grid too large for the memory), 4
 non-convergence. The output is opened only after the computation has
 succeeded, so no computation result is written on exit codes 2-3, apart
 from what reached an output before writing it failed.
+
+`inclusion` solves the builtin fields of a problem file directly, in one
+step (svfrac.inclusion): a solution beyond the float range, a singular
+step and a grid too coarse for the field's p are exit 3. Picard iteration,
+with --max-iter, --tol, the problem's lipschitz_u, the contraction warning
+and exit 4, is what a field given as a Python callable gets through the
+Python API; the command line still checks those two options.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -94,12 +102,19 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
+JSON_BLOCK = 64  # encoder chunks joined per write of _write_json
+
+
 def _write_json(path: str | None, obj, indent: int | None = None, default=None) -> None:
-    """obj as JSON text, written chunk by chunk as json.dump encodes it. An
-    object JSON does not know is written as its value under `default`,
-    taken only when the encoder reaches it."""
+    """obj as JSON text, the text json.dump writes, encoded as it is written
+    and handed to the stream JSON_BLOCK chunks at a time: a text stream keeps
+    each small chunk (a key, a separator) as its own object until 8 KB are
+    pending. An object JSON does not know is written as its value under
+    `default`, taken only when the encoder reaches it."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=indent, default=default).iterencode(obj)
     with _output(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=indent, default=default)
+        while block := "".join(itertools.islice(chunks, JSON_BLOCK)):
+            fh.write(block)
         fh.write("\n")
 
 
@@ -260,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, help="override problem order")
     sp.add_argument("--policy", choices=POLICIES, default="midpoint")
     sp.add_argument("--funnel", action="store_true", help="emit lower/upper envelope CSV")
-    sp.add_argument("--max-iter", type=int, default=50)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--max-iter", type=int, default=50, help="Picard sweeps; unused by the builtin fields")
+    sp.add_argument("--tol", type=float, default=1e-10, help="Picard tolerance; unused by the builtin fields")
     sp.set_defaults(func=cmd_inclusion)
 
     return p

@@ -1,11 +1,16 @@
 """Caputo fractional differential inclusions via the integral-inclusion form.
 
-The inclusion of order alpha in (1, 2) with initial value and slope is solved
-on its equivalent integral form by Picard iteration: at each sweep a policy
-(lower / upper / midpoint endpoint of the right-hand side) selects a
-single-valued integrand, which is fractionally integrated by the exact
-product quadrature. Successive approximation converges when the declared
-Lipschitz constant of the field makes the integral operator a contraction.
+The inclusion of order alpha in (1, 2) with initial value and slope is
+solved on its equivalent integral form u = init + W F(t, u), with W the
+exact product quadrature, one endpoint policy (lower / upper / midpoint of
+the right-hand side) at a time. A field that is an AffineField, as every
+problem-file builtin is, makes these discrete equations linear:
+u = init + W(p u + q). They are solved directly, as u = init + R(p init + q)
+with R = (I - pW)^-1 W, one Toeplitz operator built once per grid and p
+(Lubich, SIAM J. Math. Anal. 17, 1986). Any other field, such as a
+Python callable, is solved by Picard iteration, which converges when the
+declared Lipschitz constant of the field makes the integral operator a
+contraction.
 """
 
 from __future__ import annotations
@@ -25,21 +30,36 @@ PROBE_NODES = 17  # times and states on the probe grid of rhs_monotone_in_u
 PROBE_SPAN = 10.0  # its states lie within PROBE_SPAN of u0
 
 
-def _rhs_constant(lo: float = 1.0, hi: float | None = None):
-    hi = lo if hi is None else hi
-    return lambda t, u: (lo, hi)
+@dataclass(frozen=True)
+class AffineField:
+    """The field F(t, u) = [p u + lo + slope t, p u + hi + slope t]: affine in
+    u with one factor p, its endpoints affine in t. Called as
+    field(ts, us) -> (lo, hi), like any rhs."""
+
+    p: float = 0.0
+    lo: float = 0.0
+    hi: float = 0.0
+    slope: float = 0.0
+
+    def __call__(self, t, u):
+        base = self.p * u + self.slope * t
+        return base + self.lo, base + self.hi
 
 
-def _rhs_symmetric(k: float = 1.0):
+def _rhs_constant(lo: float = 1.0, hi: float | None = None) -> AffineField:
+    return AffineField(lo=lo, hi=lo if hi is None else hi)
+
+
+def _rhs_symmetric(k: float = 1.0) -> AffineField:
     return _rhs_constant(-k, k)
 
 
-def _rhs_time_identity(width: float = 0.0):
-    return lambda t, u: (t - width, t + width)
+def _rhs_time_identity(width: float = 0.0) -> AffineField:
+    return AffineField(lo=-width, hi=width, slope=1.0)
 
 
-def _rhs_affine(p: float = 0.0, q_lo: float = 0.0, q_hi: float = 0.0):
-    return lambda t, u: (p * u + q_lo, p * u + q_hi)
+def _rhs_affine(p: float = 0.0, q_lo: float = 0.0, q_hi: float = 0.0) -> AffineField:
+    return AffineField(p, q_lo, q_hi)
 
 
 _RHS_BUILTINS = {
@@ -52,7 +72,11 @@ _RHS_BUILTINS = {
 
 @dataclass
 class CaputoProblem:
-    """Inclusion of order alpha in (1, 2) with the elementwise field rhs(ts, us) -> (lo, hi)."""
+    """Inclusion of order alpha in (1, 2) with the elementwise field rhs(ts, us) -> (lo, hi).
+
+    `affine` is the same field as an AffineField, when it is one: the
+    solvers then solve directly from it and call rhs only in the
+    monotonicity probe. rhs_lipschitz_u is read by Picard iteration alone."""
 
     alpha: float
     t0: float
@@ -61,6 +85,7 @@ class CaputoProblem:
     u1: float
     rhs: Callable[[np.ndarray, np.ndarray], tuple]
     rhs_lipschitz_u: float = 0.0
+    affine: AffineField | None = None
 
     def __post_init__(self):
         if not 1.0 < self.alpha < 2.0:
@@ -94,7 +119,8 @@ class CaputoProblem:
             lipschitz = float(obj.get("lipschitz_u", 0.0))
         except ValueError as exc:
             raise TypeError(str(exc)) from exc
-        return cls(**values, rhs=_RHS_BUILTINS[kind](**params), rhs_lipschitz_u=lipschitz)
+        field = _RHS_BUILTINS[kind](**params)
+        return cls(**values, rhs=field, rhs_lipschitz_u=lipschitz, affine=field)
 
 
 @dataclass
@@ -121,11 +147,11 @@ class NonConvergenceError(RuntimeError):
         super().__init__(f"no convergence after {max_iter} iterations: {reason}")
 
 
-def _endpoints(p: CaputoProblem, ts, us) -> tuple[np.ndarray, np.ndarray]:
+def _endpoints(field, ts, us) -> tuple[np.ndarray, np.ndarray]:
     """The field's endpoint arrays on the broadcast points (ts, us), from one call;
     ValueError at the first node, in flat order, where not finite lo <= hi."""
     ts, us = np.broadcast_arrays(ts, us)
-    lo, hi = (np.broadcast_to(np.asarray(x, dtype=float), ts.shape) for x in p.rhs(ts, us))
+    lo, hi = (np.broadcast_to(np.asarray(x, dtype=float), ts.shape) for x in field(ts, us))
     bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
     if bad.size:
         k = bad[0]
@@ -134,13 +160,47 @@ def _endpoints(p: CaputoProblem, ts, us) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _policy_values(p: CaputoProblem, ts: np.ndarray, us: np.ndarray, policy: str) -> np.ndarray:
-    lo, hi = _endpoints(p, ts, us)
+def _policy_values(field, ts: np.ndarray, us: np.ndarray, policy: str) -> np.ndarray:
+    lo, hi = _endpoints(field, ts, us)
     if policy == "lower":
         return lo
     if policy == "upper":
         return hi
     return 0.5 * lo + 0.5 * hi
+
+
+def _check_picard_args(max_iter: int, tol: float) -> None:
+    """Picard's controls are checked for every field, also where they go unused."""
+    positive("tolerance", tol)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
+def _initial_line(p: CaputoProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid nodes and u0 + u1 (t - t0) on them; ValueError beyond the float range."""
+    ts = np.linspace(p.t0, p.T, n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        init = p.u0 + p.u1 * (ts - p.t0)
+    if not np.isfinite(init).all():
+        raise ValueError(f"initial line u0 + u1 (t - t0) is beyond the float range on [{p.t0}, {p.T}]")
+    return ts, init
+
+
+def _solve_affine(p: CaputoProblem, n: int, policies) -> np.ndarray:
+    """The solution of u = init + W(p u + q) for each policy, one row each,
+    as u = init + R(p init + q) with one resolvent operator R for them all.
+    The initial line is rebuilt where it is needed rather than kept through
+    the apply, whose workspace is the solve's peak. OverflowError when a
+    solution is beyond the float range."""
+    field = p.affine
+    resolvent = RLOperator(p.t0, p.T, n, p.alpha, p=field.p)
+    us = np.array([_policy_values(field, *_initial_line(p, n), policy) for policy in policies])
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        resolvent(us, out=us)
+        us += _initial_line(p, n)[1]
+    if not np.isfinite(us).all():
+        raise OverflowError(f"the solution on [{p.t0}, {p.T}] is beyond the float range")
+    return us
 
 
 def solve_with_policy(
@@ -150,20 +210,34 @@ def solve_with_policy(
     max_iter: int = 50,
     tol: float = 1e-10,
 ) -> Trajectory:
-    """Picard iteration on the integral form with a fixed endpoint policy.
+    """The integral form with a fixed endpoint policy, on the grid of n segments.
 
     The integrand is sampled at the grid nodes and treated as piecewise
     linear, the same representation-class approximation used everywhere else.
-    Non-convergence raises NonConvergenceError carrying the residual history,
-    also when an iterate leaves the float range: the sweep stops there, before
-    the field is evaluated on it, with a non-finite last residual. An initial
-    line u0 + u1 (t - t0) beyond the float range is a ValueError instead.
+
+    An affine field (p.affine) is solved directly, in one step: the
+    trajectory reads iterations_used 1, and its residual is the defect
+    max|u - init - W F(t, u)| of the discrete equations. A solution beyond
+    the float range is an OverflowError.
+
+    Any other field is solved by Picard iteration, whose residual is the
+    last sweep's change. Non-convergence raises NonConvergenceError carrying
+    the residual history, also when an iterate leaves the float range: the
+    sweep stops there, before the field is evaluated on it, with a
+    non-finite last residual.
+
+    An initial line u0 + u1 (t - t0) beyond the float range is a ValueError.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
-    positive("tolerance", tol)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_picard_args(max_iter, tol)
+    if p.affine is not None:
+        (us,) = _solve_affine(p, n, (policy,))
+        ts, init = _initial_line(p, n)
+        apply = RLOperator(p.t0, p.T, n, p.alpha)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect is reported as it is
+            defect = us - init - apply(_policy_values(p.affine, ts, us, policy))
+        return Trajectory(ts=ts, us=us, iterations_used=1, residual=float(np.abs(defect).max()))
     if p.contraction_factor() >= 1.0:
         warnings.warn(
             "declared Lipschitz constant gives contraction factor "
@@ -171,15 +245,11 @@ def solve_with_policy(
             stacklevel=2,
         )
     apply = RLOperator(p.t0, p.T, n, p.alpha)
-    ts = np.linspace(p.t0, p.T, n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        init = p.u0 + p.u1 * (ts - p.t0)
-    if not np.isfinite(init).all():
-        raise ValueError(f"initial line u0 + u1 (t - t0) is beyond the float range on [{p.t0}, {p.T}]")
+    ts, init = _initial_line(p, n)
     us = init.copy()
     residuals: list[float] = []
     for it in range(1, max_iter + 1):
-        v = _policy_values(p, ts, us, policy)
+        v = _policy_values(p.rhs, ts, us, policy)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging iterate stops below
             nxt = init + apply(v)
             res = float(np.abs(nxt - us).max())
@@ -198,30 +268,34 @@ def rhs_monotone_in_u(p: CaputoProblem) -> bool:
     policy-constant solutions only in that case."""
     ts = np.linspace(p.t0, p.T, PROBE_NODES)[:, None]
     us = np.linspace(p.u0 - PROBE_SPAN, p.u0 + PROBE_SPAN, PROBE_NODES)
-    lo, hi = _endpoints(p, ts, us)
+    lo, hi = _endpoints(p.rhs, ts, us)
     return not (np.any(np.diff(lo) < -1e-12) or np.any(np.diff(hi) < -1e-12))
 
 
 def solution_funnel(
     p: CaputoProblem, n: int = 256, max_iter: int = 50, tol: float = 1e-10
 ) -> GridMap:
-    """Envelope of the lower-policy and upper-policy trajectories.
+    """Envelope of the lower-policy and upper-policy trajectories, both
+    solved directly from one resolvent operator for an affine field, and by
+    Picard iteration otherwise (see solve_with_policy).
 
     This is an envelope of policy trajectories, not a certified reachable
     set. A warning is issued when the monotonicity probe fails and the
     enclosure property is therefore not guaranteed.
     """
-    low = solve_with_policy(p, "lower", n, max_iter, tol)
-    high = solve_with_policy(p, "upper", n, max_iter, tol)
+    _check_picard_args(max_iter, tol)
+    if p.affine is not None:
+        low, high = _solve_affine(p, n, ("lower", "upper"))
+    else:
+        low = solve_with_policy(p, "lower", n, max_iter, tol).us
+        high = solve_with_policy(p, "upper", n, max_iter, tol).us
     if not rhs_monotone_in_u(p):
         warnings.warn(
             "rhs endpoints are not nondecreasing in u on the probe grid; "
             "the funnel is not a guaranteed enclosure",
             stacklevel=2,
         )
-    lo = np.minimum(low.us, high.us)
-    hi = np.maximum(low.us, high.us)
-    return GridMap(p.t0, p.T, lo, hi)
+    return GridMap(p.t0, p.T, np.minimum(low, high), np.maximum(low, high))
 
 
 def funnel_to_csv(g: GridMap, out=None) -> str | None:

@@ -8,7 +8,9 @@ quadrature is exact (to roundoff) on the whole representation class.
 On a uniform grid the weight of node j for target node n depends only on
 n - j, except in column 0. The whole operator is therefore one Toeplitz
 kernel plus one column, built in O(N) and applied by FFT in O(N log N) time
-and O(N) memory.
+and O(N) memory. The resolvent (I - pW)^-1 W of that operator W, which
+solves the discrete Volterra equation v = W(p v + g) as v = R g, has the
+same shape, and is built from W's weights in O(N log N) time.
 """
 
 from __future__ import annotations
@@ -131,19 +133,138 @@ def quadrature_weights(
     return kernel, col0
 
 
+ALTERNATING_LIMIT = 10.0  # largest log-growth over the grid of an alternating resolvent
+
+
+def _growth(kernel: np.ndarray, p: float) -> float:
+    """The rate t >= 0 at which r, the coefficients of 1 / (1 - p k(z)),
+    grows as e^(j t): z = e^-t is the root of 1 - p k(z) in (0, 1), which
+    exists when p kernel[0] < 1 < p k(1). There 1 - p k(e^-t) is concave and
+    increasing in t, so Newton's method rises to the root from t = 0. 0
+    when there is no such root.
+
+    Newton's first step from z = 0, to (1 - p kernel[0]) / (p kernel[1]),
+    is negative where p kernel[0] > 1 or p < 0. The iterates then go on
+    toward a root z = -e^-t of the negative side, if there is one. There r
+    alternates in sign and grows by e^t per step: the product rule is
+    unstable at this step, and its solution is no approximation of the
+    inclusion. That is a ValueError once the growth over the grid, e^(t N),
+    exceeds e^ALTERNATING_LIMIT; below it, r is not weighted."""
+    n = kernel.size
+    if n < 2 or p * kernel[1] == 0.0:
+        return 0.0
+    first = (1.0 - p * kernel[0]) / (p * kernel[1])
+    sign = math.copysign(1.0, first)
+    if sign > 0.0 and not p * kernel.sum() > 1.0:
+        return 0.0
+    t = 0.0 if sign > 0.0 else -math.log(-first)
+    distance = np.arange(n, dtype=float)
+    for _ in range(100):
+        if not t >= 0.0:
+            return 0.0
+        terms = np.exp(-t * distance)
+        terms *= kernel
+        terms[1::2] *= sign
+        step = (1.0 - p * terms.sum()) / (p * (terms @ distance))
+        t -= step
+        if abs(step) < 1e-3 / n:
+            break
+    else:
+        return 0.0
+    if sign > 0.0:
+        return t
+    if t * n > ALTERNATING_LIMIT:
+        raise ValueError(f"the grid is too coarse for p = {p}: the solution of the discrete equations "
+                         f"alternates in sign and grows {math.exp(t):.3g}-fold per step; refine the grid")
+    return 0.0
+
+
+def _resolvent(
+    kernel: np.ndarray, col0: np.ndarray, p: float, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The resolvent R = (I - pW)^-1 W of the operator W = (kernel, col0), in
+    W's shape: its kernel s = r * kernel and its column 0 r * col0[1:], where
+    r holds the first N coefficients of 1 / (1 - p k(z)), k(z) the
+    generating function of the kernel.
+
+    r comes from Newton's doubling x <- x (2 - (1 - p k) x) mod z^2m (Brent &
+    Kung, J. ACM 25, 1978), its two products per step by FFTs of size
+    2m <= size: the middle product, whose wrapped terms miss the
+    coefficients m..2m-1 it keeps, and the correction. An FFT's error is
+    relative to the largest value it transforms, so a growing r is taken
+    as r_j w_j, with w_j = e^(-j t) and t its growth rate (see _growth):
+    the weights carry through every convolution, as (r w) * (k w) =
+    (r * k) w, so the kernel and column 0 are weighted on the way in.
+
+    Works in place in kernel and col0. Returns the spectrum at `size` of
+    s w, col0 holding R's column 0, unweighted, and the weights w (None
+    when r does not grow, and w = 1). ValueError when the step is
+    singular, 1 - p kernel[0] = 0, or too coarse for p (see _growth)."""
+    n = kernel.size
+    a0 = 1.0 - p * kernel[0]
+    if a0 == 0.0:
+        raise ValueError(f"singular step: 1 - p b_0 = 0 at p = {p}, b_0 = {kernel[0]}")
+    t = _growth(kernel, p)
+    weights = np.exp(-t * np.arange(n)) if t else None
+    if weights is not None:
+        kernel *= weights
+        col0[1:] *= weights
+    # Two spectra and one real buffer of the full size; each Newton step works in their heads.
+    spec, other, work = np.empty(size // 2 + 1, dtype=complex), np.empty(size // 2 + 1, dtype=complex), np.empty(size)
+    r = np.empty(n)
+    r[0] = 1.0 / a0
+    m = 1
+    while m < n:
+        top, fft_size = min(2 * m, n), 2 * m
+        x_hat = numpy.fft.rfft(r[:m], fft_size, out=other[: m + 1])
+        a_hat = numpy.fft.rfft(kernel[:top], fft_size, out=spec[: m + 1])
+        a_hat *= -p
+        a_hat += 1.0
+        a_hat *= x_hat
+        e = numpy.fft.irfft(a_hat, fft_size, out=work[:fft_size])  # (1 - p k) x = 1 + z^m e[m:top]
+        numpy.fft.rfft(e[m:top], fft_size, out=a_hat)
+        a_hat *= x_hat
+        numpy.fft.irfft(a_hat, fft_size, out=work[:fft_size])
+        np.negative(work[: top - m], out=r[m:top])
+        m = top
+    r_hat = numpy.fft.rfft(r, size, out=other)
+    for column in (col0[1:], kernel):
+        np.multiply(r_hat, numpy.fft.rfft(column, size, out=spec), out=spec)
+        numpy.fft.irfft(spec, size, out=work)
+        column[:] = work[:n]
+    if weights is not None:
+        col0[1:] /= weights
+    return numpy.fft.rfft(kernel, size, out=spec), col0, weights
+
+
 class RLOperator:
     """The RL operator of order rho on the uniform grid of [a, b] with
     n_segments segments: one quadrature_weights build, kept as col0 and the
     kernel's spectrum, taken once. The kernel itself is not kept, since it
-    would stay alive through every apply; row(n) rebuilds its prefix."""
+    would stay alive through every apply; row(n) rebuilds its prefix.
 
-    def __init__(self, a: float, b: float, n_segments: int, rho: float):
+    With p != 0 the operator is instead the resolvent (I - pW)^-1 W of that
+    operator W (see _resolvent), whose spectrum and column 0 replace W's, so
+    that __call__ applies it; row and setvalued are W's alone. p = 0 gives W
+    itself, bit for bit. A growing resolvent keeps the spectrum of its
+    weighted kernel s w, and its apply weights each row by w on the way in
+    and unweights the result on the way out, so that a growing solution's
+    early nodes keep their own relative accuracy."""
+
+    def __init__(self, a: float, b: float, n_segments: int, rho: float, p: float = 0.0):
         # By its module-level name, where the benchmark's span and peak probe wrap it.
         kernel, self.col0 = quadrature_weights(a, b, n_segments, rho)
-        self.a, self.b, self.n_segments, self.rho = a, b, n_segments, float(rho)
+        self.a, self.b, self.n_segments, self.rho, self.p = a, b, n_segments, float(rho), float(p)
         self._size = 1 << (2 * n_segments - 2).bit_length()  # power of two >= 2N - 1
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the results
-            self.spectrum = numpy.fft.rfft(kernel, self._size)
+        self._weights = None
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # an overflow shows in the results
+            if self.p:
+                self.spectrum, self.col0, self._weights = _resolvent(kernel, self.col0, self.p, self._size)
+                if not (np.isfinite(self.spectrum).all() and np.isfinite(self.col0).all()):
+                    raise OverflowError(f"the resolvent of order {self.rho} with p = {self.p} "
+                                        f"on [{a}, {b}] is beyond the float range")
+            else:
+                self.spectrum = numpy.fft.rfft(kernel, self._size)
 
     def __call__(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The operator applied to each row of `values`, of shape (..., N+1),
@@ -163,16 +284,19 @@ class RLOperator:
         if out is None:
             out = np.empty(values.shape)
         spec, work = np.empty(size // 2 + 1, dtype=complex), np.empty(size)
-        head = work[:n]
+        head, weights = work[:n], self._weights
         for row, target in zip(values.reshape(-1, n + 1), out.reshape(-1, n + 1)):
             first = row[0]  # before target, which may be row, is written
-            e = math.frexp(np.abs(row[1:], out=head).max())[1]
-            numpy.fft.rfft(np.ldexp(row[1:], -e, out=head), size, out=spec)
+            rest = row[1:] if weights is None else np.multiply(row[1:], weights, out=target[1:])
+            e = math.frexp(np.abs(rest, out=head).max())[1]
+            numpy.fft.rfft(np.ldexp(rest, -e, out=head), size, out=spec)
             # Kernel first, as in spectrum * spec: swapping the operands of the
             # complex product can change its last bits.
             np.multiply(self.spectrum, spec, out=spec)
             numpy.fft.irfft(spec, size, out=work)
             np.ldexp(head, e, out=target[1:])
+            if weights is not None:
+                target[1:] /= weights
             target[1:] += np.multiply(self.col0[1:], first, out=head)
             target[0] = 0.0
         return out
@@ -180,14 +304,20 @@ class RLOperator:
     def row(self, n: int) -> np.ndarray:
         """Weights of nodes 0..n for target node n, rebuilt from the hat
         moments of distances 0..n-1."""
+        self._own_weights()
         if not 0 <= n <= self.n_segments:
             raise ValueError(f"target index {n} outside 0..{self.n_segments}")
         kernel, _, _ = _row_moments(self.n_segments, self.rho, n)
         kernel *= _scaled_power(1.0, self.a, self.b, self.rho, self.rho)
         return np.concatenate(([self.col0[n]], kernel[::-1]))
 
+    def _own_weights(self) -> None:
+        if self.p:
+            raise ValueError("rows and set-valued integrals are the RL operator's, not its resolvent's")
+
     def setvalued(self, f: GridMap) -> GridMap:
         """rl_setvalued(f, rho) for f on this operator's grid."""
+        self._own_weights()
         if (f.a, f.b, f.n_segments) != (self.a, self.b, self.n_segments):
             raise ValueError(f"the map's grid ({f.a}, {f.b}, {f.n_segments}) is not the operator's")
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below

@@ -1,4 +1,6 @@
 """References for tests: the O(N^2) row-by-row RL weight matrix, the
+dense matrix of given Toeplitz weights and forward substitution on it, the
+Mittag-Leffler function as its mpmath series, the
 weight scale (b - a)^rho / Gamma(rho) in its own log form, the
 continuity modulus with every segment clipped for each pair, the modulus in
 mpmath, the random-selection integrals at one node, the RL integral
@@ -105,6 +107,44 @@ def rl_weight_matrix(a: float, b: float, n_segments: int, rho: float) -> np.ndar
     for n in range(1, n_segments + 1):
         w[n, : n + 1] = kernel_hat_weights(float(nodes[n]), rho, nodes[: n + 1]) / g
     return w
+
+
+def toeplitz_matrix(kernel: np.ndarray, col0: np.ndarray) -> np.ndarray:
+    """The dense lower-triangular matrix of the operator (kernel, col0) of
+    quadrature_weights: W[n, 0] = col0[n] and W[n, j] = kernel[n - j] for
+    1 <= j <= n."""
+    n = kernel.size
+    w = np.zeros((n + 1, n + 1))
+    w[:, 0] = col0
+    for i in range(1, n + 1):
+        w[i, 1 : i + 1] = kernel[:i][::-1]
+    return w
+
+
+def forward_substitution(w: np.ndarray, p: float, init: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The solution u of u = init + w (p u + q) for a lower-triangular w,
+    node by node: (1 - p w[n, n]) u[n] = init[n] + (w q)[n] + p w[n, :n] @ u[:n]."""
+    rhs = init + w @ q
+    u = np.zeros(init.size)
+    for i in range(init.size):
+        u[i] = (rhs[i] + p * (w[i, :i] @ u[:i])) / (1.0 - p * w[i, i])
+    return u
+
+
+def mittag_leffler(a: float, b: float, z: float, dps: int = 40) -> float:
+    """E_{a,b}(z) = sum_k z^k / Gamma(a k + b), summed in mpmath with `dps`
+    digits beyond those the largest term cancels."""
+    z = mpmath.mpf(z)
+    # The terms peak near exp(|z|^(1/a)): carry that many more digits.
+    extra = int(abs(float(z)) ** (1.0 / a) / math.log(10)) + 1
+    with mpmath.workdps(dps + extra):
+        total, k = mpmath.mpf(0), 0
+        while True:
+            term = z**k / mpmath.gamma(a * k + b)
+            total += term
+            if k > abs(z) and abs(term) < mpmath.mpf(10) ** -(dps + 5):
+                return float(total)
+            k += 1
 
 
 def weight_scale_reference(a: float, b: float, rho: float) -> float:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -11,12 +12,14 @@ import warnings
 from math import gamma as gamma_fn
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svfrac
-from svfrac import cli, verify
+from _reference import forward_substitution, toeplitz_matrix
+from svfrac import cli, quadrature_weights, verify
 from svfrac.cli import main
 
 SRC = Path(svfrac.__file__).resolve().parents[1]
@@ -34,11 +37,23 @@ def cli_env() -> dict:
     return env
 
 
-# The benchmark's oscillator, and a problem whose Picard iteration diverges.
+# The benchmark's oscillator, and a problem whose Picard iteration diverges,
+# which the direct solve of a builtin field solves.
 OSCILLATOR = {"alpha": 1.5, "t0": 0.0, "T": 10.0, "u0": 1.0, "u1": 0.0, "lipschitz_u": 1.0,
               "rhs": {"kind": "affine", "params": {"p": -1.0, "q_lo": -0.1, "q_hi": 0.1}}}
 DIVERGING = {"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0, "lipschitz_u": 10.0,
              "rhs": {"kind": "affine", "params": {"p": 10.0}}}
+
+
+def diverging_solution(n: int) -> np.ndarray:
+    """DIVERGING's discrete solution on n segments, by forward substitution
+    on the dense weight matrix: u = 1 + W(10 u)."""
+    w = toeplitz_matrix(*quadrature_weights(0.0, 1.0, n, 1.5))
+    return forward_substitution(w, 10.0, np.ones(n + 1), np.zeros(n + 1))
+
+
+def read_trajectory(path) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
 
 
 @pytest.fixture
@@ -268,14 +283,27 @@ class TestInclusion:
             t, u = map(float, row.split(","))
             assert abs(u - t) < 1e-12
 
-    def test_nonconvergence_exit_code(self, tmp_path):
+    def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
+        """A builtin field is solved directly, so the problem whose Picard
+        iteration diverges exits 0 with the solution of its discrete
+        equations. Non-convergence, exit 4, is left to fields that are
+        Python callables: the same problem without its affine record."""
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps(DIVERGING))
-        with pytest.warns(UserWarning):
-            code = main(
-                ["inclusion", "--input", str(path), "--grid", "32", "--max-iter", "5"]
-            )
-        assert code == 4
+        out = tmp_path / "u.csv"
+        argv = ["inclusion", "--input", str(path), "--grid", "32", "--max-iter", "5", "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        expected = diverging_solution(32)
+        assert np.abs(read_trajectory(out) - expected).max() <= 1e-11 * np.abs(expected).max()
+        out.unlink()
+        from_json = cli.CaputoProblem.from_json.__func__
+        monkeypatch.setattr(cli.CaputoProblem, "from_json",
+                            classmethod(lambda cls, obj: dataclasses.replace(from_json(cls, obj), affine=None)))
+        with pytest.warns(UserWarning, match="contraction factor"):
+            assert main(argv) == 4
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "rhs",
@@ -298,9 +326,10 @@ class TestInclusion:
         assert "rhs must give finite lo <= hi" in capsys.readouterr().err
 
     def test_funnel_warnings_are_plain_lines(self, tmp_path):
-        """The benchmark's oscillator problem warns on stderr about the
-        contraction factor once (not once per policy) and about the failed
-        monotonicity probe, each as one "warning:" line without a source path."""
+        """The benchmark's oscillator problem, a builtin solved directly,
+        warns on stderr about the failed monotonicity probe alone (the
+        contraction warning is Picard iteration's), as one "warning:" line
+        without a source path."""
         path = tmp_path / "oscillator.json"
         path.write_text(json.dumps(OSCILLATOR))
         proc = subprocess.run(
@@ -311,7 +340,6 @@ class TestInclusion:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stderr.splitlines()
         assert [line.split(";")[0] for line in lines] == [
-            "warning: declared Lipschitz constant gives contraction factor 23.8 >= 1",
             "warning: rhs endpoints are not nondecreasing in u on the probe grid",
         ]
         assert ".py:" not in proc.stderr
@@ -860,6 +888,24 @@ class TestOutput:
         assert err.startswith(f"input error: cannot write {path}: "), err
         assert err.count("\n") == 1
 
+    def test_json_is_written_in_blocks_of_encoder_chunks(self, monkeypatch):
+        """JSON goes out as json.dump's bytes, JSON_BLOCK encoder chunks per
+        write, then the final newline."""
+        obj = {f"k{i}": [i, i / 3, None, {"x": -i}] for i in range(300)}
+        writes = []
+
+        class Stream(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Stream())
+        cli._write_json(None, obj, indent=1)
+        assert "".join(writes) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+        chunks = len(list(json.JSONEncoder(sort_keys=True, indent=1).iterencode(obj)))
+        assert chunks > 10 * cli.JSON_BLOCK
+        assert len(writes) == math.ceil(chunks / cli.JSON_BLOCK) + 1
+
     @pytest.mark.parametrize(
         "error", [BrokenPipeError(32, "Broken pipe"), OSError(28, "No space left on device")]
     )
@@ -938,7 +984,9 @@ class TestProcessExit:
         [
             (["integrate", "--rho", "0.5", "--output", "{tmp}/missing/x.csv"], 2),
             (["integrate", "--rho", "0.5", "--b", "inf"], 3),
-            (["inclusion", "--input", "{tmp}/diverge.json", "--grid", "32", "--max-iter", "5"], 4),
+            # Picard diverges here; the direct solve of the builtin does not.
+            (["inclusion", "--input", "{tmp}/diverge.json", "--grid", "32", "--max-iter", "5",
+              "--output", "{tmp}/u.csv"], 0),
         ],
         ids=["missing-dir", "infinite-domain", "diverging"],
     )
@@ -949,6 +997,10 @@ class TestProcessExit:
         assert proc.returncode == expected
         assert proc.stdout == b""
         assert b"Traceback" not in proc.stderr and proc.stderr.endswith(b"\n")
+        if argv[0] == "inclusion":
+            expected_u = diverging_solution(32)
+            got = read_trajectory(tmp_path / "u.csv")
+            assert np.abs(got - expected_u).max() <= 1e-11 * np.abs(expected_u).max()
 
 
 @pytest.fixture(scope="module")
@@ -1023,7 +1075,8 @@ class TestExitCodeProperty:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejecting the arguments
                 code = exc.code
-        allowed = {0, 1, 2, 3, 4} if argv[0] == "verify" else {0, 2, 3, 4}
+        # Exit 4 is Picard iteration's, and a problem file's field is a builtin, solved directly.
+        allowed = {0, 1, 2, 3} if argv[0] == "verify" else {0, 2, 3}
         assert code in allowed, (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
@@ -1077,8 +1130,9 @@ def inclusion_argv(draw):
 
 class TestProblemFileProperty:
     """Every inclusion problem file ends with a documented exit code, never a
-    traceback: 2 for a malformed file, 3 for an invalid value, 4 for
-    non-convergence (also past the float range)."""
+    traceback: 2 for a malformed file, 3 for an invalid value, a grid too
+    coarse for p or a solution beyond the float range. Its field is a
+    builtin, solved directly, so never 4."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(obj=problem_json(), argv=inclusion_argv())
@@ -1091,7 +1145,7 @@ class TestProblemFileProperty:
         obj={"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0, "rhs": [1, 2]},
         argv=["inclusion", "--grid=64"],
     )
-    @example(  # Picard iterates overflow: exit 4
+    @example(  # a grid too coarse for p: exit 3 (Picard's iterates overflowed: exit 4)
         obj={"alpha": 1.5, "t0": 0.0, "T": 1000.0, "u0": 1.0, "u1": 0.0,
              "rhs": {"kind": "affine", "params": {"p": 1.0}}, "lipschitz_u": 1.0},
         argv=["inclusion", "--grid=64", "--max-iter=300"],
@@ -1109,7 +1163,7 @@ class TestProblemFileProperty:
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # contraction-factor and overflow warnings
             code = main(argv)
-        assert code in {0, 2, 3, 4}, (obj, argv, code, err.getvalue())
+        assert code in {0, 2, 3}, (obj, argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
     def test_malformed_file_and_overflowing_iterates(self, tmp_path, capsys):
@@ -1125,10 +1179,18 @@ class TestProblemFileProperty:
         path.write_text(json.dumps({**spec, "T": "ab", "rhs": {"kind": "symmetric"}}))
         assert main(["inclusion", "--input", str(path), "--grid", "64"]) == 2
         assert "malformed problem spec" in capsys.readouterr().err
+        # Picard's iterates left the float range here (exit 4). Solved directly,
+        # grid 64 is too coarse for p = 1 on [0, 1000] (p b_0 = 18.6), and on
+        # grid 1024 the solution, like the inclusion's (about e^1000), is
+        # beyond the float range: exit 3 on one line either way, no warning.
         path.write_text(json.dumps({**spec, "T": 1000.0, "lipschitz_u": 1.0,
                                     "rhs": {"kind": "affine", "params": {"p": 1.0}}}))
-        for mode in ([], ["--funnel"]):
-            with pytest.warns(UserWarning):
-                code = main(["inclusion", "--input", str(path), "--grid", "64", "--max-iter", "300"] + mode)
-            assert code == 4
-            assert "left the float range" in capsys.readouterr().err
+        for grid, message in (("64", "parameter error: the grid is too coarse for p = 1.0: "),
+                              ("1024", "parameter error: result beyond the float range (")):
+            for mode in ([], ["--funnel"]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main(["inclusion", "--input", str(path), "--grid", grid, "--max-iter", "300"] + mode)
+                assert code == 3
+                err = capsys.readouterr().err
+                assert err.startswith(message) and err.count("\n") == 1, err

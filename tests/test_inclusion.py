@@ -217,7 +217,7 @@ class TestArrayProtocol:
         """lo + hi overflows here; the midpoint itself does not."""
         p = CaputoProblem(1.5, 0.0, 1.0, 0.0, 0.0, lambda t, u: (1e308, 1.7e308))
         ts = np.linspace(0.0, 1.0, 5)
-        assert np.array_equal(_policy_values(p, ts, ts, "midpoint"), np.full(5, 1.35e308))
+        assert np.array_equal(_policy_values(p.rhs, ts, ts, "midpoint"), np.full(5, 1.35e308))
 
     def test_probe_checks_endpoints(self):
         # valid near the solution (|u| < 1), invalid on the probe grid's u > 5
