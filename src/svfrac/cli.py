@@ -2,17 +2,14 @@
 
 Exit codes: 0 ok, 1 verification failure, 2 input error (including an
 output that cannot be opened or written), 3 parameter error (including a
-result beyond the float range, and a grid too large for the memory), 4
-non-convergence. The output is opened only after the computation has
-succeeded, so no computation result is written on exit codes 2-3, apart
-from what reached an output before writing it failed.
+result beyond the float range, and a grid too large for the memory). The
+output is opened only after the computation has succeeded, so no
+computation result is written on exit codes 2-3, apart from what reached an
+output before writing it failed.
 
 `inclusion` solves the builtin fields of a problem file directly, in one
 step (svfrac.inclusion): a solution beyond the float range, a singular
-step and a grid too coarse for the field's p are exit 3. Picard iteration,
-with --max-iter, --tol, the problem's lipschitz_u, the contraction warning
-and exit 4, is what a field given as a Python callable gets through the
-Python API; the command line still checks those two options.
+step and a grid too coarse for the field's p are exit 3.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import NoReturn
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .gridmap import GridMap
-from .inclusion import POLICIES, CaputoProblem, NonConvergenceError, funnel_to_csv, solution_funnel, solve_with_policy
+from .inclusion import POLICIES, CaputoProblem, funnel_to_csv, solution_funnel, solve_with_policy
 from .regularity import RegularityReport, bound_l0, bound_sup
 from .rl import rl_setvalued
 from .selections import certify_extremals, certify_midpoint
@@ -43,7 +40,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PARAM = 3
-EXIT_NO_CONVERGENCE = 4
 
 
 def _load_json(path: str) -> dict:
@@ -173,19 +169,13 @@ def cmd_bounds(args) -> int:
 @contextlib.contextmanager
 def _plain_warnings():
     """Inside, a warning shown on stderr reads "warning: <message>", without
-    the path and line of its source, and each distinct one is shown once.
-    Warnings still pass through the warnings filters, so a caller that
-    records them sees them unchanged."""
-    shown = set()
+    the path and line of its source. Warnings still pass through the
+    warnings filters, so a caller that records them sees them unchanged."""
 
-    def once(message, category, filename, lineno, line=None):
-        text = f"warning: {message}\n"
-        if text in shown:
-            return ""
-        shown.add(text)
-        return text
+    def plain(message, category, filename, lineno, line=None):
+        return f"warning: {message}\n"
 
-    saved, warnings.formatwarning = warnings.formatwarning, once
+    saved, warnings.formatwarning = warnings.formatwarning, plain
     try:
         yield
     finally:
@@ -205,24 +195,18 @@ def cmd_inclusion(args) -> int:
         raise InputError(f"malformed problem spec: missing {exc}") from exc
     except (AttributeError, TypeError) as exc:
         raise InputError(f"malformed problem spec: {exc}") from exc
-    try:
-        if args.funnel:
-            g = solution_funnel(problem, n=args.grid, max_iter=args.max_iter, tol=args.tol)
-            with _output(args.output) as fh:
-                funnel_to_csv(g, fh)
-        else:
-            traj = solve_with_policy(
-                problem, policy=args.policy, n=args.grid, max_iter=args.max_iter, tol=args.tol
-            )
-            with _output(args.output) as fh:
-                traj.to_csv(fh)
-            print(
-                f"iterations_used={traj.iterations_used} residual={traj.residual:.12g}",
-                file=sys.stderr,
-            )
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    if args.funnel:
+        g = solution_funnel(problem, n=args.grid)
+        with _output(args.output) as fh:
+            funnel_to_csv(g, fh)
+    else:
+        traj = solve_with_policy(problem, policy=args.policy, n=args.grid)
+        with _output(args.output) as fh:
+            traj.to_csv(fh)
+        print(
+            f"iterations_used={traj.iterations_used} residual={traj.residual:.12g}",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
@@ -275,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, help="override problem order")
     sp.add_argument("--policy", choices=POLICIES, default="midpoint")
     sp.add_argument("--funnel", action="store_true", help="emit lower/upper envelope CSV")
-    sp.add_argument("--max-iter", type=int, default=50, help="Picard sweeps; unused by the builtin fields")
-    sp.add_argument("--tol", type=float, default=1e-10, help="Picard tolerance; unused by the builtin fields")
     sp.set_defaults(func=cmd_inclusion)
 
     return p

@@ -7,16 +7,16 @@ the right-hand side) at a time. A field that is an AffineField, as every
 problem-file builtin is, makes these discrete equations linear:
 u = init + W(p u + q). They are solved directly, as u = init + R(p init + q)
 with R = (I - pW)^-1 W, one Toeplitz operator built once per grid and p
-(Lubich, SIAM J. Math. Anal. 17, 1986). Any other field, such as a
-Python callable, is solved by Picard iteration, which converges when the
-declared Lipschitz constant of the field makes the integral operator a
-contraction.
+(Lubich, SIAM J. Math. Anal. 17, 1986). Any other field, a Python
+callable given through the Python API, is solved by Picard iteration, which
+converges when the declared Lipschitz constant of the field makes the
+integral operator a contraction.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -74,9 +74,10 @@ _RHS_BUILTINS = {
 class CaputoProblem:
     """Inclusion of order alpha in (1, 2) with the elementwise field rhs(ts, us) -> (lo, hi).
 
-    `affine` is the same field as an AffineField, when it is one: the
+    `affine` is rhs as it was given, when that is an AffineField: the
     solvers then solve directly from it and call rhs only in the
-    monotonicity probe. rhs_lipschitz_u is read by Picard iteration alone."""
+    monotonicity probe, also after rhs is replaced by a wrapper.
+    rhs_lipschitz_u is read by Picard iteration alone."""
 
     alpha: float
     t0: float
@@ -85,9 +86,10 @@ class CaputoProblem:
     u1: float
     rhs: Callable[[np.ndarray, np.ndarray], tuple]
     rhs_lipschitz_u: float = 0.0
-    affine: AffineField | None = None
+    affine: AffineField | None = field(init=False)
 
     def __post_init__(self):
+        self.affine = self.rhs if isinstance(self.rhs, AffineField) else None
         if not 1.0 < self.alpha < 2.0:
             raise ValueError(f"order alpha must lie in (1, 2), got {self.alpha}")
         for name in ("t0", "T", "u0", "u1"):
@@ -106,7 +108,9 @@ class CaputoProblem:
         """The problem of a problem-file object. The rhs params become floats
         here, so an ill-typed one fails on reading, not at the first sweep.
         Text that is no number is a TypeError, like a value of another type;
-        a number out of range is a ValueError."""
+        a number out of range is a ValueError. Keys it does not read, such
+        as a declared Lipschitz constant, are ignored: every builtin is an
+        AffineField, solved directly."""
         rhs_spec = obj["rhs"]
         kind = rhs_spec["kind"]
         if kind not in _RHS_BUILTINS:
@@ -116,11 +120,9 @@ class CaputoProblem:
         try:
             params = {name: float(x) for name, x in rhs_spec.get("params", {}).items()}
             values = {name: float(obj[name]) for name in ("alpha", "t0", "T", "u0", "u1")}
-            lipschitz = float(obj.get("lipschitz_u", 0.0))
         except ValueError as exc:
             raise TypeError(str(exc)) from exc
-        field = _RHS_BUILTINS[kind](**params)
-        return cls(**values, rhs=field, rhs_lipschitz_u=lipschitz, affine=field)
+        return cls(**values, rhs=_RHS_BUILTINS[kind](**params))
 
 
 @dataclass
@@ -169,13 +171,6 @@ def _policy_values(field, ts: np.ndarray, us: np.ndarray, policy: str) -> np.nda
     return 0.5 * lo + 0.5 * hi
 
 
-def _check_picard_args(max_iter: int, tol: float) -> None:
-    """Picard's controls are checked for every field, also where they go unused."""
-    positive("tolerance", tol)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-
-
 def _initial_line(p: CaputoProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The grid nodes and u0 + u1 (t - t0) on them; ValueError beyond the float range."""
     ts = np.linspace(p.t0, p.T, n + 1)
@@ -192,9 +187,8 @@ def _solve_affine(p: CaputoProblem, n: int, policies) -> np.ndarray:
     The initial line is rebuilt where it is needed rather than kept through
     the apply, whose workspace is the solve's peak. OverflowError when a
     solution is beyond the float range."""
-    field = p.affine
-    resolvent = RLOperator(p.t0, p.T, n, p.alpha, p=field.p)
-    us = np.array([_policy_values(field, *_initial_line(p, n), policy) for policy in policies])
+    resolvent = RLOperator(p.t0, p.T, n, p.alpha, p=p.affine.p)
+    us = np.array([_policy_values(p.affine, *_initial_line(p, n), policy) for policy in policies])
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         resolvent(us, out=us)
         us += _initial_line(p, n)[1]
@@ -221,16 +215,16 @@ def solve_with_policy(
     the float range is an OverflowError.
 
     Any other field is solved by Picard iteration, whose residual is the
-    last sweep's change. Non-convergence raises NonConvergenceError carrying
-    the residual history, also when an iterate leaves the float range: the
-    sweep stops there, before the field is evaluated on it, with a
-    non-finite last residual.
+    last sweep's change; a tol that is not a positive normal float or a
+    max_iter below 1 is a ValueError. Non-convergence raises
+    NonConvergenceError carrying the residual history, also when an iterate
+    leaves the float range: the sweep stops there, before the field is
+    evaluated on it, with a non-finite last residual.
 
     An initial line u0 + u1 (t - t0) beyond the float range is a ValueError.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
-    _check_picard_args(max_iter, tol)
     if p.affine is not None:
         (us,) = _solve_affine(p, n, (policy,))
         ts, init = _initial_line(p, n)
@@ -238,6 +232,9 @@ def solve_with_policy(
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect is reported as it is
             defect = us - init - apply(_policy_values(p.affine, ts, us, policy))
         return Trajectory(ts=ts, us=us, iterations_used=1, residual=float(np.abs(defect).max()))
+    positive("tolerance", tol)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if p.contraction_factor() >= 1.0:
         warnings.warn(
             "declared Lipschitz constant gives contraction factor "
@@ -283,7 +280,6 @@ def solution_funnel(
     set. A warning is issued when the monotonicity probe fails and the
     enclosure property is therefore not guaranteed.
     """
-    _check_picard_args(max_iter, tol)
     if p.affine is not None:
         low, high = _solve_affine(p, n, ("lower", "upper"))
     else:

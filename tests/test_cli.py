@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import gc
 import io
 import json
@@ -41,7 +40,7 @@ def cli_env() -> dict:
 # which the direct solve of a builtin field solves.
 OSCILLATOR = {"alpha": 1.5, "t0": 0.0, "T": 10.0, "u0": 1.0, "u1": 0.0, "lipschitz_u": 1.0,
               "rhs": {"kind": "affine", "params": {"p": -1.0, "q_lo": -0.1, "q_hi": 0.1}}}
-DIVERGING = {"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0, "lipschitz_u": 10.0,
+DIVERGING = {"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0,
              "rhs": {"kind": "affine", "params": {"p": 10.0}}}
 
 
@@ -283,27 +282,38 @@ class TestInclusion:
             t, u = map(float, row.split(","))
             assert abs(u - t) < 1e-12
 
-    def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
+    def test_nonconvergence_exit_code(self, tmp_path):
         """A builtin field is solved directly, so the problem whose Picard
         iteration diverges exits 0 with the solution of its discrete
-        equations. Non-convergence, exit 4, is left to fields that are
-        Python callables: the same problem without its affine record."""
+        equations. Non-convergence is left to fields that are Python
+        callables (test_inclusion.py)."""
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps(DIVERGING))
         out = tmp_path / "u.csv"
-        argv = ["inclusion", "--input", str(path), "--grid", "32", "--max-iter", "5", "--output", str(out)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(argv) == 0
+            assert main(["inclusion", "--input", str(path), "--grid", "32", "--output", str(out)]) == 0
         expected = diverging_solution(32)
         assert np.abs(read_trajectory(out) - expected).max() <= 1e-11 * np.abs(expected).max()
-        out.unlink()
-        from_json = cli.CaputoProblem.from_json.__func__
-        monkeypatch.setattr(cli.CaputoProblem, "from_json",
-                            classmethod(lambda cls, obj: dataclasses.replace(from_json(cls, obj), affine=None)))
-        with pytest.warns(UserWarning, match="contraction factor"):
-            assert main(argv) == 4
-        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", [["--funnel"], ["--policy", "lower"]], ids=["funnel", "lower"])
+    def test_lipschitz_u_is_ignored(self, tmp_path, mode):
+        """A problem file's lipschitz_u, Picard iteration's constant, is
+        ignored like any key the command line does not read: the benchmark's
+        value, a negative one, a text and none give the same bytes."""
+        base = {k: v for k, v in OSCILLATOR.items() if k != "lipschitz_u"}
+        path = tmp_path / "oscillator.json"
+        runs = []
+        for extra in ({"lipschitz_u": 1.0}, {"lipschitz_u": -1}, {"lipschitz_u": "x"}, {}):
+            path.write_text(json.dumps({**base, **extra}))
+            proc = subprocess.run(
+                [sys.executable, "-m", "svfrac.cli", "inclusion", "--input", str(path), "--grid", "64", *mode],
+                capture_output=True, env=cli_env(), timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, proc.stderr))
+        assert runs[0][0].startswith(b"t,")
+        assert runs == [runs[0]] * 4
 
     @pytest.mark.parametrize(
         "rhs",
@@ -530,15 +540,26 @@ class TestParameterRobustness:
         assert main(argv) == 3
         assert "parameter error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "extra",
-        [["--tol", "nan"], ["--tol", "-1"], ["--alpha", "nan"], ["--grid", "0"], ["--grid", "-3"], ["--max-iter", "0"]],
-    )
+    @pytest.mark.parametrize("extra", [["--alpha", "nan"], ["--grid", "0"], ["--grid", "-3"]])
     def test_inclusion_parameters(self, tmp_path, problem_file, extra, capsys):
         out = tmp_path / "never.csv"
         assert main(["inclusion", "--input", problem_file, "--output", str(out)] + extra) == 3
         assert not out.exists()
         assert "parameter error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--tol", "1e-10"], ["--max-iter", "5"]])
+    def test_picard_options_are_gone(self, tmp_path, problem_file, extra):
+        """The builtin fields take no Picard iteration, so its two options are
+        unknown arguments: exit 2 from argparse, with no traceback."""
+        out = tmp_path / "never.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "svfrac.cli", "inclusion", "--input", problem_file, "--output", str(out), *extra],
+            capture_output=True, text=True, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_smallest_normal_order_integrates(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -561,11 +582,11 @@ class TestParameterRobustness:
         assert "parameter error" in capsys.readouterr().err
 
 
-    def test_contraction_factor_beyond_float_range(self, tmp_path, capsys):
-        """An overflowing contraction factor names its exponent and domain on
-        one line, not the errno tuple of `**`."""
+    def test_weight_scale_beyond_float_range(self, tmp_path, capsys):
+        """An overflowing weight scale names its exponent and domain on one
+        line, not the errno tuple of `**`."""
         problem = tmp_path / "problem.json"
-        problem.write_text(json.dumps({"alpha": 1.5, "t0": 0, "T": 1e207, "u0": 1, "u1": 0, "lipschitz_u": 1,
+        problem.write_text(json.dumps({"alpha": 1.5, "t0": 0, "T": 1e207, "u0": 1, "u1": 0,
                                        "rhs": {"kind": "affine", "params": {"p": -1}}}))
         assert main(["inclusion", "--input", str(problem)]) == 3
         err = capsys.readouterr().err
@@ -985,8 +1006,7 @@ class TestProcessExit:
             (["integrate", "--rho", "0.5", "--output", "{tmp}/missing/x.csv"], 2),
             (["integrate", "--rho", "0.5", "--b", "inf"], 3),
             # Picard diverges here; the direct solve of the builtin does not.
-            (["inclusion", "--input", "{tmp}/diverge.json", "--grid", "32", "--max-iter", "5",
-              "--output", "{tmp}/u.csv"], 0),
+            (["inclusion", "--input", "{tmp}/diverge.json", "--grid", "32", "--output", "{tmp}/u.csv"], 0),
         ],
         ids=["missing-dir", "infinite-domain", "diverging"],
     )
@@ -1006,7 +1026,7 @@ class TestProcessExit:
 @pytest.fixture(scope="module")
 def property_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli_property")
-    # rhs independent of u: Picard stops after 2 sweeps whatever --tol or --max-iter
+    # rhs independent of u: every grid and order solves
     (path / "problem.json").write_text(json.dumps(
         {"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 0.5, "u1": 0.0,
          "rhs": {"kind": "symmetric", "params": {"k": 1.0}}}
@@ -1023,10 +1043,6 @@ FLOAT_VALUES = st.one_of(
 # that argparse rejects.
 GRID_VALUES = st.one_of(
     st.integers(-3, 64).map(str), st.sampled_from(["nan", "inf", "-inf", "1e9", "2.5"])
-)
-# Huge iteration caps are safe: the property problem converges in 2 sweeps.
-ITER_VALUES = st.one_of(
-    st.integers(-3, 10**18).map(str), st.sampled_from(["nan", "inf", "-inf", "1e999"])
 )
 
 
@@ -1048,8 +1064,6 @@ def cli_argv(draw):
         opt("--grid", GRID_VALUES)
     if cmd == "inclusion":
         opt("--alpha", FLOAT_VALUES)
-        opt("--tol", FLOAT_VALUES)
-        opt("--max-iter", ITER_VALUES)
         if draw(st.booleans()):
             argv.append("--funnel")
     return argv
@@ -1064,7 +1078,6 @@ class TestExitCodeProperty:
     @example(argv=["bounds", "--rho=1e308", "--M=1"])
     @example(argv=["selections", "--rho=-inf", "--grid=64"])
     @example(argv=["verify", "--rho=1e-10", "--grid=8"])  # the modulus rises as v -> a
-    @example(argv=["inclusion", "--max-iter=0", "--tol=nan"])
     def test_documented_exit_codes(self, property_dir, argv):
         if argv[0] == "inclusion":
             argv += ["--input", str(property_dir / "problem.json")]
@@ -1075,7 +1088,7 @@ class TestExitCodeProperty:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejecting the arguments
                 code = exc.code
-        # Exit 4 is Picard iteration's, and a problem file's field is a builtin, solved directly.
+        # Exit 1 is verify's alone.
         allowed = {0, 1, 2, 3} if argv[0] == "verify" else {0, 2, 3}
         assert code in allowed, (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
@@ -1121,8 +1134,6 @@ def inclusion_argv(draw):
     argv.append(f"--policy={draw(st.sampled_from(['lower', 'upper', 'midpoint']))}")
     if draw(st.booleans()):
         argv.append("--funnel")
-    if draw(st.booleans()):
-        argv.append(f"--max-iter={draw(st.sampled_from([1, 5, 300]))}")
     if draw(st.integers(0, 3)) == 0:
         argv.append(f"--alpha={draw(NUMBERS)!r}")
     return argv
@@ -1131,8 +1142,7 @@ def inclusion_argv(draw):
 class TestProblemFileProperty:
     """Every inclusion problem file ends with a documented exit code, never a
     traceback: 2 for a malformed file, 3 for an invalid value, a grid too
-    coarse for p or a solution beyond the float range. Its field is a
-    builtin, solved directly, so never 4."""
+    coarse for p or a solution beyond the float range."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(obj=problem_json(), argv=inclusion_argv())
@@ -1145,15 +1155,15 @@ class TestProblemFileProperty:
         obj={"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0, "rhs": [1, 2]},
         argv=["inclusion", "--grid=64"],
     )
-    @example(  # a grid too coarse for p: exit 3 (Picard's iterates overflowed: exit 4)
+    @example(  # a grid too coarse for p: exit 3
         obj={"alpha": 1.5, "t0": 0.0, "T": 1000.0, "u0": 1.0, "u1": 0.0,
-             "rhs": {"kind": "affine", "params": {"p": 1.0}}, "lipschitz_u": 1.0},
-        argv=["inclusion", "--grid=64", "--max-iter=300"],
+             "rhs": {"kind": "affine", "params": {"p": 1.0}}},
+        argv=["inclusion", "--grid=64"],
     )
     @example(
         obj={"alpha": 1.5, "t0": 0.0, "T": 1000.0, "u0": 1.0, "u1": 0.0,
-             "rhs": {"kind": "affine", "params": {"p": 1.0}}, "lipschitz_u": 1.0},
-        argv=["inclusion", "--grid=64", "--max-iter=300", "--funnel"],
+             "rhs": {"kind": "affine", "params": {"p": 1.0}}},
+        argv=["inclusion", "--grid=64", "--funnel"],
     )
     def test_documented_exit_codes(self, property_dir, obj, argv):
         path = property_dir / "problem_property.json"
@@ -1161,7 +1171,7 @@ class TestProblemFileProperty:
         argv = argv + ["--input", str(path), "--output", str(property_dir / "out")]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # contraction-factor and overflow warnings
+            warnings.simplefilter("ignore")  # the monotonicity probe's warning
             code = main(argv)
         assert code in {0, 2, 3}, (obj, argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
@@ -1179,18 +1189,16 @@ class TestProblemFileProperty:
         path.write_text(json.dumps({**spec, "T": "ab", "rhs": {"kind": "symmetric"}}))
         assert main(["inclusion", "--input", str(path), "--grid", "64"]) == 2
         assert "malformed problem spec" in capsys.readouterr().err
-        # Picard's iterates left the float range here (exit 4). Solved directly,
-        # grid 64 is too coarse for p = 1 on [0, 1000] (p b_0 = 18.6), and on
+        # Grid 64 is too coarse for p = 1 on [0, 1000] (p b_0 = 18.6), and on
         # grid 1024 the solution, like the inclusion's (about e^1000), is
         # beyond the float range: exit 3 on one line either way, no warning.
-        path.write_text(json.dumps({**spec, "T": 1000.0, "lipschitz_u": 1.0,
-                                    "rhs": {"kind": "affine", "params": {"p": 1.0}}}))
+        path.write_text(json.dumps({**spec, "T": 1000.0, "rhs": {"kind": "affine", "params": {"p": 1.0}}}))
         for grid, message in (("64", "parameter error: the grid is too coarse for p = 1.0: "),
                               ("1024", "parameter error: result beyond the float range (")):
             for mode in ([], ["--funnel"]):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    code = main(["inclusion", "--input", str(path), "--grid", grid, "--max-iter", "300"] + mode)
+                    code = main(["inclusion", "--input", str(path), "--grid", grid] + mode)
                 assert code == 3
                 err = capsys.readouterr().err
                 assert err.startswith(message) and err.count("\n") == 1, err

@@ -1,3 +1,4 @@
+import math
 from math import gamma as gamma_fn
 
 import numpy as np
@@ -130,6 +131,15 @@ class TestSolveWithPolicy:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             solve_with_policy(constant_problem(), "median")
+
+    @pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": 1e-320},
+                                        {"max_iter": 0}])
+    @pytest.mark.parametrize("solve", [solve_with_policy, solution_funnel])
+    def test_picard_arguments_are_checked(self, solve, kwargs):
+        """Picard's tolerance is a positive normal float and its sweep cap at
+        least 1, checked before the first sweep."""
+        with pytest.raises(ValueError, match="tolerance|max_iter"):
+            solve(constant_problem(), n=8, **kwargs)
 
 
 class TestSolutionFunnel:

@@ -182,11 +182,11 @@ def test_one_kernel_spectrum_per_setvalued_integral(spectra):
 
 
 def test_one_kernel_spectrum_per_solve(spectra):
-    """Picard iteration, which a field without an affine record keeps:
+    """Picard iteration, which a field that is no AffineField keeps:
     one kernel transform per solve and one transform per sweep. (The
     direct solve of a builtin makes one weight build per funnel; see
     test_resolvent.py.)"""
-    callable_field = dataclasses.replace(OSCILLATOR, affine=None)
+    callable_field = dataclasses.replace(OSCILLATOR, rhs=lambda t, u: OSCILLATOR.rhs(t, u))
     traj = solve_with_policy(callable_field, "lower", n=256)
     assert traj.iterations_used > 2
     assert spectra() == (1, traj.iterations_used)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from _reference import forward_substitution, mittag_leffler, toeplitz_matrix
-from svfrac import CaputoProblem, RLOperator, quadrature_weights, rl, solution_funnel, solve_with_policy
+from svfrac import AffineField, CaputoProblem, RLOperator, quadrature_weights, rl, solution_funnel, solve_with_policy
 from svfrac.cli import main
 
 ALPHA = 1.5
@@ -169,11 +169,29 @@ def test_residual_is_the_defect_of_the_discrete_equations():
     assert traj.residual < 1e-12
 
 
+def test_an_affine_rhs_is_solved_directly():
+    """An AffineField given as rhs through the Python API is the affine
+    record, so the benchmark's oscillator at T = 40, where Picard diverges,
+    gives the funnel of the same problem read from a file, bit for bit."""
+    problem = CaputoProblem(1.5, 0.0, 40.0, 1.0, 0.0, rhs=AffineField(-1.0, -0.1, 0.1))
+    with pytest.warns(UserWarning, match="not a guaranteed enclosure"):
+        g = solution_funnel(problem, n=2048)
+        ref = solution_funnel(affine_problem(-1.0, 40.0, u1=0.0), n=2048)
+    assert problem.affine is problem.rhs
+    assert np.array_equal(g.lo, ref.lo) and np.array_equal(g.hi, ref.hi)
+
+
+def test_the_affine_record_is_no_constructor_argument():
+    with pytest.raises(TypeError, match="affine"):
+        CaputoProblem(1.5, 0.0, 1.0, 1.0, 0.0, rhs=AffineField(-1.0), affine=AffineField(-1.0))
+
+
 def test_a_callable_field_keeps_picard():
-    problem = dataclasses.replace(affine_problem(-0.4, 1.0), affine=None)
+    record = affine_problem(-0.4, 1.0)
+    problem = dataclasses.replace(record, rhs=lambda t, u: record.rhs(t, u))
     traj = solve_with_policy(problem, "lower", n=128)
     assert traj.iterations_used > 2
-    direct = solve_with_policy(affine_problem(-0.4, 1.0), "lower", n=128)
+    direct = solve_with_policy(record, "lower", n=128)
     assert np.abs(traj.us - direct.us).max() < 1e-10
 
 
