@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import itertools
 import json
 import os
@@ -266,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    gc.collect(1)  # each argparse action points back at its parser: free that cycle before the command runs
     try:
         if getattr(args, "grid", 1) < 1:
             raise ValueError(f"--grid must be >= 1, got {args.grid}")

@@ -131,7 +131,9 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
         raise ValueError(f"u must be a grid node, got u={us[off[0]]} on {n} segments of [{a}, {b}]")
     j = np.searchsorted(x, vs)  # v's node, or the virtual node k + 1 of x_k < v < x_(k+1)
     at_node = x[j] == vs
-    hs = np.array([np.maximum(np.abs(m.lo), np.abs(m.hi)) for m in maps])
+    hs = np.empty((len(maps), n + 1))
+    for m, h in zip(maps, hs):  # one row at a time: no list of the envelopes
+        np.maximum(np.abs(m.lo), np.abs(m.hi, out=h), out=h)
     top = int(j.max(initial=0))
     kernel, left, right = _row_moments(n, rho, top)
     # rev[m - 1] weighs node m of row top. Reversed rows are contiguous
@@ -155,13 +157,22 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
                 sums[0, :, p] = _node_sums(hs, ip + 1, row[first + ip : end])
                 if 1 < ip < jp:
                     sums[1, :, p] = _node_sums(hs, 1, row[first : first + ip - 1] - rev[top - ip : top - 1])
+            # |A - B| + C, its terms taken and added in the order of
+            # |w0 h(a) + sums[1] + w1 h_i| + (edge[2] h_i + sums[0]) + edge[3] h(v),
+            # in out's slice, with sums as scratch once read.
             inner = ic > 0  # A and B integrate over [a, x_i]
-            h0, h_i = hs[:, :1], hs[:, ic]
-            a_b = (np.where(inner, edge[0] - left[ic], 0.0) * h0 + sums[1]
-                   + np.where(inner, edge[1] - right[0], 0.0) * h_i)
-            chunk = np.abs(a_b) + (edge[2] * h_i + sums[0]) + edge[3] * [np.interp(vc, x, h) for h in hs]
+            h_i, chunk = hs[:, ic], out[:, c : c + _PAIR_CHUNK]
+            np.multiply(np.where(inner, edge[0] - left[ic], 0.0), hs[:, :1], out=chunk)
+            chunk += sums[1]
+            chunk += np.multiply(np.where(inner, edge[1] - right[0], 0.0), h_i, out=sums[1])
+            np.abs(chunk, out=chunk)
+            h_i *= edge[2]
+            h_i += sums[0]
+            chunk += h_i
+            for m, h in enumerate(hs):
+                sums[0, m] = np.interp(vc, x, h)
+            chunk += np.multiply(edge[3], sums[0], out=sums[0])
             chunk[:, ic == jc] = 0.0
-            out[:, c : c + _PAIR_CHUNK] = chunk
         try:
             out *= _scaled_power(1.0, a, b, rho, rho)
         except OverflowError:  # the scale alone is beyond the float range
@@ -173,7 +184,7 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
     return out.reshape((len(maps),) + shape)
 
 
-@dataclass
+@dataclass(slots=True)
 class RegularityReport:
     """One measured-vs-bound comparison for a theorem suite entry."""
 
@@ -194,8 +205,9 @@ class RegularityReport:
 
     def to_json(self) -> dict:
         """The fields, with `passed` written as "pass"; empty details are left out."""
-        obj = dict(vars(self))
-        obj["pass"] = obj.pop("passed")
-        if not self.details:
-            del obj["details"]
+        obj = {"theorem": self.theorem, "fixture": self.fixture, "rho": self.rho, "measured": self.measured,
+               "bound": self.bound, "status": self.status}
+        if self.details:
+            obj["details"] = self.details
+        obj["pass"] = self.passed
         return obj

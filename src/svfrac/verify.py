@@ -14,7 +14,7 @@ import numpy as np
 
 from .gridmap import _BUILTIN_KINDS, GridMap, _check_seed, draw_indices
 from .regularity import RegularityReport, bound_l0, bound_sup, continuity_modulus, hausdorff
-from .rl import RLOperator, integral_set, rl_setvalued
+from .rl import RLOperator, _scaled_power, integral_set, positive, rl_setvalued
 from .selections import certify_extremals
 
 DEFAULT_RHOS = (0.5, 1.0, 1.5, 2.7)
@@ -160,6 +160,35 @@ def check_endpoint_identity(f: GridMap, name: str, rho: float, *,
     return RegularityReport("3.5-endpoint-identity", name, rho, hull_err, BOUND_TOL, hull_err <= BOUND_TOL)
 
 
+def _order_reports(grid, rho, named, sups, pairs, phi, reports) -> tuple[int, Exception] | None:
+    """The checks of order rho for each (name, map) of `named` on `grid`,
+    appended to reports[name], from one RLOperator and its node-N row, both
+    dropped on return. `sups` are the maps' sup bounds and `phi` their
+    moduli at 3.4's `pairs`. An error stops the pass and is returned with
+    the index of its map, not raised, so that the caller can name the error
+    the fixture-by-fixture order meets first."""
+    op = RLOperator(*grid, rho)
+    row = op.row(grid[2])
+    for k, ((name, f), sup_f) in enumerate(zip(named, sups)):
+        try:
+            g = op.setvalued(f)
+            vals = integral_set(f, row)
+            certs = certify_extremals(g) if rho > 1.0 else ()
+            reports[name] += [
+                check_convexity(f, name, rho, g=g, vals=vals),
+                check_nonempty(f, name, rho, g=g, row=row, vals=vals),
+                check_boundedness(f, name, rho, g=g, sup_f=sup_f),
+                check_continuity(f, name, rho, g=g, pairs=pairs, phi=phi[k], sup_f=sup_f),
+                check_bounded_variation(f, name, rho, certs=certs),
+                check_lipschitz(f, name, rho, certs=certs, sup_f=sup_f),
+                check_selections(f, name, rho, certs=certs),
+                check_endpoint_identity(f, name, rho, g=g, vals=vals),
+            ]
+        except (ArithmeticError, ValueError) as exc:  # a result beyond the float range, or out of a domain
+            return k, exc
+    return None
+
+
 def run_verification(
     rhos=DEFAULT_RHOS,
     fixtures: dict[str, GridMap] | None = None,
@@ -168,12 +197,20 @@ def run_verification(
 ) -> list[RegularityReport]:
     """Every check for every (fixture, rho) pair, in sorted name, then rho
     order, from one pass per grid (a, b, N). The pass builds 3.4's pairs
-    and, per rho, one RLOperator, whose node-N row serves all the grid's
-    fixtures, and one continuity_modulus call on all 3.4's pairs of them
-    all. Each pair integrates its fixture once, takes its extremal integrals
-    at node N from the row (integral_set, for 3.1, 3.2 and the endpoint
-    identity) and, for rho > 1, certifies the integral's extremal selections
-    once. `seed`, in [0, 2**63), picks 3.4's pairs."""
+    and makes, per rho, one continuity_modulus call on all 3.4's pairs of
+    all the grid's fixtures; these results are small (fixtures x 112
+    values). Then, one rho at a time, it builds one RLOperator, whose
+    node-N row serves all the grid's fixtures, and drops the operator, the
+    row and that rho's moduli before the next rho, so that at most one
+    operator is alive (a traced peak of about 13.7 MB at N = 65536, for
+    the default fixtures and orders). Each pair integrates its fixture
+    once, takes its extremal integrals at node N from the row
+    (integral_set, for 3.1, 3.2 and the endpoint identity) and, for
+    rho > 1, certifies the integral's extremal selections once. An error
+    is the one a fixture-by-fixture pass meets first: each rho's weight
+    scale is checked before its modulus, as building the operator did, and
+    an error in rho's pass stops the later passes at that fixture. `seed`,
+    in [0, 2**63), picks 3.4's pairs."""
     seed = _check_seed(seed)
     if fixtures is None:
         fixtures = fixture_catalog(n_segments)
@@ -181,30 +218,22 @@ def run_verification(
     for name in sorted(fixtures):
         f = fixtures[name]
         grids.setdefault((f.a, f.b, f.n_segments), []).append(name)
-    reports: dict[str, list[RegularityReport]] = {}
+    reports: dict[str, list[RegularityReport]] = {name: [] for name in fixtures}
     for grid, group in grids.items():
         maps = [fixtures[name] for name in group]
         pairs = _, _, u, v = continuity_pairs(maps[0], seed)
-        ops, rows, phis = [], [], []
+        phis = []
         for rho in rhos:
-            ops.append(RLOperator(*grid, rho))
-            rows.append(ops[-1].row(grid[2]))
+            # The scale of rho's weights, taken as the operator below takes it: a scale
+            # beyond the float range is the error, not the modulus it also spoils.
+            _scaled_power(1.0, grid[0], grid[1], positive("fractional order rho", rho), rho)
             phis.append(continuity_modulus(maps, rho, u, v))
-        for k, (name, f) in enumerate(zip(group, maps)):
-            sup_f = f.sup_bound()
-            reports[name] = []
-            for r, rho in enumerate(rhos):
-                g = ops[r].setvalued(f)
-                vals = integral_set(f, rows[r])
-                certs = certify_extremals(g) if rho > 1.0 else ()
-                reports[name] += [
-                    check_convexity(f, name, rho, g=g, vals=vals),
-                    check_nonempty(f, name, rho, g=g, row=rows[r], vals=vals),
-                    check_boundedness(f, name, rho, g=g, sup_f=sup_f),
-                    check_continuity(f, name, rho, g=g, pairs=pairs, phi=phis[r][k], sup_f=sup_f),
-                    check_bounded_variation(f, name, rho, certs=certs),
-                    check_lipschitz(f, name, rho, certs=certs, sup_f=sup_f),
-                    check_selections(f, name, rho, certs=certs),
-                    check_endpoint_identity(f, name, rho, g=g, vals=vals),
-                ]
+        sups = [f.sup_bound() for f in maps]
+        named, first = list(zip(group, maps)), None
+        for rho in rhos:
+            failed = _order_reports(grid, rho, named, sups, pairs, phis.pop(0), reports)
+            if failed:
+                first, named = failed[1], named[: failed[0]]
+        if first is not None:
+            raise first
     return [report for name in sorted(fixtures) for report in reports[name]]

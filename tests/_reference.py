@@ -19,7 +19,7 @@ from math import gamma as gamma_fn
 import mpmath
 import numpy as np
 
-from svfrac import RLOperator, Selection
+from svfrac import GridMap, RLOperator, Selection
 from svfrac.gridmap import SEED_LIMIT, _check_seed, selection_draws
 from svfrac.rl import _hat_moments, _pow_diff, integral_set
 
@@ -161,33 +161,35 @@ def modulus_clipped_reference(f, rho, u, v):
     """The array modulus with every segment clipped to [a, u] and to [u, v]
     for each pair, in blocks of 2048 // N pairs: the moments of each clipped
     segment in the distances c - x_k from the target c, against the
-    interpolated envelope at its two ends. It shares with continuity_modulus
-    only rl._hat_moments, not the Toeplitz rows."""
+    interpolated envelope at its two ends. f may be a sequence of maps on
+    one grid: the moments of each pair are taken once for them all, and the
+    result has one row per map on a leading axis. It shares with
+    continuity_modulus only rl._hat_moments, not the Toeplitz rows."""
+    maps = [f] if isinstance(f, GridMap) else list(f)
     us, vs = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    x = f.nodes
-    henv = np.maximum(np.abs(f.lo), np.abs(f.hi))
+    x = maps[0].nodes
+    henvs = [np.maximum(np.abs(m.lo), np.abs(m.hi)) for m in maps]
 
     def clip(lo, hi):
-        left = np.minimum(np.maximum(x[:-1], lo), hi)
-        right = np.minimum(np.maximum(x[1:], lo), hi)
-        return left, right, np.interp(left, x, henv), np.interp(right, x, henv)
+        return np.minimum(np.maximum(x[:-1], lo), hi), np.minimum(np.maximum(x[1:], lo), hi)
 
-    def integrals(c, segments):
-        left, right, h_left, h_right = segments
+    def integrals(c, left, right):
         length = right - left
         w_left, w_right = _hat_moments(
             c - left, np.maximum(c - right, 0.0), np.where(length > 0, length, 1.0), rho
         )
-        return (w_left * h_left + w_right * h_right).sum(axis=1)
+        return np.array([(w_left * np.interp(left, x, h) + w_right * np.interp(right, x, h)).sum(axis=1)
+                         for h in henvs])
 
-    step = max(1, 2048 // f.n_segments)
-    out = np.empty(us.size)
+    step = max(1, 2048 // maps[0].n_segments)
+    out = np.empty((len(maps), us.size))
     for k in range(0, us.size, step):
         uk, vk = us.ravel()[k : k + step, None], vs.ravel()[k : k + step, None]
-        head = clip(f.a, uk)
-        i_v, i_u = integrals(vk, head), integrals(uk, head)
-        out[k : k + step] = np.abs(i_v - i_u) + integrals(vk, clip(uk, vk))
-    return out.reshape(us.shape) * math.exp(-math.lgamma(rho))
+        head = clip(maps[0].a, uk)
+        i_v, i_u = integrals(vk, *head), integrals(uk, *head)
+        out[:, k : k + step] = np.abs(i_v - i_u) + integrals(vk, *clip(uk, vk))
+    out = out.reshape((len(maps),) + us.shape) * math.exp(-math.lgamma(rho))
+    return out[0] if isinstance(f, GridMap) else out
 
 
 def modulus_mpmath(f, rho, pairs, dps=30):

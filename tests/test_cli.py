@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from math import gamma as gamma_fn
 from pathlib import Path
 
@@ -770,6 +772,27 @@ class TestStartup:
     def test_callers_thread_setting_is_kept(self):
         code = "import os, svfrac.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert self.python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
+
+
+class TestParser:
+    def test_parsers_are_freed_before_the_command_runs(self, monkeypatch):
+        """Each argparse action points back at its parser, so the
+        subcommands' parsers form a reference cycle that outlives
+        parse_args until the cyclic collector runs: main collects it
+        before the command runs."""
+        refs, dead = [], []
+        real = argparse.ArgumentParser.__init__
+
+        def init(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+        monkeypatch.setattr(cli, "cmd_bounds", lambda args: dead.append([r() is None for r in refs]) or 0)
+        gc.collect()  # no collection of its own while the parsers are built
+        assert main(["bounds", "--rho", "1.5", "--M", "1"]) == 0
+        assert len(refs) == 6  # svfrac and its five subcommands
+        assert dead == [[True] * 6] and all(r() is None for r in refs)
 
 
 class TestZeroMapContinuity:

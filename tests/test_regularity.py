@@ -2,6 +2,8 @@ import json
 import math
 import tracemalloc
 import warnings
+import weakref
+from dataclasses import fields
 from math import gamma as gamma_fn
 
 import mpmath
@@ -316,13 +318,16 @@ def continuity_calls(monkeypatch, **kwargs):
     return calls
 
 
-def assert_near_clipped(f, rho, u, v, got):
+def assert_near_clipped(maps, rho, u, v, got):
     """got is the clipped reference's modulus at (u, v) to 1e-13 of the
     integrals' size, Phi(a, u) + Phi(a, v) + Phi(u, v): the two paths sum
-    A - B, which cancels, over different terms."""
-    ref = modulus_clipped_reference(f, rho, u, v)
-    size = ref + modulus_clipped_reference(f, rho, f.a, u) + modulus_clipped_reference(f, rho, f.a, v)
-    assert np.all(np.abs(got - ref) <= 1e-13 * size), (f.n_segments, rho, np.max(np.abs(got - ref) / size))
+    A - B, which cancels, over different terms. `maps` is one map, or a
+    sequence of maps on one grid with one row of got per map, taken by one
+    reference call."""
+    a = maps.a if isinstance(maps, GridMap) else maps[0].a
+    ref = modulus_clipped_reference(maps, rho, u, v)
+    size = ref + modulus_clipped_reference(maps, rho, a, u) + modulus_clipped_reference(maps, rho, a, v)
+    assert np.all(np.abs(got - ref) <= 1e-13 * size), (np.shape(got), rho, np.max(np.abs(got - ref) / size))
 
 
 class TestModulusTable:
@@ -340,8 +345,7 @@ class TestModulusTable:
             assert u.shape == v.shape == (112,)
             got = continuity_modulus(maps, rho, u, v)
             assert got.shape == (6, 112)
-            for f, row in zip(maps, got):
-                assert_near_clipped(f, rho, u, v, row)
+            assert_near_clipped(maps, rho, u, v, got)
 
     @pytest.mark.parametrize("rho", [0.3, 1.0, 2.7])
     def test_multi_map_rows_are_bit_identical(self, rho):
@@ -356,7 +360,7 @@ class TestModulusTable:
             assert got.shape == (6, us.size)
             for f, row in zip(maps, got):
                 assert np.array_equal(row, continuity_modulus(f, rho, us, vs)), (n, f)
-                assert_near_clipped(f, rho, us, vs, row)
+            assert_near_clipped(maps, rho, us, vs, got)
 
     def test_map_sequences(self):
         f, g = GridMap.from_builtin("hat", 0, 1, 16), GridMap.from_builtin("affine", 0, 1, 16)
@@ -502,7 +506,7 @@ class TestNodePairModulus:
             _, _, u, v = continuity_pairs(maps[0], 42)
             for rho in verify.DEFAULT_RHOS:
                 got = continuity_modulus(maps, rho, u, v)
-                clipped = np.array([modulus_clipped_reference(f, rho, u, v) for f in maps])
+                clipped = modulus_clipped_reference(maps, rho, u, v)
                 assert np.all(np.abs(got - clipped) <= 1e-13 * clipped), (n, rho)
 
     def test_invalid_pairs_and_envelopes(self):
@@ -588,8 +592,7 @@ class TestModulusProperty:
         maps, rho, u, v = call
         got = continuity_modulus(maps, rho, u, v)
         assert got.shape == (len(maps), u.size)
-        for f, row in zip(maps, got):
-            assert_near_clipped(f, rho, u, v, row)
+        assert_near_clipped(maps, rho, u, v, got)
 
 
 class TestScaleEquivariance:
@@ -802,3 +805,80 @@ class TestTheoremSuites:
         r = run_verification(rhos=(1.5,), n_segments=16)[0]
         obj = json.loads(json.dumps(r.to_json(), sort_keys=True))
         assert set(obj) >= {"theorem", "measured", "bound", "pass", "rho", "fixture"}
+
+
+class TestVerificationPass:
+    """run_verification takes its moduli first, then keeps one operator,
+    its node-N row and that order's moduli alive at a time; its reports
+    carry no __dict__."""
+
+    def test_one_operator_alive_at_a_time(self, monkeypatch):
+        """A default run builds 4 operators, one per rho, and the next one
+        only after the last is gone."""
+        built, alive, most = [], [0], [0]
+
+        def gone():
+            alive[0] -= 1
+
+        class Counted(RLOperator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.rho)
+                alive[0] += 1
+                most[0] = max(most[0], alive[0])
+                weakref.finalize(self, gone)
+
+        monkeypatch.setattr(verify, "RLOperator", Counted)
+        assert all(r.passed for r in run_verification())
+        assert built == list(verify.DEFAULT_RHOS)
+        assert most[0] == 1 and alive[0] == 0
+
+    def test_traced_peak_at_n4096(self):
+        """At N = 4096 the pass traces at most 1.1 MB (1.38 MB with all
+        four operators, rows and moduli kept for the whole pass)."""
+        run_verification(n_segments=16)  # first-call allocations
+        tracemalloc.start()
+        try:
+            run_verification(n_segments=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1e6, peak
+
+    def test_first_error_is_the_fixture_by_fixture_first(self):
+        """Fixture "a" fails only at rho 1.5, in 3.6's bound L0, and "b",
+        whose width overflows, at every rho. Taken fixture by fixture, a's
+        error comes first, and it is the one raised, though the pass of
+        rho 1 meets b's first."""
+        a = GridMap.from_builtin("constant", 0, 1, 16, lo=1.7e308, hi=1.7e308)
+        b = GridMap.from_builtin("affine", 0, 1, 16, c_lo=-1e308, s_lo=0, c_hi=0.8e308, s_hi=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a's Lipschitz constant overflows too
+            with pytest.raises(OverflowError, match=r"^the scale with exponent 0.5 on \[0.0, 1.0\] is not finite$"):
+                run_verification(rhos=(1.0, 1.5), fixtures={"a": a, "b": b})
+            with pytest.raises(OverflowError, match=r"^the integral of order 1.0 on \[0.0, 1.0\] is not finite$"):
+                run_verification(rhos=(1.0, 1.5), fixtures={"b": b})
+
+    def test_scale_fails_before_the_modulus(self):
+        """The weight scale of order 1e6 on [0, 1e308] is beyond the float
+        range, and so is the modulus: the scale is named, as when each
+        operator was built before its modulus."""
+        f = GridMap.from_builtin("sym_linear", 0, 1e308, 8)
+        with pytest.raises(OverflowError, match=r"^the scale with exponent 1000000.0 on \[0.0, 1e\+308\]"):
+            run_verification(rhos=(1e6,), fixtures={"big": f})
+        with pytest.raises(OverflowError, match=r"^the continuity modulus of order 0.5"):
+            run_verification(rhos=(0.5,), fixtures={"big": f})
+
+    def test_report_has_no_dict_and_the_same_json(self):
+        """A report is slotted; to_json is its fields, `passed` as "pass"
+        last, details only when not empty."""
+        for r in run_verification(n_segments=16) + [verify._skip("3.5", "x", 0.5)]:
+            assert not hasattr(r, "__dict__")
+            old = {field.name: getattr(r, field.name) for field in fields(r)}
+            old["pass"] = old.pop("passed")
+            if not r.details:
+                del old["details"]
+            assert list(r.to_json().items()) == list(old.items())
+        r = verify.RegularityReport("3.2", "x", 1.0, 2.0, 1e-9, False, details=dict(min_weight=-1.0))
+        assert r.to_json() == {"theorem": "3.2", "fixture": "x", "rho": 1.0, "measured": 2.0, "bound": 1e-9,
+                               "status": "checked", "details": {"min_weight": -1.0}, "pass": False}
