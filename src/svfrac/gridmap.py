@@ -4,6 +4,7 @@ A GridMap stores interval values at the nodes of a uniform grid; both
 endpoint functions are linearly interpolated between nodes, so the
 ordering lo <= hi and boundedness hold on the whole domain automatically.
 A Selection is the point-valued GridMap: its lo and hi are one array.
+A map's extremal selections are views of its read-only lo and hi.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ class GridMap:
         return float(max(np.abs(self.lo).max(), np.abs(self.hi).max()))
 
     def extremal_lower(self) -> "Selection":
-        return Selection(self.a, self.b, self.lo.copy())
+        return Selection(self.a, self.b, self.lo)
 
     def extremal_upper(self) -> "Selection":
-        return Selection(self.a, self.b, self.hi.copy())
+        return Selection(self.a, self.b, self.hi)
 
     # -- construction helpers -------------------------------------------------
 
@@ -202,14 +203,11 @@ def _check_seed(seed) -> int:
     return value
 
 
-def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """SplitMix64's output function on the uint64 array z, in place and
-    mod 2**64; tmp is scratch space of z's shape."""
-    for shift, mult in zip((30, 27), _MIX):
-        z ^= np.right_shift(z, shift, out=tmp)
-        z *= mult
-    z ^= np.right_shift(z, 31, out=tmp)
-    return z
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on the uint64 array z, mod 2**64."""
+    z = (z ^ z >> 30) * _MIX[0]
+    z = (z ^ z >> 27) * _MIX[1]
+    return z ^ z >> 31
 
 
 def selection_draws(n_nodes: int, seed: int) -> np.ndarray:
@@ -219,16 +217,9 @@ def selection_draws(n_nodes: int, seed: int) -> np.ndarray:
     Draw m of seed s is SplitMix64's counter-based (mix(mix(s) + (m + 1) G)
     >> 11) 2**-53, with G = 0x9E3779B97F4A7C15 and mix its output function
     (Steele, Lea & Flood, OOPSLA 2014): a multiple of 2**-53, a pure
-    function of (s, m). The draws are computed at once, in place on one
-    uint64 array (and one scratch array)."""
-    key = np.array([_check_seed(seed)], dtype=np.uint64)
-    _mix(key, np.empty_like(key))
-    z = np.arange(1, n_nodes + 1, dtype=np.uint64)
-    z *= _GOLDEN
-    z += key  # mod 2**64
-    _mix(z, np.empty_like(z))
-    z >>= np.uint64(11)
-    return z * 2.0**-53
+    function of (s, m), computed without state, at once on one uint64 array."""
+    key = _mix(np.array([_check_seed(seed)], dtype=np.uint64))
+    return (_mix(np.arange(1, n_nodes + 1, dtype=np.uint64) * _GOLDEN + key) >> 11) * 2.0**-53
 
 
 def draw_indices(seed: int, k: int, count: int) -> np.ndarray:

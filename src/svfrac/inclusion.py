@@ -15,8 +15,9 @@ integral operator a contraction.
 
 from __future__ import annotations
 
+import inspect
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -74,10 +75,10 @@ _RHS_BUILTINS = {
 class CaputoProblem:
     """Inclusion of order alpha in (1, 2) with the elementwise field rhs(ts, us) -> (lo, hi).
 
-    `affine` is rhs as it was given, when that is an AffineField: the
-    solvers then solve directly from it and call rhs only in the
-    monotonicity probe, also after rhs is replaced by a wrapper.
-    rhs_lipschitz_u is read by Picard iteration alone."""
+    `affine` is rhs read at each use and unwrapped (inspect.unwrap), when
+    that is an AffineField: the solvers solve directly from it and call rhs
+    only in the monotonicity probe, also when rhs is a functools.wraps
+    wrapper. rhs_lipschitz_u is read by Picard iteration alone."""
 
     alpha: float
     t0: float
@@ -86,10 +87,13 @@ class CaputoProblem:
     u1: float
     rhs: Callable[[np.ndarray, np.ndarray], tuple]
     rhs_lipschitz_u: float = 0.0
-    affine: AffineField | None = field(init=False)
+
+    @property
+    def affine(self) -> AffineField | None:
+        field = inspect.unwrap(self.rhs)
+        return field if isinstance(field, AffineField) else None
 
     def __post_init__(self):
-        self.affine = self.rhs if isinstance(self.rhs, AffineField) else None
         if not 1.0 < self.alpha < 2.0:
             raise ValueError(f"order alpha must lie in (1, 2), got {self.alpha}")
         for name in ("t0", "T", "u0", "u1"):

@@ -2,7 +2,8 @@
 
 Measured quantities (total variation, Lipschitz constant) are exact for the
 piecewise-linear representation class; for maps sampled from smoother
-originals they lower-bound the true values.
+originals they lower-bound the true values. A measure beyond the float
+range is an OverflowError.
 """
 
 from __future__ import annotations
@@ -24,9 +25,13 @@ def hausdorff(a, b):
     return np.maximum(np.abs(a[0] - b[0]), np.abs(a[1] - b[1]))
 
 
-def _increments(f: GridMap) -> np.ndarray:
-    """Hausdorff distances between consecutive node intervals of f."""
-    return hausdorff((f.lo[1:], f.hi[1:]), (f.lo[:-1], f.hi[:-1]))
+def _measure(name: str, f: GridMap, reduce, scale: float = 1.0) -> float:
+    """reduce(H_d between consecutive node intervals of f) / scale; OverflowError if not finite."""
+    with np.errstate(over="ignore"):  # rejected below
+        value = float(reduce(hausdorff((f.lo[1:], f.hi[1:]), (f.lo[:-1], f.hi[:-1]))) / scale)
+    if not math.isfinite(value):
+        raise OverflowError(f"the {name} of the map on [{f.a}, {f.b}] is not finite")
+    return value
 
 
 def total_variation(f: GridMap) -> float:
@@ -37,12 +42,12 @@ def total_variation(f: GridMap) -> float:
     refinement cannot increase the partition sum. The node sum is the exact
     supremum over all partitions.
     """
-    return float(_increments(f).sum())
+    return _measure("total variation", f, np.sum)
 
 
 def lipschitz_constant(f: GridMap) -> float:
     """Smallest Hausdorff-metric Lipschitz constant of the representation."""
-    return float(_increments(f).max() / f.step)
+    return _measure("Lipschitz constant", f, np.max, f.step)
 
 
 def bound_sup(rho: float, m: float, a: float, b: float) -> float:

@@ -520,6 +520,33 @@ class TestParameterRobustness:
         assert err.startswith("parameter error: result beyond the float range (")
         assert err.count("\n") == 1
 
+    NEAR_LIMIT = {"a": 0, "b": 1, "segments": 16, "kind": "constant", "params": {"lo": 1.7e308, "hi": 1.7e308}}
+    WIDE = {"a": 0, "b": 1, "segments": 16, "kind": "affine",
+            "params": {"c_lo": -1e308, "s_lo": 0, "c_hi": 0.8e308, "s_hi": 0}}
+
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            (["selections", "--rho", "1.5"], NEAR_LIMIT),
+            (["verify", "--rho", "1", "--rho", "1.5"], {"a": NEAR_LIMIT, "b": WIDE}),
+        ],
+        ids=["selections", "verify"],
+    )
+    def test_lipschitz_constant_beyond_float_range(self, tmp_path, command, spec):
+        """The integral of a constant near the float limit is finite, but its
+        Lipschitz constant is not: exit 3 on the one line that names it, in
+        a fresh interpreter, with no numpy warning and no Infinity on stdout."""
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(spec))
+        proc = subprocess.run(
+            [sys.executable, "-m", "svfrac.cli", *command, "--input", str(path)],
+            capture_output=True, text=True, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("parameter error: result beyond the float range "
+                               "(the Lipschitz constant of the map on [0.0, 1.0] is not finite)\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

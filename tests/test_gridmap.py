@@ -174,6 +174,14 @@ class TestSelections:
         # a selection is the point-valued map: one array for lo and hi
         assert isinstance(lo, GridMap) and lo.lo is lo.hi is lo.values
 
+    def test_extremals_view_the_maps_read_only_arrays(self):
+        """The extremal selections are lo and hi themselves, not copies."""
+        f = GridMap.from_builtin("sin_envelope", 0, 1, 16)
+        for sel, ends in ((f.extremal_lower(), f.lo), (f.extremal_upper(), f.hi)):
+            assert np.shares_memory(sel.values, ends)
+            with pytest.raises(ValueError, match="read-only"):
+                sel.values[0] = 0.0
+
     def test_degenerate_extremals_coincide(self):
         f = GridMap(0, 1, [0, 1, 2], [0, 1, 2])
         assert np.array_equal(f.extremal_lower().values, f.extremal_upper().values)
@@ -230,7 +238,7 @@ class TestSplitMix64:
 
     SEEDS = (0, 1, 42, 2**32 + 5, 2**63 - 1)
 
-    @pytest.mark.parametrize("n", [1, 2, 17, 1000])
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 1000, 4096])
     def test_rows_match_the_reference_bit_for_bit(self, n):
         for seed in self.SEEDS:
             draws = selection_draws(n, seed)
@@ -290,6 +298,21 @@ class TestVariationLipschitz:
     def test_constant(self):
         s = Selection(0, 1, np.zeros(5))
         assert total_variation(s) == 0.0 and lipschitz_constant(s) == 0.0
+
+    def test_beyond_the_float_range_is_named(self):
+        """A finite map whose increment, sum of increments or increment over
+        the step overflows: an OverflowError naming the measure, no warning."""
+        jump = Selection(0, 1, [-1.7e308, 1.7e308])
+        with pytest.raises(OverflowError, match=r"^the total variation of the map on \[0.0, 1.0\] is not finite$"):
+            total_variation(jump)
+        with pytest.raises(OverflowError, match=r"^the Lipschitz constant of the map on \[0.0, 1.0\] is not finite$"):
+            lipschitz_constant(jump)
+        assert lipschitz_constant(Selection(0, 2, [0.0, 1e308])) == 5e307
+        zigzag = Selection(0, 1, [0.0, 1e308, 0.0])
+        with pytest.raises(OverflowError, match="total variation"):
+            total_variation(zigzag)
+        with pytest.raises(OverflowError, match="Lipschitz constant"):
+            lipschitz_constant(zigzag)
 
     def test_hat_against_brute_force(self):
         s = Selection(0, 1, [0.0, 1.0, 0.0])

@@ -152,7 +152,7 @@ def test_one_weight_build_and_one_field_call_per_funnel(monkeypatch):
     monkeypatch.setattr(rl, "quadrature_weights", weights)
     problem = affine_problem(-1.0, 10.0)
     field = problem.rhs
-    problem.rhs = lambda t, u: calls.append(np.broadcast(t, u).shape) or field(t, u)
+    problem.rhs = functools.wraps(field)(lambda t, u: calls.append(np.broadcast(t, u).shape) or field(t, u))
     with pytest.warns(UserWarning, match="not a guaranteed enclosure"):
         solution_funnel(problem, n=256)
     assert len(builds) == 1
@@ -184,6 +184,29 @@ def test_an_affine_rhs_is_solved_directly():
 def test_the_affine_record_is_no_constructor_argument():
     with pytest.raises(TypeError, match="affine"):
         CaputoProblem(1.5, 0.0, 1.0, 1.0, 0.0, rhs=AffineField(-1.0), affine=AffineField(-1.0))
+
+
+def test_a_reassigned_affine_field_is_the_one_solved():
+    """The affine record is read from rhs, so the field assigned last is solved."""
+    problem = CaputoProblem(1.5, 0.0, 1.0, 1.0, 0.0, rhs=AffineField(-1.0))
+    problem.rhs = AffineField(1.0)
+    fresh = CaputoProblem(1.5, 0.0, 1.0, 1.0, 0.0, rhs=AffineField(1.0))
+    us = solve_with_policy(problem, "lower", n=64).us
+    assert np.array_equal(us, solve_with_policy(fresh, "lower", n=64).us)
+    assert us[-1] == pytest.approx(1.93952, abs=1e-5)
+
+
+def test_a_callable_assigned_to_rhs_is_solved_by_picard():
+    """A plain callable replacing an AffineField is no affine record: it is
+    solved as that callable, by Picard iteration."""
+    problem = CaputoProblem(1.5, 0.0, 1.0, 1.0, 0.0, rhs=AffineField(-1.0), rhs_lipschitz_u=0.8)
+    calls = []
+    problem.rhs = lambda t, u: calls.append(1) or (0.4 * u, 0.4 * u)
+    assert problem.affine is None
+    traj = solve_with_policy(problem, "lower", n=64)
+    assert traj.iterations_used > 2 and len(calls) == traj.iterations_used
+    direct = solve_with_policy(CaputoProblem(1.5, 0.0, 1.0, 1.0, 0.0, rhs=AffineField(0.4)), "lower", n=64)
+    assert np.abs(traj.us - direct.us).max() < 1e-10
 
 
 def test_a_callable_field_keeps_picard():
