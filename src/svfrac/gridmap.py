@@ -19,23 +19,30 @@ _BUILTIN_KINDS = ("constant", "sym_linear", "affine", "abs_envelope", "sin_envel
 CSV_BLOCK = 512  # CSV rows formatted by one % and written by one write
 
 
-def _check_domain(a: float, b: float) -> None:
+def _check_domain(a: float, b: float, n: int = 1) -> None:
     """ValueError unless a < b with a finite length b - a, which also makes a
-    and b finite. Every grid, weight and bound on [a, b] checks this before
-    it computes anything, since an infinite b - a makes the nodes NaN."""
+    and b finite, and the float nodes of n segments strictly increase (a step
+    below the float spacing at a or b repeats them). linspace's roundoff is a
+    few spacings at a normal step, so only a subnormal step, or one within 64
+    spacings, has its nodes compared. Every grid, weight and bound on [a, b]
+    checks this before it computes anything, since an infinite b - a makes
+    the nodes NaN."""
     if not (a < b and math.isfinite(b - a)):
         raise ValueError(f"domain requires a < b with a finite length b - a, got [{a}, {b}]")
+    if n > 1 and (b - a) / n < max(64 * np.spacing(max(-a, b)), np.finfo(float).tiny):
+        if not (np.diff(np.linspace(a, b, n + 1)) > 0).all():
+            raise ValueError(f"the nodes of {n} segments of [{a}, {b}] repeat: the step is below the float spacing")
 
 
 class GridMap:
     """Interval-valued map on [a, b] sampled at n_segments + 1 uniform nodes."""
 
     def __init__(self, a: float, b: float, lo: Sequence[float], hi: Sequence[float]):
-        _check_domain(a, b)
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape or lo.size < 2:
             raise ValueError("lo and hi must be equal-length 1-d sequences with >= 2 nodes")
+        _check_domain(a, b, lo.size - 1)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("node values must be finite")
         if (lo > hi).any():
@@ -80,7 +87,7 @@ class GridMap:
         cls, kind: str, a: float = 0.0, b: float = 1.0, n_segments: int = 256, **params
     ) -> "GridMap":
         """The builtin map `kind` on [a, b]; an unknown parameter is a TypeError."""
-        _check_domain(a, b)  # before the nodes, which an infinite b - a makes NaN
+        _check_domain(a, b, n_segments)  # before the nodes, which an infinite b - a makes NaN
         u = np.linspace(a, b, n_segments + 1)
         mid = 0.5 * a + 0.5 * b  # not 0.5 * (a + b), which overflows near the float limit
         if kind == "constant":

@@ -5,7 +5,9 @@ Each entry compares a measured quantity against its analytic bound and is
 reported as a RegularityReport. Runs are deterministic: fixture catalog,
 3.4's random node pairs, and report order are all fixed by the seed.
 run_verification measures each (fixture, rho) pair's integral map `g` once
-and hands it, and what is measured of it, to the checks.
+and hands it, and what is measured of it, to the checks. Each check allows
+ROUNDOFF times the magnitude it compares: `scale`, the pair's S =
+bound_sup(rho, sup|f|, a, b), or its bound or parent measure (3.5 to 3.8).
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from .selections import certify_extremals
 
 DEFAULT_RHOS = (0.5, 1.0, 1.5, 2.7)
 
-BOUND_TOL = 1e-9  # additive: quadrature exactness class
-MODULUS_TOL = 1e-8
-EXACT_TOL = 1e-12
+ROUNDOFF = 1024 * float(np.finfo(float).eps)  # per unit of the compared magnitude; roundoff reaches 23 eps
 WEIGHT_TOL = float(np.finfo(float).eps)  # relative to the row's sum: roundoff of a weight
 
 DEFAULT_SEED = 42
@@ -38,7 +38,7 @@ def _skip(theorem, fixture, rho):
     return RegularityReport(theorem, fixture, rho, 0.0, 0.0, True, status="skipped (requires rho>1)")
 
 
-def check_convexity(f: GridMap, name: str, rho: float, *, g: GridMap, vals: tuple[float, ...]):
+def check_convexity(f: GridMap, name: str, rho: float, *, g: GridMap, vals: tuple[float, ...], scale: float):
     """Thm 3.1: convex combinations of the extremal integrals `vals`
     (integral_set at node N), over every ordered pair of them, stay in the
     node interval."""
@@ -47,11 +47,11 @@ def check_convexity(f: GridMap, name: str, rho: float, *, g: GridMap, vals: tupl
     lam = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     y = lam * picks[:, :1] + (1.0 - lam) * picks[:, 1:]
     worst = max(0.0, g.lo[n] - y.min(), y.max() - g.hi[n])
-    return RegularityReport("3.1", name, rho, worst, BOUND_TOL, worst <= BOUND_TOL)
+    return RegularityReport("3.1", name, rho, worst, ROUNDOFF * scale, worst <= ROUNDOFF * scale)
 
 
 def check_nonempty(f: GridMap, name: str, rho: float, *, g: GridMap | None = None,
-                   row: np.ndarray | None = None, vals: tuple[float, ...] = ()):
+                   row: np.ndarray | None = None, vals: tuple[float, ...] = (), scale: float = 0.0):
     """Thm 3.2: every selection integral at node N lands inside the integral
     map's interval there. With nonnegative weights `row` (node N's), those
     integrals fill [v0, v1], the ends `vals` of integral_set, so the check
@@ -59,25 +59,24 @@ def check_nonempty(f: GridMap, name: str, rho: float, *, g: GridMap | None = Non
     also no weight is below -WEIGHT_TOL times the row's absolute sum; a
     failing sign records the smallest weight. The values are nonempty since
     GridMap rejects lo > hi. Called without g, it integrates f and builds
-    the row and its values itself."""
+    the row, its values and the scale S itself."""
     n = f.n_segments
     if g is None:
         g = rl_setvalued(f, rho)
         row = RLOperator(f.a, f.b, n, rho).row(n)
         vals = integral_set(f, row)
+        scale = bound_sup(rho, f.sup_bound(), f.a, f.b)
     worst = max(g.lo[n] - vals[0], vals[-1] - g.hi[n])
     low = row.min()
     signed = low >= -WEIGHT_TOL * np.abs(row).sum()
-    return RegularityReport("3.2", name, rho, worst, BOUND_TOL, worst <= BOUND_TOL and signed,
+    return RegularityReport("3.2", name, rho, worst, ROUNDOFF * scale, worst <= ROUNDOFF * scale and signed,
                             details={} if signed else dict(min_weight=float(low)))
 
 
-def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap, sup_f: float):
-    """Thm 3.3: sup-node distance of the integral map to {0} vs the bound;
-    `sup_f` is f.sup_bound()."""
+def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap, scale: float):
+    """Thm 3.3: sup-node distance of the integral map to {0} vs its bound S, `scale`."""
     measured = g.sup_bound()
-    bound = bound_sup(rho, sup_f, f.a, f.b)
-    return RegularityReport("3.3", name, rho, measured, bound, measured <= bound + BOUND_TOL)
+    return RegularityReport("3.3", name, rho, measured, scale, measured <= scale + ROUNDOFF * scale)
 
 
 def continuity_pairs(f: GridMap, seed: int):
@@ -91,26 +90,23 @@ def continuity_pairs(f: GridMap, seed: int):
     return i, j, np.concatenate((nodes[i], np.full(vs.size, f.a))), np.concatenate((nodes[j], vs))
 
 
-def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, phi, sup_f: float):
-    """Thm 3.4: Hausdorff increments dominated by the modulus, and the
-    modulus vanishes along a shrinking interval. `pairs` is
+def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, phi, scale: float):
+    """Thm 3.4: Hausdorff increments dominated by the modulus, and the modulus
+    vanishing along a shrinking interval: Phi(a, v) <= M k(d) = S (d / (b - a))^rho,
+    k(t) = t^rho / Gamma(rho + 1), at every order (the envelope's interpolant
+    is at most M), at the distance d the modulus integrates over: j (b - a) / N
+    at node j (node 0 if v rounds to a), else v - a. `pairs` is
     continuity_pairs on f's grid and `phi` the modulus of f at its (u, v)."""
     i, j, _, v = pairs
     hd = hausdorff((g.lo[i], g.hi[i]), (g.lo[j], g.hi[j]))
     worst = float(np.max(hd - phi[:CONTINUITY_PAIRS]))
     phis, vs = phi[CONTINUITY_PAIRS:], v[CONTINUITY_PAIRS:]
-    if rho >= 1.0:
-        # Phi(u, .) is monotone in v for rho >= 1 (its v-derivative is a
-        # nonnegative kernel integral); for rho < 1 only decay is guaranteed.
-        shrinks = bool(np.all(phis[1:] <= phis[:-1] + EXACT_TOL))
-    else:
-        # Phi(a, v) may rise as v -> a, but M (v - a)^rho / Gamma(rho + 1) dominates it.
-        # Far from 0, a + (b - a) 2^-m can round to a: the bound over [a, a] is 0.
-        bounds = [bound_sup(rho, sup_f, f.a, v) if v > f.a else 0.0 for v in vs]
-        shrinks = all(phi <= bound + EXACT_TOL for phi, bound in zip(phis, bounds))
-    ok = worst <= MODULUS_TOL and shrinks
+    x = f.nodes
+    k = np.searchsorted(x, vs)
+    d = np.where(x[k] == vs, k / f.n_segments, (vs - f.a) / (f.b - f.a))
+    shrinks = bool(np.all(phis <= scale * d**rho + ROUNDOFF * scale))
     return RegularityReport(
-        "3.4", name, rho, worst, MODULUS_TOL, ok,
+        "3.4", name, rho, worst, ROUNDOFF * scale, worst <= ROUNDOFF * scale and shrinks,
         details=dict(shrink_first=float(phis[0]), shrink_last=float(phis[-1]), shrink_ok=shrinks),
     )
 
@@ -122,7 +118,7 @@ def check_bounded_variation(f: GridMap, name: str, rho: float, *, certs):
         return _skip("3.5", name, rho)
     va, vb = (c.variation for c in certs)
     vg = certs[0].parent_variation
-    ok = max(va, vb) - EXACT_TOL <= vg <= va + vb + EXACT_TOL
+    ok = max(va, vb) - ROUNDOFF * (va + vb) <= vg <= va + vb + ROUNDOFF * (va + vb)
     return RegularityReport("3.5", name, rho, vg, va + vb, ok, details=dict(lower=max(va, vb)))
 
 
@@ -133,31 +129,30 @@ def check_lipschitz(f: GridMap, name: str, rho: float, *, certs, sup_f: float):
         return _skip("3.6", name, rho)
     measured = certs[0].parent_lipschitz
     bound = bound_l0(rho, sup_f, f.a, f.b)
-    return RegularityReport("3.6", name, rho, measured, bound, measured <= bound + BOUND_TOL)
+    return RegularityReport("3.6", name, rho, measured, bound, measured <= bound + ROUNDOFF * bound)
 
 
 def check_selections(f: GridMap, name: str, rho: float, *, certs):
     """Thms 3.7/3.8: extremal selections are members and inherit variation
     and Lipschitz bounds from the integral map; `certs` is
-    certify_extremals of it."""
+    certify_extremals of it; the slack is relative to the larger parent measure."""
     if rho <= 1.0:
         return _skip("3.7/3.8", name, rho)
-    worst = max(
-        0.0, *(max(c.variation - c.parent_variation, c.lipschitz - c.parent_lipschitz) for c in certs)
-    )
-    ok = all(c.membership_checked for c in certs) and worst <= EXACT_TOL
-    return RegularityReport("3.7/3.8", name, rho, worst, EXACT_TOL, ok)
+    worst = max(0.0, *(max(c.variation - c.parent_variation, c.lipschitz - c.parent_lipschitz) for c in certs))
+    slack = ROUNDOFF * max(certs[0].parent_variation, certs[0].parent_lipschitz)
+    ok = all(c.membership_checked for c in certs) and worst <= slack
+    return RegularityReport("3.7/3.8", name, rho, worst, slack, ok)
 
 
-def check_endpoint_identity(f: GridMap, name: str, rho: float, *,
-                            g: GridMap, vals: tuple[float, ...]):
+def check_endpoint_identity(f: GridMap, name: str, rho: float, *, g: GridMap, vals: tuple[float, ...], scale: float):
     """Endpoint identity: the node-N interval of the integral map equals
     [v0, v1], the extremal integrals `vals` of integral_set, taken by dot
-    products with the row instead of the FFT. hull_err bounds 3.2's
-    measure, so [v0, v1] also lies inside the interval to BOUND_TOL."""
+    products with the row instead of the FFT. hull_err bounds 3.2's measure,
+    so [v0, v1] also lies inside the interval to ROUNDOFF S."""
     n = f.n_segments
     hull_err = hausdorff((g.lo[n], g.hi[n]), (vals[0], vals[-1]))
-    return RegularityReport("3.5-endpoint-identity", name, rho, hull_err, BOUND_TOL, hull_err <= BOUND_TOL)
+    return RegularityReport("3.5-endpoint-identity", name, rho, hull_err, ROUNDOFF * scale,
+                            hull_err <= ROUNDOFF * scale)
 
 
 def _order_reports(grid, rho, named, sups, pairs, phi, reports) -> tuple[int, Exception] | None:
@@ -174,15 +169,16 @@ def _order_reports(grid, rho, named, sups, pairs, phi, reports) -> tuple[int, Ex
             g = op.setvalued(f)
             vals = integral_set(f, row)
             certs = certify_extremals(g) if rho > 1.0 else ()
+            s = bound_sup(rho, sup_f, *grid[:2])  # the pair's scale, and 3.3's bound
             reports[name] += [
-                check_convexity(f, name, rho, g=g, vals=vals),
-                check_nonempty(f, name, rho, g=g, row=row, vals=vals),
-                check_boundedness(f, name, rho, g=g, sup_f=sup_f),
-                check_continuity(f, name, rho, g=g, pairs=pairs, phi=phi[k], sup_f=sup_f),
+                check_convexity(f, name, rho, g=g, vals=vals, scale=s),
+                check_nonempty(f, name, rho, g=g, row=row, vals=vals, scale=s),
+                check_boundedness(f, name, rho, g=g, scale=s),
+                check_continuity(f, name, rho, g=g, pairs=pairs, phi=phi[k], scale=s),
                 check_bounded_variation(f, name, rho, certs=certs),
                 check_lipschitz(f, name, rho, certs=certs, sup_f=sup_f),
                 check_selections(f, name, rho, certs=certs),
-                check_endpoint_identity(f, name, rho, g=g, vals=vals),
+                check_endpoint_identity(f, name, rho, g=g, vals=vals, scale=s),
             ]
         except (ArithmeticError, ValueError) as exc:  # a result beyond the float range, or out of a domain
             return k, exc

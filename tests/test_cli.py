@@ -720,6 +720,41 @@ class TestInfiniteDomain:
         assert "Warning" not in proc.stderr and ".py:" not in proc.stderr
 
 
+class TestRepeatedNodes:
+    """A grid whose float nodes repeat, as a step below the float spacing
+    at a or b makes them, is rejected before any value is computed on it:
+    one stderr line, no numpy warning; exit 2 from a file, 3 from options."""
+
+    TINY = {"a": 0, "b": 5e-324, "segments": 2, "lo": [0, 1, 0], "hi": [0, 1, 0]}
+    DUP = {"dup": {"a": 1, "b": 1.0000000000000004, "segments": 8, "kind": "sym_linear"}}
+
+    @pytest.mark.parametrize(
+        "argv, spec, rc, line",
+        [
+            (["selections", "--rho", "1.5"], TINY, 2,
+             "input error: malformed map spec: the nodes of 2 segments of [0.0, 5e-324] repeat"),
+            (["integrate", "--rho", "1.5"], TINY, 2,
+             "input error: malformed map spec: the nodes of 2 segments of [0.0, 5e-324] repeat"),
+            (["integrate", "--builtin", "hat", "--a", "0", "--b", "5e-324", "--grid", "2", "--rho", "1.5"], None, 3,
+             "parameter error: the nodes of 2 segments of [0.0, 5e-324] repeat"),
+            (["verify"], DUP, 2,
+             "input error: malformed fixture file: the nodes of 8 segments of [1.0, 1.0000000000000004] repeat"),
+        ],
+        ids=["selections", "integrate", "integrate-builtin", "verify"],
+    )
+    def test_one_error_line(self, tmp_path, argv, spec, rc, line):
+        if spec is not None:
+            path = tmp_path / "map.json"
+            path.write_text(json.dumps(spec))
+            argv = [*argv, "--input", str(path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "svfrac.cli", *argv], capture_output=True, text=True, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == rc
+        assert proc.stdout == ""
+        assert proc.stderr == line + ": the step is below the float spacing\n"
+
+
 class TestUnreadableJson:
     """A file that json cannot read, for any reason, is an input error."""
 
@@ -862,6 +897,25 @@ class TestFarFromZero:
         assert proc.stderr == ""
         reports = json.loads(proc.stdout)
         assert len(reports) == 32 and all(r["pass"] for r in reports)
+
+
+class TestScaledMaps:
+    """Valid maps of magnitude 1e9 on [0, 100]: every check's slack is
+    relative to the integral's scale, so every report passes."""
+
+    def test_verify_fixture_file_passes(self, tmp_path):
+        spec = {"a": 0, "b": 100, "segments": 64}
+        fixtures = {
+            "constant": {**spec, "kind": "constant", "params": {"lo": -1e9, "hi": 1e9}},
+            "sym_linear": {**spec, "kind": "sym_linear", "params": {"slope": 1e9}},
+            "hat": {**spec, "kind": "hat", "params": {"height": 1e9}},
+            "sin_envelope": {**spec, "kind": "sin_envelope", "params": {"amp": 1e9, "off": 3e8}},
+        }
+        path, out = tmp_path / "scaled.json", tmp_path / "report.json"
+        path.write_text(json.dumps(fixtures))
+        assert main(["verify", "--input", str(path), "--output", str(out)]) == 0
+        reports = json.loads(out.read_text())
+        assert len(reports) == 128 and all(r["pass"] for r in reports)
 
 
 class TestConsoleScript:

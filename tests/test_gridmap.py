@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from _reference import csv_reference, eval_interval, random_selection, rl_selection_oracle, splitmix64_draw
 
 from svfrac import GridMap, Selection, hausdorff, lipschitz_constant, rl_setvalued, total_variation
@@ -42,6 +44,39 @@ class TestConstruction:
         assert np.array_equal(f.lo, -f.hi)
         assert f.hi[2] == 0.0
         assert np.allclose(f.hi[[0, 4]], 0.35e308)
+
+    @pytest.mark.parametrize("a, b, n", [(0.0, 5e-324, 2), (1.0, 1.0000000000000004, 8)])
+    def test_repeated_nodes_rejected(self, a, b, n):
+        """A step below the float spacing at a or b repeats nodes: both
+        constructors reject the grid before they compute a value from it."""
+        message = rf"^the nodes of {n} segments of \[{a}, {b}\] repeat"
+        with pytest.raises(ValueError, match=message):
+            GridMap(a, b, np.zeros(n + 1), np.ones(n + 1))
+        for kind in ("constant", "sym_linear", "affine", "abs_envelope", "sin_envelope", "hat"):
+            with pytest.raises(ValueError, match=message):
+                GridMap.from_builtin(kind, a, b, n)
+
+    def test_one_float_spacing_per_step_is_distinct(self):
+        eps = np.finfo(float).eps
+        f = GridMap.from_builtin("hat", 1.0, 1.0 + 8 * eps, 8)
+        assert np.array_equal(np.diff(f.nodes), np.full(8, eps))
+        with pytest.raises(ValueError, match="repeat"):
+            GridMap.from_builtin("hat", 1.0, 1.0 + 4 * eps, 8)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(-1e300, 1e300) | st.just(0.0), n=st.integers(2, 300), spacings=st.floats(0.1, 256.0))
+    def test_rejected_exactly_when_the_nodes_repeat(self, a, n, spacings):
+        """Steps from a tenth of the float spacing at a to 256 of them, and
+        subnormal steps from a = 0: the check skips comparing the nodes only
+        where they cannot repeat."""
+        b = a + n * spacings * float(np.spacing(abs(a)))
+        assume(a < b)
+        x = np.linspace(a, b, n + 1)
+        if (x[1:] > x[:-1]).all():
+            GridMap(a, b, np.zeros(n + 1), np.ones(n + 1))
+        else:
+            with pytest.raises(ValueError, match="repeat"):
+                GridMap(a, b, np.zeros(n + 1), np.ones(n + 1))
 
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):

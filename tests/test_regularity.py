@@ -9,7 +9,7 @@ from math import gamma as gamma_fn
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -881,3 +881,116 @@ class TestVerificationPass:
         r = verify.RegularityReport("3.2", "x", 1.0, 2.0, 1e-9, False, details=dict(min_weight=-1.0))
         assert r.to_json() == {"theorem": "3.2", "fixture": "x", "rho": 1.0, "measured": 2.0, "bound": 1e-9,
                                "status": "checked", "details": {"min_weight": -1.0}, "pass": False}
+
+
+def moved_catalog(n, c=1.0, a=0.0, length=1.0):
+    """The catalog's node values on [a, a + length], scaled by c."""
+    return {kind: GridMap(a, a + length, c * f.lo, c * f.hi) for kind, f in fixture_catalog(n).items()}
+
+
+def verdicts(reports):
+    return [(r.theorem, r.fixture, r.rho, r.status, r.passed) for r in reports]
+
+
+def mutated_weights(mutant):
+    """quadrature_weights, the FFT path's weights, with one defect."""
+    real = rl.quadrature_weights
+
+    def mutated(a, b, n, rho):
+        if mutant == "order x1.05":
+            return real(a, b, n, 1.05 * rho)
+        kernel, col0 = real(a, b, n, rho)
+        if mutant == "weights x1.02":
+            return 1.02 * kernel, 1.02 * col0
+        kernel[n // 2] = -kernel[n // 2]
+        return kernel, col0
+
+    return mutated
+
+
+class TestScaleRelativeSlack:
+    """Every check allows verify.ROUNDOFF times the magnitude it compares:
+    the pair's S = bound_sup(rho, sup|f|, a, b) for 3.1 to 3.4 and the
+    endpoint identity, the compared bound or parent measure for 3.5 to
+    3.8. Both sides of each theorem's inequality scale with the map, so a
+    verdict does not depend on the map's scale, nor on where its domain
+    lies or how long it is."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(c=st.floats(-12, 12).map(lambda e: 10.0**e), a=st.floats(-1e3, 1e3),
+           length=st.floats(-2, 2).map(lambda e: 10.0**e), n=st.sampled_from([16, 64]))
+    @example(c=1.0, a=165.99380892081467, length=0.017678613183356714, n=16)
+    def test_moved_and_scaled_catalog_passes(self, c, a, length, n):
+        """Every report passes, with the verdicts of the catalog on [0, 1].
+        The example needs 3.4's shrink bound at the grid's distance
+        j (b - a) / N of node j: the float x_j - a misses it by about
+        eps |a|, which puts the constant map's modulus above a bound taken
+        at x_j - a."""
+        reports = run_verification(fixtures=moved_catalog(n, c, a, length))
+        assert all(r.passed for r in reports)
+        assert verdicts(reports) == verdicts(run_verification(n_segments=n))
+
+    @pytest.mark.parametrize("mutant", ["weights x1.02", "order x1.05", "kernel[N // 2] negated"])
+    def test_wrong_fft_weights_fail_at_every_scale(self, monkeypatch, mutant):
+        """Each defect of the FFT path's weights gives a FAIL at every
+        scale c, tiny maps included: 3.2 and the endpoint identity compare
+        the FFT with dot products of the node-N row, to a slack relative
+        to S.
+
+        Not caught, at any scale: column 0 dropped from every row
+        (_row_moments with `left` zeroed). _row_moments feeds the FFT's
+        weights, the node-N row and the continuity modulus alike, so both
+        sides of each comparison carry the defect, and a rule that drops a
+        nonnegative weight stays below the bounds of 3.3 and 3.6. An
+        exactness check that shares no code with the quadrature would be
+        needed to see it."""
+        monkeypatch.setattr(rl, "quadrature_weights", mutated_weights(mutant))
+        for c in (1e-12, 1.0, 1e12):
+            assert not all(r.passed for r in run_verification(fixtures=moved_catalog(64, c))), c
+
+    def test_bound_fields(self):
+        """3.3's bound is S, computed once per pair; 3.1, 3.2, 3.4 and the
+        endpoint identity print their slack ROUNDOFF S, 3.7/3.8 ROUNDOFF
+        times the larger of the integral's variation and Lipschitz
+        constant."""
+        fixtures = moved_catalog(16, 1e6, -3.0, 10.0)
+        for r in run_verification(fixtures=fixtures):
+            f = fixtures[r.fixture]
+            s = bound_sup(r.rho, f.sup_bound(), f.a, f.b)
+            if r.theorem == "3.3":
+                assert r.bound == s
+            elif r.theorem in ("3.1", "3.2", "3.4", "3.5-endpoint-identity"):
+                assert r.bound == verify.ROUNDOFF * s
+            elif r.theorem == "3.7/3.8" and r.rho > 1:
+                g = rl_setvalued(f, r.rho)
+                assert r.bound == verify.ROUNDOFF * max(total_variation(g), lipschitz_constant(g))
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.7])
+    def test_one_shrink_rule_at_every_order(self, rho):
+        """3.4 asks Phi(a, v) <= M k(d) + ROUNDOFF S at every order. A
+        modulus that does not grow along the shrinking points, but does not
+        vanish either (S at each of them), fails it at rho >= 1 too; the
+        true modulus passes."""
+        f = fixture_catalog(64)["constant"]
+        g, pairs = rl_setvalued(f, rho), continuity_pairs(f, 42)
+        s = bound_sup(rho, f.sup_bound(), f.a, f.b)
+        phi = continuity_modulus(f, rho, pairs[2], pairs[3])
+        assert verify.check_continuity(f, "c", rho, g=g, pairs=pairs, phi=phi, scale=s).passed
+        phi[verify.CONTINUITY_PAIRS:] = s
+        r = verify.check_continuity(f, "c", rho, g=g, pairs=pairs, phi=phi, scale=s)
+        assert not r.passed and r.details["shrink_ok"] is False
+
+    @pytest.mark.parametrize("rho", verify.DEFAULT_RHOS)
+    def test_check_nonempty_alone_equals_the_pass(self, monkeypatch, rho):
+        """check_nonempty(f, name, rho) called alone integrates f once and
+        takes its own row, values and scale: its report equals the pass's
+        3.2 report in measured, bound and verdict."""
+        in_pass = {r.fixture: r for r in run_verification(rhos=(rho,), n_segments=16) if r.theorem == "3.2"}
+        calls, real = [], verify.rl_setvalued
+        monkeypatch.setattr(verify, "rl_setvalued", lambda f, order: calls.append(order) or real(f, order))
+        for name, f in fixture_catalog(16).items():
+            calls.clear()
+            alone = verify.check_nonempty(f, name, rho)
+            assert calls == [rho]
+            assert (alone.measured, alone.bound, alone.passed) == (
+                in_pass[name].measured, in_pass[name].bound, in_pass[name].passed)
