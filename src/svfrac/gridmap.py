@@ -1,10 +1,10 @@
 """Interval-valued functions on [a, b] with piecewise-linear endpoint functions.
 
-A GridMap stores interval values at the nodes of a uniform grid; both
-endpoint functions are linearly interpolated between nodes, so the
-ordering lo <= hi and boundedness hold on the whole domain automatically.
-A Selection is the point-valued GridMap: its lo and hi are one array.
-A map's extremal selections are views of its read-only lo and hi.
+A GridMap stores the interval values at the nodes of a uniform grid as one
+read-only (2, N+1) array `rows`, whose rows, the views lo and hi, are linearly
+interpolated between nodes, so lo <= hi and boundedness hold on the whole
+domain. A Selection is the one-row map, whose lo is its hi; a map's
+extremal selections are views of its rows.
 """
 
 from __future__ import annotations
@@ -38,41 +38,46 @@ class GridMap:
     """Interval-valued map on [a, b] sampled at n_segments + 1 uniform nodes."""
 
     def __init__(self, a: float, b: float, lo: Sequence[float], hi: Sequence[float]):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.ndim != 1 or lo.shape != hi.shape or lo.size < 2:
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        self._hold(a, b, np.stack((lo, hi)) if lo.shape == hi.shape else np.empty(0))  # _hold rejects empty
+
+    def _hold(self, a: float, b: float, rows: np.ndarray) -> "GridMap":
+        """Check and keep, read-only and uncopied, the float node values `rows`: lo first, hi last."""
+        if rows.ndim != 2 or rows.shape[1] < 2:
             raise ValueError("lo and hi must be equal-length 1-d sequences with >= 2 nodes")
-        _check_domain(a, b, lo.size - 1)
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        _check_domain(a, b, rows.shape[1] - 1)
+        if not np.isfinite(rows).all():
             raise ValueError("node values must be finite")
-        if (lo > hi).any():
-            bad = int(np.argmax(lo > hi))
-            raise ValueError(f"lo > hi at node {bad}: [{lo[bad]}, {hi[bad]}]")
-        self.a = float(a)
-        self.b = float(b)
-        self.lo = lo
-        self.hi = hi
-        self.lo.setflags(write=False)
-        self.hi.setflags(write=False)
+        if (rows[0] > rows[-1]).any():
+            bad = int(np.argmax(rows[0] > rows[-1]))
+            raise ValueError(f"lo > hi at node {bad}: [{rows[0, bad]}, {rows[-1, bad]}]")
+        rows.setflags(write=False)
+        self.a, self.b, self.rows = float(a), float(b), rows
+        ends = list(rows)  # one view for one row
+        self.lo, self.hi = ends[0], ends[-1]
+        return self
+
+    @classmethod
+    def _of_rows(cls, a: float, b: float, rows: np.ndarray) -> "GridMap":
+        """The map on [a, b] of the float (2, N+1) array `rows`, held without a copy."""
+        return cls.__new__(cls)._hold(a, b, rows)
 
     @property
     def n_segments(self) -> int:
-        return self.lo.size - 1
+        return self.rows.shape[1] - 1
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.lo.size)
+        return np.linspace(self.a, self.b, self.rows.shape[1])
 
     @property
     def step(self) -> float:
         return (self.b - self.a) / self.n_segments
 
     def sup_bound(self) -> float:
-        """sup over [a,b] of sup_{x in F(u)} |x|.
-
-        Exact: |linear| attains its maximum on a segment at an endpoint.
-        """
-        return float(max(np.abs(self.lo).max(), np.abs(self.hi).max()))
+        """sup over [a,b] of sup_{x in F(u)} |x|, exact: |linear| attains its
+        maximum on a segment at an endpoint."""
+        return float(np.abs(self.rows).max())
 
     def extremal_lower(self) -> "Selection":
         return Selection(self.a, self.b, self.lo)
@@ -123,28 +128,20 @@ class GridMap:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "segments": self.n_segments,
-            "kind": "samples",
-            "lo": self.lo.tolist(),
-            "hi": self.hi.tolist(),
-        }
+        rows = self.rows.tolist()
+        return {"a": self.a, "b": self.b, "segments": self.n_segments, "kind": "samples",
+                "lo": rows[0], "hi": rows[-1]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GridMap":
-        a = float(obj["a"])
-        b = float(obj["b"])
-        n = obj["segments"]
+        a, b, n = float(obj["a"]), float(obj["b"]), obj["segments"]
         # int() would silently truncate 2.5 to 2 and read true as 1.
         if isinstance(n, bool) or (isinstance(n, float) and not n.is_integer()):
             raise ValueError(f"segments must be an integer, got {n!r}")
         n = int(n)
         kind = obj.get("kind", "samples")
         if kind == "samples":
-            lo = obj["lo"]
-            hi = obj["hi"]
+            lo, hi = obj["lo"], obj["hi"]
             if len(lo) != n + 1 or len(hi) != n + 1:
                 raise ValueError("lo/hi length must be segments + 1")
             return GridMap(a, b, lo, hi)
@@ -156,11 +153,12 @@ class GridMap:
 
 class Selection(GridMap):
     """Single-valued piecewise-linear function on a uniform grid: the
-    point-valued GridMap, whose lo and hi are one array, `values`."""
+    one-row GridMap, whose lo and hi are one view, `values`."""
 
     def __init__(self, a: float, b: float, values: Sequence[float]):
         values = np.asarray(values, dtype=float)
-        super().__init__(a, b, values, values)
+        values.setflags(write=False)  # held as a view, so read-only like every map's rows
+        self._hold(a, b, values[None])
 
     @property
     def values(self) -> np.ndarray:
@@ -172,7 +170,7 @@ class Selection(GridMap):
         Cross-grid attachment is an error, not False."""
         if (f.a, f.b, f.n_segments) != (self.a, self.b, self.n_segments):
             raise ValueError("selection and map must share the same grid")
-        return bool(np.all(f.lo <= self.values) and np.all(self.values <= f.hi))
+        return bool(np.all((f.rows[:1] <= self.rows) & (self.rows <= f.rows[-1:])))
 
 
 def _csv(header: str, *columns, out=None) -> str | None:

@@ -269,8 +269,7 @@ def rhs_monotone_in_u(p: CaputoProblem) -> bool:
     policy-constant solutions only in that case."""
     ts = np.linspace(p.t0, p.T, PROBE_NODES)[:, None]
     us = np.linspace(p.u0 - PROBE_SPAN, p.u0 + PROBE_SPAN, PROBE_NODES)
-    lo, hi = _endpoints(p.rhs, ts, us)
-    return not (np.any(np.diff(lo) < -1e-12) or np.any(np.diff(hi) < -1e-12))
+    return not (np.diff(_endpoints(p.rhs, ts, us)) < -1e-12).any()
 
 
 def solution_funnel(
@@ -285,18 +284,18 @@ def solution_funnel(
     enclosure property is therefore not guaranteed.
     """
     if p.affine is not None:
-        low, high = _solve_affine(p, n, ("lower", "upper"))
+        us = _solve_affine(p, n, ("lower", "upper"))
     else:
-        low = solve_with_policy(p, "lower", n, max_iter, tol).us
-        high = solve_with_policy(p, "upper", n, max_iter, tol).us
+        us = np.array([solve_with_policy(p, policy, n, max_iter, tol).us for policy in ("lower", "upper")])
     if not rhs_monotone_in_u(p):
         warnings.warn(
             "rhs endpoints are not nondecreasing in u on the probe grid; "
             "the funnel is not a guaranteed enclosure",
             stacklevel=2,
         )
-    return GridMap(p.t0, p.T, np.minimum(low, high), np.maximum(low, high))
+    us.sort(axis=0)
+    return GridMap._of_rows(p.t0, p.T, us)
 
 
 def funnel_to_csv(g: GridMap, out=None) -> str | None:
-    return _csv("t,lo,hi", g.nodes, g.lo, g.hi, out=out)
+    return _csv("t,lo,hi", g.nodes, *g.rows, out=out)

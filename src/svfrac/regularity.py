@@ -8,6 +8,7 @@ range is an OverflowError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -19,16 +20,15 @@ from .rl import _row_moments, _scaled_power, positive
 
 
 def hausdorff(a, b):
-    """Hausdorff distance between intervals a = (lo, hi) and b = (lo, hi),
-    the larger of the endpoint distances. The endpoints may be floats or
-    arrays, broadcast against each other, for one distance per entry."""
-    return np.maximum(np.abs(a[0] - b[0]), np.abs(a[1] - b[1]))
+    """Hausdorff distance between intervals a = (lo, hi) and b = (lo, hi), max over rows k (as of
+    a GridMap's `rows`) of |a[k] - b[k]|; floats or arrays, broadcast against each other."""
+    return functools.reduce(np.maximum, (np.abs(x - y) for x, y in zip(a, b, strict=True)))
 
 
 def _measure(name: str, f: GridMap, reduce, scale: float = 1.0) -> float:
     """reduce(H_d between consecutive node intervals of f) / scale; OverflowError if not finite."""
     with np.errstate(over="ignore"):  # rejected below
-        value = float(reduce(hausdorff((f.lo[1:], f.hi[1:]), (f.lo[:-1], f.hi[:-1]))) / scale)
+        value = float(reduce(hausdorff(f.rows[:, 1:], f.rows[:, :-1])) / scale)
     if not math.isfinite(value):
         raise OverflowError(f"the {name} of the map on [{f.a}, {f.b}] is not finite")
     return value
@@ -137,8 +137,8 @@ def continuity_modulus(f: GridMap | Sequence[GridMap], rho: float, u, v):
     j = np.searchsorted(x, vs)  # v's node, or the virtual node k + 1 of x_k < v < x_(k+1)
     at_node = x[j] == vs
     hs = np.empty((len(maps), n + 1))
-    for m, h in zip(maps, hs):  # one row at a time: no list of the envelopes
-        np.maximum(np.abs(m.lo), np.abs(m.hi, out=h), out=h)
+    for m, h in zip(maps, hs):  # one map at a time: no list of the envelopes
+        np.abs(m.rows).max(axis=0, out=h)
     top = int(j.max(initial=0))
     kernel, left, right = _row_moments(n, rho, top)
     # rev[m - 1] weighs node m of row top. Reversed rows are contiguous

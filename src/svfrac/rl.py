@@ -316,18 +316,18 @@ class RLOperator:
             raise ValueError("rows and set-valued integrals are the RL operator's, not its resolvent's")
 
     def setvalued(self, f: GridMap) -> GridMap:
-        """rl_setvalued(f, rho) for f on this operator's grid."""
+        """rl_setvalued(f, rho) for f on this operator's grid: one apply over the rows (lo, hi - lo), in place."""
         self._own_weights()
         if (f.a, f.b, f.n_segments) != (self.a, self.b, self.n_segments):
             raise ValueError(f"the map's grid ({f.a}, {f.b}, {f.n_segments}) is not the operator's")
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-            lo = self(f.lo)
-            width = f.hi - f.lo
-            self(width, out=width)
-            hi = np.add(lo, np.maximum(width, 0.0, out=width), out=width)
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            rows = np.stack((f.lo, f.hi - f.lo))
+            self(rows, out=rows)
+            np.maximum(rows[1], 0.0, out=rows[1])
+            rows[1] += rows[0]
+        if not np.isfinite(rows).all():
             raise OverflowError(f"the integral of order {self.rho} on [{f.a}, {f.b}] is not finite")
-        return GridMap(f.a, f.b, lo, hi)
+        return GridMap._of_rows(f.a, f.b, rows)
 
 
 def rl_setvalued(f: GridMap, rho: float) -> GridMap:
@@ -359,7 +359,6 @@ def integral_set(f: GridMap, row: np.ndarray) -> tuple[float, ...]:
     m = row.size
 
     def integral(values):
-        values = values[:m]
         return float(sum(np.dot(row[k : k + _DOT_RUN], values[k : k + _DOT_RUN]) for k in range(0, m, _DOT_RUN)))
 
-    return tuple(sorted({integral(f.lo), integral(f.hi)}))
+    return tuple(sorted({integral(values) for values in f.rows[:, :m]}))

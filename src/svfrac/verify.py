@@ -34,6 +34,14 @@ def fixture_catalog(n_segments: int = 64) -> dict[str, GridMap]:
     return {kind: GridMap.from_builtin(kind, 0.0, 1.0, n_segments) for kind in _BUILTIN_KINDS}
 
 
+def _slack(f: GridMap, rho: float, scale: float) -> float:
+    """ROUNDOFF times `scale`, or the floor (N + 16) max(1, w) 2^-1074 if larger, w = (b - a)^rho / Gamma(rho):
+    twice the absolute roundoff of f's checks on subnormal values, where a product is off
+    by up to 2^-1075 and a sum is exact (README, Notes on accuracy)."""
+    floor = (f.n_segments + 16) * max(1.0, _scaled_power(1.0, f.a, f.b, rho, rho)) * 2.0**-1074
+    return max(ROUNDOFF * scale, floor)
+
+
 def _skip(theorem, fixture, rho):
     return RegularityReport(theorem, fixture, rho, 0.0, 0.0, True, status="skipped (requires rho>1)")
 
@@ -47,7 +55,7 @@ def check_convexity(f: GridMap, name: str, rho: float, *, g: GridMap, vals: tupl
     lam = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     y = lam * picks[:, :1] + (1.0 - lam) * picks[:, 1:]
     worst = max(0.0, g.lo[n] - y.min(), y.max() - g.hi[n])
-    return RegularityReport("3.1", name, rho, worst, ROUNDOFF * scale, worst <= ROUNDOFF * scale)
+    return RegularityReport("3.1", name, rho, worst, slack := _slack(f, rho, scale), worst <= slack)
 
 
 def check_nonempty(f: GridMap, name: str, rho: float, *, g: GridMap | None = None,
@@ -69,14 +77,14 @@ def check_nonempty(f: GridMap, name: str, rho: float, *, g: GridMap | None = Non
     worst = max(g.lo[n] - vals[0], vals[-1] - g.hi[n])
     low = row.min()
     signed = low >= -WEIGHT_TOL * np.abs(row).sum()
-    return RegularityReport("3.2", name, rho, worst, ROUNDOFF * scale, worst <= ROUNDOFF * scale and signed,
+    return RegularityReport("3.2", name, rho, worst, slack := _slack(f, rho, scale), worst <= slack and signed,
                             details={} if signed else dict(min_weight=float(low)))
 
 
 def check_boundedness(f: GridMap, name: str, rho: float, *, g: GridMap, scale: float):
     """Thm 3.3: sup-node distance of the integral map to {0} vs its bound S, `scale`."""
     measured = g.sup_bound()
-    return RegularityReport("3.3", name, rho, measured, scale, measured <= scale + ROUNDOFF * scale)
+    return RegularityReport("3.3", name, rho, measured, scale, measured <= scale + _slack(f, rho, scale))
 
 
 def continuity_pairs(f: GridMap, seed: int):
@@ -98,15 +106,16 @@ def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, ph
     at node j (node 0 if v rounds to a), else v - a. `pairs` is
     continuity_pairs on f's grid and `phi` the modulus of f at its (u, v)."""
     i, j, _, v = pairs
-    hd = hausdorff((g.lo[i], g.hi[i]), (g.lo[j], g.hi[j]))
+    hd = hausdorff(g.rows[:, i], g.rows[:, j])
     worst = float(np.max(hd - phi[:CONTINUITY_PAIRS]))
     phis, vs = phi[CONTINUITY_PAIRS:], v[CONTINUITY_PAIRS:]
     x = f.nodes
     k = np.searchsorted(x, vs)
     d = np.where(x[k] == vs, k / f.n_segments, (vs - f.a) / (f.b - f.a))
-    shrinks = bool(np.all(phis <= scale * d**rho + ROUNDOFF * scale))
+    slack = _slack(f, rho, scale)
+    shrinks = bool(np.all(phis <= scale * d**rho + slack))
     return RegularityReport(
-        "3.4", name, rho, worst, ROUNDOFF * scale, worst <= ROUNDOFF * scale and shrinks,
+        "3.4", name, rho, worst, slack, worst <= slack and shrinks,
         details=dict(shrink_first=float(phis[0]), shrink_last=float(phis[-1]), shrink_ok=shrinks),
     )
 
@@ -124,12 +133,13 @@ def check_bounded_variation(f: GridMap, name: str, rho: float, *, certs):
 
 def check_lipschitz(f: GridMap, name: str, rho: float, *, certs, sup_f: float):
     """Thm 3.6 (rho > 1): Lipschitz constant of G, read from its
-    certificates `certs`, vs L0."""
+    certificates `certs`, vs L0; a slope, so the subnormal floor is _slack's over the step."""
     if rho <= 1.0:
         return _skip("3.6", name, rho)
     measured = certs[0].parent_lipschitz
     bound = bound_l0(rho, sup_f, f.a, f.b)
-    return RegularityReport("3.6", name, rho, measured, bound, measured <= bound + ROUNDOFF * bound)
+    slack = max(ROUNDOFF * bound, _slack(f, rho, 0.0) / f.step)
+    return RegularityReport("3.6", name, rho, measured, bound, measured <= bound + slack)
 
 
 def check_selections(f: GridMap, name: str, rho: float, *, certs):
@@ -150,9 +160,9 @@ def check_endpoint_identity(f: GridMap, name: str, rho: float, *, g: GridMap, va
     products with the row instead of the FFT. hull_err bounds 3.2's measure,
     so [v0, v1] also lies inside the interval to ROUNDOFF S."""
     n = f.n_segments
-    hull_err = hausdorff((g.lo[n], g.hi[n]), (vals[0], vals[-1]))
-    return RegularityReport("3.5-endpoint-identity", name, rho, hull_err, ROUNDOFF * scale,
-                            hull_err <= ROUNDOFF * scale)
+    hull_err = hausdorff(g.rows[:, n], (vals[0], vals[-1]))
+    return RegularityReport("3.5-endpoint-identity", name, rho, hull_err, slack := _slack(f, rho, scale),
+                            hull_err <= slack)
 
 
 def _order_reports(grid, rho, named, sups, pairs, phi, reports) -> tuple[int, Exception] | None:
@@ -192,21 +202,14 @@ def run_verification(
     n_segments: int = 64,
 ) -> list[RegularityReport]:
     """Every check for every (fixture, rho) pair, in sorted name, then rho
-    order, from one pass per grid (a, b, N). The pass builds 3.4's pairs
-    and makes, per rho, one continuity_modulus call on all 3.4's pairs of
-    all the grid's fixtures; these results are small (fixtures x 112
-    values). Then, one rho at a time, it builds one RLOperator, whose
-    node-N row serves all the grid's fixtures, and drops the operator, the
-    row and that rho's moduli before the next rho, so that at most one
-    operator is alive (a traced peak of about 13.7 MB at N = 65536, for
-    the default fixtures and orders). Each pair integrates its fixture
-    once, takes its extremal integrals at node N from the row
-    (integral_set, for 3.1, 3.2 and the endpoint identity) and, for
-    rho > 1, certifies the integral's extremal selections once. An error
-    is the one a fixture-by-fixture pass meets first: each rho's weight
-    scale is checked before its modulus, as building the operator did, and
-    an error in rho's pass stops the later passes at that fixture. `seed`,
-    in [0, 2**63), picks 3.4's pairs."""
+    order. Per grid (a, b, N), one continuity_modulus call per rho on all
+    3.4's pairs of the grid's fixtures comes first (small results); then,
+    one rho at a time, one RLOperator and its node-N row serve all the
+    grid's fixtures and are dropped with that rho's moduli before the next
+    rho, so that at most one operator is alive. An error is the one a
+    fixture-by-fixture pass meets first: each rho's weight scale is checked
+    before its modulus, and an error in rho's pass stops the later passes
+    at that fixture. `seed`, in [0, 2**63), picks 3.4's pairs."""
     seed = _check_seed(seed)
     if fixtures is None:
         fixtures = fixture_catalog(n_segments)

@@ -6,7 +6,10 @@ continuity modulus with every segment clipped for each pair, the modulus in
 mpmath, the random-selection integrals at one node, the RL integral
 of a selection at one node, the chattering demo on two-point values, CSV
 text formatted one value at a time, the SplitMix64 draws in Python ints,
-and the variation and Lipschitz constant written with np.diff.
+the variation and Lipschitz constant written with np.diff, and the other
+measures and the set-valued integral in two-endpoint form: the Hausdorff
+distance as np.maximum(|Δlo|, |Δhi|), the sup bound, the modulus's
+envelope, and the integral by two applies.
 None of them is used by the package; each is an independent construction
 that its fast counterpart is checked against. Three test-only conveniences
 sit with them: the interval value of a map at a point, one random
@@ -59,6 +62,34 @@ def lipschitz_by_diff(f) -> float:
     """Hausdorff-metric Lipschitz constant of f as the largest node increment
     max(|diff(lo)|, |diff(hi)|) over the step."""
     return float(np.maximum(np.abs(np.diff(f.lo)), np.abs(np.diff(f.hi))).max() / f.step)
+
+
+def hausdorff_two_ends(a, b):
+    """The Hausdorff distance of intervals a = (lo, hi) and b = (lo, hi),
+    np.maximum(|a[0] - b[0]|, |a[1] - b[1]|), broadcast like its operands."""
+    return np.maximum(np.abs(a[0] - b[0]), np.abs(a[1] - b[1]))
+
+
+def sup_bound_two_ends(f) -> float:
+    """max(|lo|.max(), |hi|.max()) of the map f."""
+    return float(max(np.abs(f.lo).max(), np.abs(f.hi).max()))
+
+
+def envelope_two_ends(f) -> np.ndarray:
+    """The node envelope max(|lo_i|, |hi_i|) of the map f, which its
+    continuity modulus integrates."""
+    return np.maximum(np.abs(f.lo), np.abs(f.hi))
+
+
+def setvalued_two_applies(f, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the set-valued integral of f by two applies of one
+    operator W: lo = W lo, then the width hi - lo integrated in place,
+    clamped at 0 and added to lo."""
+    op = RLOperator(f.a, f.b, f.n_segments, rho)
+    lo = op(f.lo)
+    width = f.hi - f.lo
+    op(width, out=width)
+    return lo, np.add(lo, np.maximum(width, 0.0, out=width), out=width)
 
 
 def rl_scalar(f, rho: float, n: int) -> float:
@@ -168,7 +199,7 @@ def modulus_clipped_reference(f, rho, u, v):
     maps = [f] if isinstance(f, GridMap) else list(f)
     us, vs = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     x = maps[0].nodes
-    henvs = [np.maximum(np.abs(m.lo), np.abs(m.hi)) for m in maps]
+    henvs = [envelope_two_ends(m) for m in maps]
 
     def clip(lo, hi):
         return np.minimum(np.maximum(x[:-1], lo), hi), np.minimum(np.maximum(x[1:], lo), hi)

@@ -7,9 +7,33 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from _reference import csv_reference, eval_interval, random_selection, rl_selection_oracle, splitmix64_draw
+from _reference import (
+    csv_reference,
+    envelope_two_ends,
+    eval_interval,
+    hausdorff_two_ends,
+    lipschitz_by_diff,
+    random_selection,
+    rl_selection_oracle,
+    setvalued_two_applies,
+    splitmix64_draw,
+    sup_bound_two_ends,
+    variation_by_diff,
+)
 
-from svfrac import GridMap, Selection, hausdorff, lipschitz_constant, rl_setvalued, total_variation
+from svfrac import (
+    AffineField,
+    CaputoProblem,
+    GridMap,
+    Selection,
+    continuity_modulus,
+    hausdorff,
+    lipschitz_constant,
+    rl_setvalued,
+    solution_funnel,
+    solve_with_policy,
+    total_variation,
+)
 from svfrac.gridmap import CSV_BLOCK, _csv, draw_indices, selection_draws
 from svfrac.verify import continuity_pairs, run_verification
 
@@ -366,3 +390,76 @@ class TestVariationLipschitz:
             if u != v:
                 worst_lip = max(worst_lip, abs(eval_interval(s, u)[0] - eval_interval(s, v)[0]) / abs(u - v))
         assert worst_lip <= 2.0 + 1e-12
+
+
+def same_bits(x, y) -> bool:
+    """x and y have one shape and the same bits."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestStackedRows:
+    """A GridMap holds its node values as one read-only (2, N+1) array
+    `rows`, lo and hi views of its rows; a Selection is the one-row map.
+    Every measure reduces over the rows, bit for bit as the two-endpoint
+    formulas of the reference do."""
+
+    def test_lo_and_hi_view_one_read_only_array(self):
+        f = GridMap.from_builtin("sin_envelope", 0, 1, 16)
+        assert f.rows.shape == (2, 17) and not f.rows.flags.writeable
+        assert np.shares_memory(f.lo, f.rows) and np.shares_memory(f.hi, f.rows)
+        assert same_bits(f.rows, np.stack((f.lo, f.hi)))
+        s = f.extremal_upper()
+        assert s.rows.shape == (1, 17) and s.lo is s.hi and np.shares_memory(s.rows, f.rows)
+
+    def test_the_integral_and_the_funnel_hold_their_results(self, monkeypatch):
+        """The set-valued integral wraps the (2, N+1) array its one apply
+        wrote, and the funnel its sorted trajectories: no copy."""
+        held = []
+        real = GridMap._hold
+
+        def hold(self, a, b, rows):
+            held.append(rows)
+            return real(self, a, b, rows)
+
+        monkeypatch.setattr(GridMap, "_hold", hold)
+        g = rl_setvalued(GridMap.from_builtin("hat", 0, 1, 8), 0.5)
+        assert g.rows is held[-1]
+        problem = CaputoProblem(1.5, 0.0, 10.0, 1.0, 0.0, rhs=AffineField(-1.0, -0.1, 0.1))
+        with pytest.warns(UserWarning, match="not a guaranteed enclosure"):  # p < 0
+            funnel = solution_funnel(problem, n=64)
+        assert funnel.rows is held[-1]
+        assert same_bits(funnel.rows, np.sort(np.array([solve_with_policy(problem, policy, n=64).us
+                                                        for policy in ("lower", "upper")]), axis=0))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        c=st.sampled_from([1e-310, 1e-6, 1.0, 1e200]),
+        domain=st.sampled_from([(0.0, 1.0), (-3.0, 7.0), (1000.0, 1000.01)]),
+        rho=st.sampled_from([0.3, 0.5, 1.0, 1.5, 2.7]),
+    )
+    def test_reductions_equal_the_two_endpoint_formulas(self, n, seed, c, domain, rho):
+        """hausdorff, total_variation, lipschitz_constant, sup_bound,
+        continuity_modulus and rl_setvalued of random interval maps and of
+        one-row selections have the bits of the two-endpoint formulas."""
+        rng = np.random.default_rng(seed)
+        lo = c * rng.uniform(-1.0, 1.0, n + 1)
+        f = GridMap(*domain, lo, lo + c * rng.uniform(0.0, 1.0, n + 1) * (rng.uniform(size=n + 1) < 0.8))
+        i, j = np.sort(rng.integers(0, n + 1, (2, 20)), axis=0)
+        u, v = f.nodes[i], np.minimum(f.nodes[j] + rng.uniform(0.0, f.step, 20), f.b)
+        for m in (f, Selection(*domain, lo)):
+            ends_i, ends_j = (m.lo[i], m.hi[i]), (m.lo[j], m.hi[j])
+            assert same_bits(hausdorff(m.rows[:, i], m.rows[:, j]), hausdorff_two_ends(ends_i, ends_j))
+            assert same_bits(hausdorff((m.lo, m.hi), (c, -c)), hausdorff_two_ends((m.lo, m.hi), (c, -c)))
+            assert same_bits(total_variation(m), variation_by_diff(m))
+            assert same_bits(lipschitz_constant(m), lipschitz_by_diff(m))
+            assert same_bits(m.sup_bound(), sup_bound_two_ends(m))
+            # The modulus reads m through its envelope alone: the point map of
+            # the two-endpoint envelope has the same modulus.
+            envelope = Selection(*domain, envelope_two_ends(m))
+            assert same_bits(continuity_modulus(m, rho, u, v), continuity_modulus(envelope, rho, u, v))
+            g = rl_setvalued(m, rho)
+            for got, want in zip((g.lo, g.hi), setvalued_two_applies(m, rho)):
+                assert same_bits(got, want)

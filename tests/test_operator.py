@@ -215,6 +215,22 @@ def test_lower_endpoint_never_above_upper(kind, rho):
     assert (g.lo <= g.hi).all()
 
 
+@pytest.mark.parametrize("rho", [0.3, 0.7, 1.5, 2.7])
+def test_width_clamp_keeps_hi_at_or_above_lo(rho):
+    """Under lo = 1e3 sin(40 u), a width that is 0 on [0, 1/2] and 1 + u
+    after it integrates, at N = 4096, to hundreds of negative roundoff
+    values (1602, 592, 1120 and 1545 at these orders): the integral of the
+    width is clamped at 0, or hi = lo + W(width) falls below lo and the
+    integral map is rejected."""
+    n = 4096
+    u = np.linspace(0.0, 1.0, n + 1)
+    lo = 1e3 * np.sin(40.0 * u)
+    f = GridMap(0.0, 1.0, lo, lo + np.where(u <= 0.5, 0.0, 1.0 + u))
+    assert (RLOperator(0.0, 1.0, n, rho)(f.hi - f.lo) < 0.0).sum() > 500
+    g = rl_setvalued(f, rho)
+    assert (g.hi >= g.lo).all()
+
+
 @pytest.mark.parametrize("rho", ORDERS)
 def test_point_valued_map_gives_point_values(rho):
     vals = np.random.default_rng(4).uniform(-3.0, 3.0, 130)

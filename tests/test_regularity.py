@@ -952,18 +952,28 @@ class TestScaleRelativeSlack:
         """3.3's bound is S, computed once per pair; 3.1, 3.2, 3.4 and the
         endpoint identity print their slack ROUNDOFF S, 3.7/3.8 ROUNDOFF
         times the larger of the integral's variation and Lipschitz
-        constant."""
-        fixtures = moved_catalog(16, 1e6, -3.0, 10.0)
-        for r in run_verification(fixtures=fixtures):
-            f = fixtures[r.fixture]
-            s = bound_sup(r.rho, f.sup_bound(), f.a, f.b)
-            if r.theorem == "3.3":
-                assert r.bound == s
-            elif r.theorem in ("3.1", "3.2", "3.4", "3.5-endpoint-identity"):
-                assert r.bound == verify.ROUNDOFF * s
-            elif r.theorem == "3.7/3.8" and r.rho > 1:
-                g = rl_setvalued(f, r.rho)
-                assert r.bound == verify.ROUNDOFF * max(total_variation(g), lipschitz_constant(g))
+        constant. The subnormal floor lies below ROUNDOFF S down to maps of
+        magnitude 1e-300, also at N = 65536."""
+        for fixtures in (moved_catalog(16, 1e6, -3.0, 10.0), moved_catalog(64, 1e-300), moved_catalog(65536, 1e-300)):
+            for r in run_verification(fixtures=fixtures):
+                f = fixtures[r.fixture]
+                s = bound_sup(r.rho, f.sup_bound(), f.a, f.b)
+                if r.theorem == "3.3":
+                    assert r.bound == s
+                elif r.theorem in ("3.1", "3.2", "3.4", "3.5-endpoint-identity"):
+                    assert r.bound == verify.ROUNDOFF * s
+                elif r.theorem == "3.7/3.8" and r.rho > 1:
+                    g = rl_setvalued(f, r.rho)
+                    assert r.bound == verify.ROUNDOFF * max(total_variation(g), lipschitz_constant(g))
+
+    @pytest.mark.parametrize("n, c", [(64, 1e-308), (64, 1e-310), (64, 1e-315), (64, 1e-320), (65536, 1e-308)])
+    def test_subnormal_maps_pass(self, n, c):
+        """Maps whose values are subnormal, or whose products with the
+        weights are: every report passes. There roundoff is absolute, in
+        units of 2^-1074 that add up over the N nodes, so a slack relative
+        to S alone fails valid maps (21 reports at c = 1e-310, 73 at 1e-315
+        and 64 at 1e-320 at grid 64; 3.6 among them)."""
+        assert all(r.passed for r in run_verification(fixtures=moved_catalog(n, c)))
 
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.7])
     def test_one_shrink_rule_at_every_order(self, rho):
