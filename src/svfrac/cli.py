@@ -30,12 +30,20 @@ from typing import NoReturn
 # the caller sets wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .gridmap import GridMap
-from .inclusion import POLICIES, CaputoProblem, funnel_to_csv, solution_funnel, solve_with_policy
-from .regularity import RegularityReport, bound_l0, bound_sup
-from .rl import rl_setvalued
-from .selections import certify_extremals, certify_midpoint
-from .verify import DEFAULT_RHOS, DEFAULT_SEED, run_verification
+# No cyclic collection while these imports load; what they build is frozen out of later ones.
+_gc_enabled = gc.isenabled()
+gc.disable()
+try:
+    from .gridmap import GridMap
+    from .inclusion import POLICIES, CaputoProblem, funnel_to_csv, solution_funnel, solve_with_policy
+    from .regularity import RegularityReport, bound_l0, bound_sup
+    from .rl import rl_setvalued
+    from .selections import certify_extremals, certify_midpoint
+    from .verify import DEFAULT_RHOS, DEFAULT_SEED, run_verification
+    gc.freeze()
+finally:
+    if _gc_enabled:  # a caller that turned the collector off keeps it off
+        gc.enable()
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -267,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    gc.collect(1)  # each argparse action points back at its parser: free that cycle before the command runs
+    gc.collect(1)  # argparse actions point back at their parsers: free that cycle (frozen imports not scanned)
     try:
         if getattr(args, "grid", 1) < 1:
             raise ValueError(f"--grid must be >= 1, got {args.grid}")

@@ -816,7 +816,9 @@ class TestNoNumpyRandom:
 
 class TestStartup:
     """The command line starts numpy without OpenBLAS's worker thread,
-    unless the caller sets OPENBLAS_NUM_THREADS."""
+    unless the caller sets OPENBLAS_NUM_THREADS, and without a cyclic
+    collection: what its imports build is frozen, and the collector is left
+    as the caller had it."""
 
     def python(self, code, **env):
         base = {k: v for k, v in cli_env().items() if k != "OPENBLAS_NUM_THREADS"}
@@ -834,6 +836,30 @@ class TestStartup:
     def test_callers_thread_setting_is_kept(self):
         code = "import os, svfrac.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert self.python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
+
+    @pytest.mark.parametrize("before, enabled", [("", True), ("gc.disable()", False)],
+                             ids=["collector-on", "collector-off"])
+    def test_cli_import_freezes_its_objects(self, before, enabled):
+        """The collector is on after the import if and only if it was on before."""
+        code = f"import gc\n{before}\nimport svfrac.cli\nprint(gc.isenabled(), gc.get_freeze_count() > 0)"
+        assert self.python(code) == f"{enabled} True\n"
+
+    def test_no_collection_while_numpy_and_svfrac_load(self):
+        code = ("import gc, sys\n"
+                "starts = []\n"
+                "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append('numpy' in sys.modules))\n"
+                "import svfrac.cli\n"
+                "print(sum(starts))")
+        assert self.python(code) == "0\n"
+
+    def test_failed_import_turns_the_collector_back_on(self):
+        code = ("import gc, sys\n"
+                "sys.modules['svfrac.verify'] = None\n"
+                "try:\n"
+                "    import svfrac.cli\n"
+                "except ImportError:\n"
+                "    print(gc.isenabled())")
+        assert self.python(code) == "True\n"
 
 
 class TestParser:
