@@ -32,6 +32,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # No cyclic collection while these imports load; what they build is frozen out of later ones.
 _gc_enabled = gc.isenabled()
+if _gc_enabled:
+    gc.collect(1)  # the caller's young garbage, which the freeze would keep for good
 gc.disable()
 try:
     from .gridmap import GridMap

@@ -7,7 +7,7 @@ reported as a RegularityReport. Runs are deterministic: fixture catalog,
 run_verification measures each (fixture, rho) pair's integral map `g` once
 and hands it, and what is measured of it, to the checks. Each check allows
 ROUNDOFF times the magnitude it compares: `scale`, the pair's S =
-bound_sup(rho, sup|f|, a, b), or its bound or parent measure (3.5 to 3.8).
+bound_sup(rho, sup|f|, a, b), or its bound (3.5 to 3.8).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .gridmap import _BUILTIN_KINDS, GridMap, _check_seed, draw_indices
-from .regularity import RegularityReport, bound_l0, bound_sup, continuity_modulus, hausdorff
+from .regularity import (RegularityReport, bound_l0, bound_sup, continuity_modulus, hausdorff, lipschitz_constant,
+                         total_variation)
 from .rl import RLOperator, _scaled_power, integral_set, positive, rl_setvalued
-from .selections import certify_extremals
 
 DEFAULT_RHOS = (0.5, 1.0, 1.5, 2.7)
 
@@ -40,10 +40,6 @@ def _slack(f: GridMap, rho: float, scale: float) -> float:
     by up to 2^-1075 and a sum is exact (README, Notes on accuracy)."""
     floor = (f.n_segments + 16) * max(1.0, _scaled_power(1.0, f.a, f.b, rho, rho)) * 2.0**-1074
     return max(ROUNDOFF * scale, floor)
-
-
-def _skip(theorem, fixture, rho):
-    return RegularityReport(theorem, fixture, rho, 0.0, 0.0, True, status="skipped (requires rho>1)")
 
 
 def check_convexity(f: GridMap, name: str, rho: float, *, g: GridMap, vals: tuple[float, ...], scale: float):
@@ -120,37 +116,39 @@ def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, ph
     )
 
 
-def check_bounded_variation(f: GridMap, name: str, rho: float, *, certs):
-    """Thm 3.5 (rho > 1): V(G) between max and sum of extremal variations,
-    read from the extremal certificates `certs` of G."""
-    if rho <= 1.0:
-        return _skip("3.5", name, rho)
-    va, vb = (c.variation for c in certs)
-    vg = certs[0].parent_variation
-    ok = max(va, vb) - ROUNDOFF * (va + vb) <= vg <= va + vb + ROUNDOFF * (va + vb)
-    return RegularityReport("3.5", name, rho, vg, va + vb, ok, details=dict(lower=max(va, vb)))
+def variation_masses(f: GridMap) -> list[float]:
+    """||r(a)|| + V(r) for r = f and its extremal selections lo and hi. By parts, r = r(a) + the
+    integral of dr against k(t) = t^rho / Gamma(rho + 1), which increases, so the integral of order
+    rho of r has variation at most bound_sup(rho, ||r(a)|| + V(r), a, b): at every order, and
+    at the nodes exactly, whose values are exact for r's interpolant."""
+    return [float(np.abs(r.rows[:, 0]).max()) + total_variation(r)
+            for r in (f, f.extremal_lower(), f.extremal_upper())]
 
 
-def check_lipschitz(f: GridMap, name: str, rho: float, *, certs, sup_f: float):
-    """Thm 3.6 (rho > 1): Lipschitz constant of G, read from its
-    certificates `certs`, vs L0; a slope, so the subnormal floor is _slack's over the step."""
+def check_bounded_variation(f: GridMap, name: str, rho: float, *, g: GridMap, bounds: list[float]):
+    """Thm 3.5: V(G) vs its bound from F, bounds[0] (variation_masses)."""
+    measured = total_variation(g)
+    return RegularityReport("3.5", name, rho, measured, bounds[0], measured <= bounds[0] + _slack(f, rho, bounds[0]))
+
+
+def check_lipschitz(f: GridMap, name: str, rho: float, *, g: GridMap, sup_f: float, scale: float):
+    """Thm 3.6 (rho > 1): Lipschitz constant of G vs L0. Node values carry
+    roundoff up to _slack of S, `scale`, which a slope carries over the step."""
     if rho <= 1.0:
-        return _skip("3.6", name, rho)
-    measured = certs[0].parent_lipschitz
-    bound = bound_l0(rho, sup_f, f.a, f.b)
-    slack = max(ROUNDOFF * bound, _slack(f, rho, 0.0) / f.step)
+        return RegularityReport("3.6", name, rho, 0.0, 0.0, True, status="skipped (requires rho>1)")
+    measured, bound = lipschitz_constant(g), bound_l0(rho, sup_f, f.a, f.b)
+    slack = max(ROUNDOFF * bound, _slack(f, rho, scale) / f.step)
     return RegularityReport("3.6", name, rho, measured, bound, measured <= bound + slack)
 
 
-def check_selections(f: GridMap, name: str, rho: float, *, certs):
-    """Thms 3.7/3.8: extremal selections are members and inherit variation
-    and Lipschitz bounds from the integral map; `certs` is
-    certify_extremals of it; the slack is relative to the larger parent measure."""
-    if rho <= 1.0:
-        return _skip("3.7/3.8", name, rho)
-    worst = max(0.0, *(max(c.variation - c.parent_variation, c.lipschitz - c.parent_lipschitz) for c in certs))
-    slack = ROUNDOFF * max(certs[0].parent_variation, certs[0].parent_lipschitz)
-    ok = all(c.membership_checked for c in certs) and worst <= slack
+def check_selections(f: GridMap, name: str, rho: float, *, g: GridMap, bounds: list[float]):
+    """Thms 3.7/3.8: G's extremal selections, the integrals of F's, are members, and the
+    variation of each is within its bound from F's, bounds[1:] (variation_masses): the
+    largest excess, at least 0, vs the slack of the larger bound."""
+    sels = g.extremal_lower(), g.extremal_upper()
+    worst = max(0.0, *(total_variation(sel) - bound for sel, bound in zip(sels, bounds[1:])))
+    slack = _slack(f, rho, max(bounds[1:]))
+    ok = worst <= slack and all(sel.is_selection_of(g) for sel in sels)
     return RegularityReport("3.7/3.8", name, rho, worst, slack, ok)
 
 
@@ -168,26 +166,26 @@ def check_endpoint_identity(f: GridMap, name: str, rho: float, *, g: GridMap, va
 def _order_reports(grid, rho, named, sups, pairs, phi, reports) -> tuple[int, Exception] | None:
     """The checks of order rho for each (name, map) of `named` on `grid`,
     appended to reports[name], from one RLOperator and its node-N row, both
-    dropped on return. `sups` are the maps' sup bounds and `phi` their
-    moduli at 3.4's `pairs`. An error stops the pass and is returned with
-    the index of its map, not raised, so that the caller can name the error
-    the fixture-by-fixture order meets first."""
+    dropped on return. `sups` are the maps' sup bounds and variation_masses,
+    `phi` their moduli at 3.4's `pairs`. An error stops the pass and is
+    returned with the index of its map, not raised, so that the caller can
+    name the error the fixture-by-fixture order meets first."""
     op = RLOperator(*grid, rho)
     row = op.row(grid[2])
-    for k, ((name, f), sup_f) in enumerate(zip(named, sups)):
+    for k, ((name, f), (sup_f, masses)) in enumerate(zip(named, sups)):
         try:
             g = op.setvalued(f)
             vals = integral_set(f, row)
-            certs = certify_extremals(g) if rho > 1.0 else ()
             s = bound_sup(rho, sup_f, *grid[:2])  # the pair's scale, and 3.3's bound
+            bounds = [bound_sup(rho, m, *grid[:2]) for m in masses]  # 3.5's and 3.7/3.8's
             reports[name] += [
                 check_convexity(f, name, rho, g=g, vals=vals, scale=s),
                 check_nonempty(f, name, rho, g=g, row=row, vals=vals, scale=s),
                 check_boundedness(f, name, rho, g=g, scale=s),
                 check_continuity(f, name, rho, g=g, pairs=pairs, phi=phi[k], scale=s),
-                check_bounded_variation(f, name, rho, certs=certs),
-                check_lipschitz(f, name, rho, certs=certs, sup_f=sup_f),
-                check_selections(f, name, rho, certs=certs),
+                check_bounded_variation(f, name, rho, g=g, bounds=bounds),
+                check_lipschitz(f, name, rho, g=g, sup_f=sup_f, scale=s),
+                check_selections(f, name, rho, g=g, bounds=bounds),
                 check_endpoint_identity(f, name, rho, g=g, vals=vals, scale=s),
             ]
         except (ArithmeticError, ValueError) as exc:  # a result beyond the float range, or out of a domain
@@ -227,7 +225,7 @@ def run_verification(
             # beyond the float range is the error, not the modulus it also spoils.
             _scaled_power(1.0, grid[0], grid[1], positive("fractional order rho", rho), rho)
             phis.append(continuity_modulus(maps, rho, u, v))
-        sups = [f.sup_bound() for f in maps]
+        sups = [(f.sup_bound(), variation_masses(f)) for f in maps]
         named, first = list(zip(group, maps)), None
         for rho in rhos:
             failed = _order_reports(grid, rho, named, sups, pairs, phis.pop(0), reports)
