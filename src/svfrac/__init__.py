@@ -3,8 +3,9 @@ via selections, Hausdorff-metric regularity verification, and Caputo
 differential inclusion solving.
 
 The public names and the submodules load on first access (PEP 562), so that
-importing the package alone loads no numpy: `python -m svfrac.cli` runs the
-command line's module before numpy starts."""
+importing the package alone loads no numpy: `python -m svfrac.cli`, as the
+`svfrac` script (console_script), runs the command line's module before
+numpy starts, and that module loads only the modules of its command."""
 
 import importlib
 
@@ -21,8 +22,8 @@ _EXPORTS = {
     "Selection": "gridmap",
     "SelectionCertificate": "selections",
     "Trajectory": "inclusion",
-    "bound_l0": "regularity",
-    "bound_sup": "regularity",
+    "bound_l0": "rl",
+    "bound_sup": "rl",
     "continuity_modulus": "regularity",
     "fixture_catalog": "verify",
     "hausdorff": "regularity",
@@ -38,6 +39,13 @@ _EXPORTS = {
 _SUBMODULES = {*_EXPORTS.values(), "cli"}
 
 __all__ = sorted(_EXPORTS)
+
+
+def console_script() -> None:
+    """The `svfrac` script: svfrac.cli run as by `python -m svfrac.cli`, not imported."""
+    import runpy
+
+    runpy.run_module("svfrac.cli", run_name="__main__", alter_sys=True)
 
 
 def __getattr__(name: str):

@@ -10,6 +10,9 @@ output before writing it failed.
 `inclusion` solves the builtin fields of a problem file directly, in one
 step (svfrac.inclusion): a solution beyond the float range, a singular
 step and a grid too coarse for the field's p are exit 3.
+
+Run as the program, the module loads only the modules of its command;
+imported, it loads those of every command, so that main() imports none.
 """
 
 from __future__ import annotations
@@ -36,12 +39,10 @@ if _gc_enabled:
     gc.collect(1)  # the caller's young garbage, which the freeze would keep for good
 gc.disable()
 try:
-    from .gridmap import GridMap
-    from .inclusion import POLICIES, CaputoProblem, funnel_to_csv, solution_funnel, solve_with_policy
-    from .regularity import RegularityReport, bound_l0, bound_sup
-    from .rl import rl_setvalued
-    from .selections import certify_extremals, certify_midpoint
-    from .verify import DEFAULT_RHOS, DEFAULT_SEED, run_verification
+    from .gridmap import DEFAULT_SEED, POLICIES, GridMap
+    from .rl import bound_l0, bound_sup, rl_setvalued
+    if __name__ != "__main__":  # imported, not run: load every command's modules now, so main() imports none
+        from . import inclusion, selections, verify  # noqa: F401
     gc.freeze()
 finally:
     if _gc_enabled:  # a caller that turned the collector off keeps it off
@@ -137,6 +138,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import DEFAULT_RHOS, RegularityReport, run_verification
     rhos = tuple(args.rho) if args.rho else DEFAULT_RHOS
     fixtures = None
     if args.input:
@@ -162,6 +164,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selections(args) -> int:
+    from .selections import certify_extremals, certify_midpoint
     f = _load_map(args)
     g = rl_setvalued(f, args.rho)
     certs = (*certify_extremals(g), certify_midpoint(g))
@@ -195,6 +198,7 @@ def _plain_warnings():
 
 @_plain_warnings()
 def cmd_inclusion(args) -> int:
+    from .inclusion import CaputoProblem, funnel_to_csv, solution_funnel, solve_with_policy
     if not args.input:
         raise InputError("inclusion requires --input with a problem JSON")
     obj = _load_json(args.input)
@@ -305,12 +309,12 @@ def _grid_source(args) -> str:
 
 
 def console_main() -> NoReturn:
-    """The `svfrac` command: main() on the process's arguments, then the end
-    of the process with its exit code once stdout and stderr are flushed,
-    without the interpreter's teardown, which frees numpy's state for tens of
-    milliseconds after the result is out. A failed flush of stdout is an
-    input error, as in _output. Exceptions from main(), argparse's SystemExit
-    among them, propagate as usual."""
+    """The program (`python -m svfrac.cli`, the `svfrac` script): main() on the
+    process's arguments, then the end of the process with its exit code once
+    stdout and stderr are flushed, without the interpreter's teardown, which frees
+    numpy's state for tens of milliseconds after the result is out. A failed flush
+    of stdout is an input error, as in _output. Exceptions from main(), argparse's
+    SystemExit among them, propagate as usual."""
     code = main()
     try:
         if sys.stdout is not None:

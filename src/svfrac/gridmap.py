@@ -193,6 +193,8 @@ def _csv(header: str, *columns, out=None) -> str | None:
 
 
 SEED_LIMIT = 2**63  # seeds are integers in [0, SEED_LIMIT)
+DEFAULT_SEED = 42  # of verify's 3.4 draws
+POLICIES = ("lower", "upper", "midpoint")  # inclusion's selection policies
 _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 

@@ -22,11 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .gridmap import GridMap, _csv
-from .regularity import bound_sup
-from .rl import RLOperator, positive
+from .gridmap import POLICIES, GridMap, _csv
+from .rl import RLOperator, bound_sup, positive
 
-POLICIES = ("lower", "upper", "midpoint")
 PROBE_NODES = 17  # times and states on the probe grid of rhs_monotone_in_u
 PROBE_SPAN = 10.0  # its states lie within PROBE_SPAN of u0
 

@@ -1,4 +1,4 @@
-"""Hausdorff-metric regularity of interval-valued maps and quantitative bounds.
+"""Hausdorff-metric regularity of interval-valued maps.
 
 Measured quantities (total variation, Lipschitz constant) are exact for the
 piecewise-linear representation class; for maps sampled from smoother
@@ -48,21 +48,6 @@ def total_variation(f: GridMap) -> float:
 def lipschitz_constant(f: GridMap) -> float:
     """Smallest Hausdorff-metric Lipschitz constant of the representation."""
     return _measure("Lipschitz constant", f, np.max, f.step)
-
-
-def bound_sup(rho: float, m: float, a: float, b: float) -> float:
-    """Uniform bound M*(b-a)^rho / (Gamma(rho)*rho) on the integral map."""
-    rho = positive("fractional order rho", rho)
-    return _scaled_power(m, a, b, rho, rho + 1.0)
-
-
-def bound_l0(rho: float, m: float, a: float, b: float) -> float:
-    """Lipschitz constant M*(b-a)^(rho-1) / Gamma(rho) of the integral map,
-    valid for rho > 1 (differentiation under the integral sign)."""
-    rho = positive("fractional order rho", rho)
-    if rho <= 1:
-        raise ValueError(f"Lipschitz inheritance requires rho > 1, got {rho}")
-    return _scaled_power(m, a, b, rho - 1.0, rho)
 
 
 _SUM_RUN = 4096  # nodes per einsum call of _node_sums

@@ -52,6 +52,21 @@ def _scaled_power(m: float, a: float, b: float, power: float, gamma_arg: float) 
     return value
 
 
+def bound_sup(rho: float, m: float, a: float, b: float) -> float:
+    """Uniform bound M*(b-a)^rho / (Gamma(rho)*rho) on the integral map."""
+    rho = positive("fractional order rho", rho)
+    return _scaled_power(m, a, b, rho, rho + 1.0)
+
+
+def bound_l0(rho: float, m: float, a: float, b: float) -> float:
+    """Lipschitz constant M*(b-a)^(rho-1) / Gamma(rho) of the integral map,
+    valid for rho > 1 (differentiation under the integral sign)."""
+    rho = positive("fractional order rho", rho)
+    if rho <= 1:
+        raise ValueError(f"Lipschitz inheritance requires rho > 1, got {rho}")
+    return _scaled_power(m, a, b, rho - 1.0, rho)
+
+
 def _pow_diff(s0: np.ndarray, s1: np.ndarray, p: float) -> np.ndarray:
     """s0**p - s1**p for 0 <= s1 <= s0 as s1**p * expm1(p * log(s0/s1)), stable for
     small p; s0**p where that is not finite (s1 = 0, or 0 * inf at huge p).

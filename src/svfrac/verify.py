@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gridmap import _BUILTIN_KINDS, GridMap, _check_seed, draw_indices
-from .regularity import (RegularityReport, bound_l0, bound_sup, continuity_modulus, hausdorff, lipschitz_constant,
-                         total_variation)
-from .rl import RLOperator, _scaled_power, integral_set, positive, rl_setvalued
+from .gridmap import _BUILTIN_KINDS, DEFAULT_SEED, GridMap, _check_seed, draw_indices
+from .regularity import RegularityReport, continuity_modulus, hausdorff, lipschitz_constant, total_variation
+from .rl import RLOperator, _scaled_power, bound_l0, bound_sup, integral_set, positive, rl_setvalued
 
 DEFAULT_RHOS = (0.5, 1.0, 1.5, 2.7)
 
 ROUNDOFF = 1024 * float(np.finfo(float).eps)  # per unit of the compared magnitude; roundoff reaches 23 eps
 WEIGHT_TOL = float(np.finfo(float).eps)  # relative to the row's sum: roundoff of a weight
 
-DEFAULT_SEED = 42
 CONTINUITY_PAIRS = 100  # random node pairs compared by 3.4
 
 

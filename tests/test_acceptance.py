@@ -20,7 +20,7 @@ from svfrac import (
 )
 from svfrac.cli import main
 from svfrac.inclusion import CaputoProblem, solve_with_policy
-from svfrac.regularity import bound_l0, bound_sup
+from svfrac.rl import bound_l0, bound_sup
 from svfrac.verify import fixture_catalog
 
 RHOS = (0.3, 0.5, 1.0, 1.5, 2.7)

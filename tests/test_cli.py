@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import svfrac
 from _reference import forward_substitution, toeplitz_matrix
-from svfrac import cli, quadrature_weights, verify
+from svfrac import cli, inclusion, quadrature_weights, verify
 from svfrac.cli import main
 
 SRC = Path(svfrac.__file__).resolve().parents[1]
@@ -207,8 +207,8 @@ class TestVerifyReport:
         (tmp_path / "neg.json").write_text(json.dumps(self.NEG))
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         seen = []
-        real = cli.run_verification
-        monkeypatch.setattr(cli, "run_verification", lambda **kw: seen.append(real(**kw)) or seen[-1])
+        real = verify.run_verification
+        monkeypatch.setattr(verify, "run_verification", lambda **kw: seen.append(real(**kw)) or seen[-1])
         out = tmp_path / "report.json"
         assert main(["verify", *argv, *(["--output", str(out)] if to_file else [])]) == 0
         text = out.read_text() if to_file else capsys.readouterr().out
@@ -219,7 +219,7 @@ class TestVerifyReport:
         each report's dict is made as the encoder reaches it, so no list of
         them all exists."""
         reports = verify.run_verification(n_segments=64)
-        monkeypatch.setattr(cli, "run_verification", lambda **kw: reports)
+        monkeypatch.setattr(verify, "run_verification", lambda **kw: reports)
         args = cli.build_parser().parse_args(["verify", "--output", str(tmp_path / "report.json")])
         gc.collect()
         tracemalloc.start()
@@ -655,8 +655,8 @@ class TestGridTooLarge:
 
     @pytest.mark.parametrize("mode", [[], ["--funnel"]])
     def test_inclusion(self, tmp_path, monkeypatch, problem_file, mode, capsys):
-        monkeypatch.setattr(cli, "solve_with_policy", self.out_of_memory)
-        monkeypatch.setattr(cli, "solution_funnel", self.out_of_memory)
+        monkeypatch.setattr(inclusion, "solve_with_policy", self.out_of_memory)
+        monkeypatch.setattr(inclusion, "solution_funnel", self.out_of_memory)
         out = tmp_path / "never.csv"
         argv = ["inclusion", "--input", problem_file, "--grid", "1000000000000", "--output", str(out)]
         assert main(argv + mode) == 3
@@ -786,8 +786,25 @@ class TestUnreadableJson:
         assert proc.stderr.count("\n") == 1
 
 
+# The svfrac modules each command loads when svfrac.cli runs as the program.
+COMMON_MODULES = {"svfrac", "svfrac.gridmap", "svfrac.rl"}
+COMMAND_MODULES = {
+    "verify": COMMON_MODULES | {"svfrac.regularity", "svfrac.verify"},
+    "integrate": COMMON_MODULES,
+    "selections": COMMON_MODULES | {"svfrac.regularity", "svfrac.selections"},
+    "bounds": COMMON_MODULES,
+    "inclusion": COMMON_MODULES | {"svfrac.inclusion"},
+}
+
+
+def imported_modules(stderr: str) -> set[str]:
+    """The modules named in the `-X importtime` lines of stderr."""
+    return {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines() if line.startswith("import time:")}
+
+
 class TestNoNumpyRandom:
-    """No command imports numpy.random: 3.4's draws are svfrac's own."""
+    """No command imports numpy.random: 3.4's draws are svfrac's own. Run
+    as the program, each command loads only its own svfrac modules."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -809,9 +826,34 @@ class TestNoNumpyRandom:
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-        assert "svfrac.verify" in imported and "numpy" in imported
+        imported = imported_modules(proc.stderr)
+        assert {m for m in imported if m.split(".")[0] == "svfrac"} == COMMAND_MODULES[argv[0]]
+        assert "numpy" in imported
         assert not {m for m in imported if m == "numpy.random" or m.startswith("numpy.random.")}
+
+    def test_library_main_imports_nothing(self, tmp_path):
+        """Imported, svfrac.cli has loaded every command's modules: main()
+        adds no entry to sys.modules on any command, once argparse has
+        loaded what it loads on a first parse."""
+        problem = tmp_path / "oscillator.json"
+        problem.write_text(json.dumps(OSCILLATOR))
+        out = str(tmp_path / "out")
+        commands = [
+            ["verify", "--grid", "4"],
+            ["integrate", "--rho", "0.5", "--grid", "8"],
+            ["selections", "--rho", "1.5", "--grid", "8"],
+            ["bounds", "--rho", "1.5", "--M", "1"],
+            ["inclusion", "--funnel", "--grid", "8", "--input", str(problem)],
+        ]
+        code = ("import json, sys, svfrac.cli\n"
+                "svfrac.cli.build_parser().parse_args(['bounds', '--rho', '1', '--M', '1'])\n"
+                "before = set(sys.modules)\n"
+                f"for argv in {commands!r}:\n"
+                f"    assert svfrac.cli.main(argv + ['--output', {out!r}]) == 0\n"
+                "    print(json.dumps(sorted(set(sys.modules) - before)))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"] * len(commands)
 
 
 class TestStartup:
@@ -899,6 +941,24 @@ class TestParser:
         assert len(refs) == 6  # svfrac and its five subcommands
         assert dead == [[True] * 6] and all(r() is None for r in refs)
 
+    @staticmethod
+    def program(*argv):
+        """`python -m svfrac.cli argv`, whose parser is built before any command's own module loads."""
+        return subprocess.run([sys.executable, "-m", "svfrac.cli", *argv], capture_output=True, text=True,
+                              env=cli_env(), timeout=120)
+
+    def test_unknown_policy_is_a_usage_error(self):
+        proc = self.program("inclusion", "--policy", "sideways")
+        assert proc.returncode == 2 and proc.stdout == ""
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("svfrac inclusion: error: argument --policy: invalid choice: 'sideways' (choose from ")
+        assert all(policy in last for policy in ("lower", "upper", "midpoint"))
+
+    def test_verify_seed_defaults_to_42(self):
+        default, seeded = self.program("verify", "--grid", "16"), self.program("verify", "--grid", "16", "--seed", "42")
+        assert default.returncode == seeded.returncode == 0
+        assert default.stdout == seeded.stdout and default.stdout
+
 
 class TestZeroMapContinuity:
     """An identically zero continuity modulus is not a failure to shrink."""
@@ -971,7 +1031,7 @@ class TestConsoleScript:
         tomllib = pytest.importorskip("tomllib")
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["svfrac"]
-        assert target == "svfrac.cli:console_main"
+        assert target == "svfrac:console_script"
         module, _, name = target.partition(":")
         # The entry point ends the process it runs in, so it runs in a child.
         code = f"import sys, {module}; sys.argv = {['svfrac', *argv]!r}; {module}.{name}()"
@@ -980,6 +1040,18 @@ class TestConsoleScript:
             cwd=tmp_path, capture_output=True, text=True, env=cli_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_entry_point_runs_the_module_as_the_program(self, tmp_path):
+        """The script loads the svfrac modules that `python -m svfrac.cli`
+        loads for the command, not every command's."""
+        argv = ["svfrac", "integrate", "--rho", "0.5", "--grid", "64"]
+        code = f"import sys, svfrac; sys.argv = {argv!r}; svfrac.console_script()"
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", code],
+            cwd=tmp_path, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert {m for m in imported_modules(proc.stderr) if m.split(".")[0] == "svfrac"} == COMMAND_MODULES["integrate"]
 
     def test_failed_final_flush_is_input_error(self, tmp_path, monkeypatch, capsys):
         class UnflushableStdout(io.StringIO):
