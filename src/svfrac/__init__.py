@@ -20,7 +20,6 @@ _EXPORTS = {
     "RLOperator": "rl",
     "RegularityReport": "regularity",
     "Selection": "gridmap",
-    "SelectionCertificate": "selections",
     "Trajectory": "inclusion",
     "bound_l0": "rl",
     "bound_sup": "rl",
@@ -28,7 +27,7 @@ _EXPORTS = {
     "fixture_catalog": "verify",
     "hausdorff": "regularity",
     "lipschitz_constant": "regularity",
-    "midpoint_selection": "selections",
+    "midpoint_selection": "gridmap",
     "quadrature_weights": "rl",
     "rl_setvalued": "rl",
     "run_verification": "verify",

@@ -42,7 +42,7 @@ try:
     from .gridmap import DEFAULT_SEED, POLICIES, GridMap
     from .rl import bound_l0, bound_sup, rl_setvalued
     if __name__ != "__main__":  # imported, not run: load every command's modules now, so main() imports none
-        from . import inclusion, selections, verify  # noqa: F401
+        from . import inclusion, verify  # noqa: F401
     gc.freeze()
 finally:
     if _gc_enabled:  # a caller that turned the collector off keeps it off
@@ -137,8 +137,22 @@ def cmd_integrate(args) -> int:
     return EXIT_OK
 
 
+def _report(path: str | None, reports) -> int:
+    """The reports as JSON, each report's dict made as the encoder reaches it (no
+    list of them all), then a FAIL line on stderr for each failed one: exit 1 on any."""
+    _write_json(path, reports, indent=1, default=lambda r: r.to_json())
+    failed = [r for r in reports if not r.passed]
+    for r in failed:
+        print(
+            f"FAIL theorem {r.theorem} fixture {r.fixture} rho {r.rho:g}: "
+            f"measured {r.measured:.12g} bound {r.bound:.12g}",
+            file=sys.stderr,
+        )
+    return EXIT_VERIFY_FAIL if failed else EXIT_OK
+
+
 def cmd_verify(args) -> int:
-    from .verify import DEFAULT_RHOS, RegularityReport, run_verification
+    from .verify import DEFAULT_RHOS, run_verification
     rhos = tuple(args.rho) if args.rho else DEFAULT_RHOS
     fixtures = None
     if args.input:
@@ -151,30 +165,17 @@ def cmd_verify(args) -> int:
         if not fixtures:
             raise InputError(f"fixture file {args.input} has no fixtures")
     reports = run_verification(rhos=rhos, fixtures=fixtures, seed=args.seed, n_segments=args.grid)
-    # Each report's dict is made as the encoder reaches it: no list of them all.
-    _write_json(args.output, reports, indent=1, default=RegularityReport.to_json)
-    failed = [r for r in reports if not r.passed]
-    for r in failed:
-        print(
-            f"FAIL theorem {r.theorem} fixture {r.fixture} rho {r.rho:g}: "
-            f"measured {r.measured:.12g} bound {r.bound:.12g}",
-            file=sys.stderr,
-        )
-    return EXIT_VERIFY_FAIL if failed else EXIT_OK
+    return _report(args.output, reports)
 
 
 def cmd_selections(args) -> int:
-    from .selections import certify_extremals, certify_midpoint
-    f = _load_map(args)
-    g = rl_setvalued(f, args.rho)
-    certs = (*certify_extremals(g), certify_midpoint(g))
-    _write_json(args.output, [c.to_json() for c in certs], indent=1)
-    return EXIT_OK
+    from .verify import selection_reports
+    return _report(args.output, selection_reports(_load_map(args), args.rho))
 
 
 def cmd_bounds(args) -> int:
     out = {"bound_sup": bound_sup(args.rho, args.M, args.a, args.b)}
-    if args.rho > 1:
+    if args.rho >= 1:
         out["bound_L0"] = bound_l0(args.rho, args.M, args.a, args.b)
     _write_json(args.output, out)
     return EXIT_OK
@@ -257,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of 3.4's random node pairs")
     sp.set_defaults(func=cmd_verify, grid=64)
 
-    sp = sub.add_parser("selections", help="selection certificates of the integral map")
+    text = "3.5 and 3.6 on each regular selection of the integral map, JSON report out; exit 1 on a FAIL"
+    sp = sub.add_parser("selections", help=text, description=text)
     map_source(sp)
     sp.set_defaults(func=cmd_selections)
 

@@ -173,6 +173,11 @@ class Selection(GridMap):
         return bool(np.all((f.rows[:1] <= self.rows) & (self.rows <= f.rows[-1:])))
 
 
+def midpoint_selection(g: GridMap) -> Selection:
+    """Midpoint selection, the default policy of the inclusion solver."""
+    return Selection(g.a, g.b, 0.5 * g.lo + 0.5 * g.hi)
+
+
 def _csv(header: str, *columns, out=None) -> str | None:
     """The header line, then one CSV line of `.12g` values per row of the
     columns, written to the text stream `out` CSV_BLOCK rows at a time, so

@@ -60,10 +60,10 @@ def bound_sup(rho: float, m: float, a: float, b: float) -> float:
 
 def bound_l0(rho: float, m: float, a: float, b: float) -> float:
     """Lipschitz constant M*(b-a)^(rho-1) / Gamma(rho) of the integral map,
-    valid for rho > 1 (differentiation under the integral sign)."""
+    valid for rho >= 1 (differentiation under the integral sign; M at rho = 1)."""
     rho = positive("fractional order rho", rho)
-    if rho <= 1:
-        raise ValueError(f"Lipschitz inheritance requires rho > 1, got {rho}")
+    if rho < 1:
+        raise ValueError(f"Lipschitz inheritance requires rho >= 1, got {rho}")
     return _scaled_power(m, a, b, rho - 1.0, rho)
 
 

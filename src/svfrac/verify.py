@@ -7,14 +7,15 @@ reported as a RegularityReport. Runs are deterministic: fixture catalog,
 run_verification measures each (fixture, rho) pair's integral map `g` once
 and hands it, and what is measured of it, to the checks. Each check allows
 ROUNDOFF times the magnitude it compares: `scale`, the pair's S =
-bound_sup(rho, sup|f|, a, b), or its bound (3.5 to 3.8).
+bound_sup(rho, sup|f|, a, b), or its bound (3.5 to 3.8). selection_reports
+runs 3.5 and 3.6 on the regular selections of one map (`svfrac selections`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gridmap import _BUILTIN_KINDS, DEFAULT_SEED, GridMap, _check_seed, draw_indices
+from .gridmap import _BUILTIN_KINDS, DEFAULT_SEED, GridMap, _check_seed, draw_indices, midpoint_selection
 from .regularity import RegularityReport, continuity_modulus, hausdorff, lipschitz_constant, total_variation
 from .rl import RLOperator, _scaled_power, bound_l0, bound_sup, integral_set, positive, rl_setvalued
 
@@ -114,26 +115,26 @@ def check_continuity(f: GridMap, name: str, rho: float, *, g: GridMap, pairs, ph
     )
 
 
-def variation_masses(f: GridMap) -> list[float]:
-    """||r(a)|| + V(r) for r = f and its extremal selections lo and hi. By parts, r = r(a) + the
-    integral of dr against k(t) = t^rho / Gamma(rho + 1), which increases, so the integral of order
-    rho of r has variation at most bound_sup(rho, ||r(a)|| + V(r), a, b): at every order, and
-    at the nodes exactly, whose values are exact for r's interpolant."""
-    return [float(np.abs(r.rows[:, 0]).max()) + total_variation(r)
-            for r in (f, f.extremal_lower(), f.extremal_upper())]
+def variation_masses(*maps: GridMap) -> list[float]:
+    """||r(a)|| + V(r) for each map r of `maps`. By parts, r = r(a) + the integral of dr against
+    k(t) = t^rho / Gamma(rho + 1), which increases, so the integral of order rho of r has variation
+    at most bound_sup(rho, ||r(a)|| + V(r), a, b): at every order, and at the nodes exactly, whose
+    values are exact for r's interpolant."""
+    return [float(np.abs(r.rows[:, 0]).max()) + total_variation(r) for r in maps]
 
 
 def check_bounded_variation(f: GridMap, name: str, rho: float, *, g: GridMap, bounds: list[float]):
-    """Thm 3.5: V(G) vs its bound from F, bounds[0] (variation_masses)."""
-    measured = total_variation(g)
-    return RegularityReport("3.5", name, rho, measured, bounds[0], measured <= bounds[0] + _slack(f, rho, bounds[0]))
+    """Thm 3.5: V(G) vs its bound from F, bounds[0], to the slack of the largest of `bounds`
+    (variation_masses). In the pass that is bounds[0], as F's mass is at least lo's and hi's."""
+    measured, slack = total_variation(g), _slack(f, rho, max(bounds))
+    return RegularityReport("3.5", name, rho, measured, bounds[0], measured <= bounds[0] + slack)
 
 
 def check_lipschitz(f: GridMap, name: str, rho: float, *, g: GridMap, sup_f: float, scale: float):
-    """Thm 3.6 (rho > 1): Lipschitz constant of G vs L0. Node values carry
+    """Thm 3.6 (rho >= 1): Lipschitz constant of G vs L0. Node values carry
     roundoff up to _slack of S, `scale`, which a slope carries over the step."""
-    if rho <= 1.0:
-        return RegularityReport("3.6", name, rho, 0.0, 0.0, True, status="skipped (requires rho>1)")
+    if rho < 1.0:
+        return RegularityReport("3.6", name, rho, 0.0, 0.0, True, status="skipped (requires rho>=1)")
     measured, bound = lipschitz_constant(g), bound_l0(rho, sup_f, f.a, f.b)
     slack = max(ROUNDOFF * bound, _slack(f, rho, scale) / f.step)
     return RegularityReport("3.6", name, rho, measured, bound, measured <= bound + slack)
@@ -223,7 +224,7 @@ def run_verification(
             # beyond the float range is the error, not the modulus it also spoils.
             _scaled_power(1.0, grid[0], grid[1], positive("fractional order rho", rho), rho)
             phis.append(continuity_modulus(maps, rho, u, v))
-        sups = [(f.sup_bound(), variation_masses(f)) for f in maps]
+        sups = [(f.sup_bound(), variation_masses(f, f.extremal_lower(), f.extremal_upper())) for f in maps]
         named, first = list(zip(group, maps)), None
         for rho in rhos:
             failed = _order_reports(grid, rho, named, sups, pairs, phis.pop(0), reports)
@@ -232,3 +233,21 @@ def run_verification(
         if first is not None:
             raise first
     return [report for name in sorted(fixtures) for report in reports[name]]
+
+
+def selection_reports(f: GridMap, rho: float) -> list[RegularityReport]:
+    """Thms 3.5 and 3.6 on each regular selection r of F (3.7/3.8): lo, hi and
+    their midpoint, the reports named lower, upper and midpoint. The integral
+    of r is the matching selection of G, one of its rows or their float
+    midpoint. The slacks are of F's scale, not r's, whose bound can be about
+    0 while G's roundoff is not: 3.5's is that of the larger bound of lo and
+    hi, 3.6's that of S."""
+    sels = (GridMap.extremal_lower, GridMap.extremal_upper, midpoint_selection)
+    rs, gs = ([sel(m) for sel in sels] for m in (f, rl_setvalued(f, rho)))
+    bounds = [bound_sup(rho, m, f.a, f.b) for m in variation_masses(*rs)]
+    s = bound_sup(rho, f.sup_bound(), f.a, f.b)
+    reports = []
+    for kind, r, g, bound in zip(("lower", "upper", "midpoint"), rs, gs, bounds):
+        reports += [check_bounded_variation(f, kind, rho, g=g, bounds=[bound, *bounds[:2]]),
+                    check_lipschitz(f, kind, rho, g=g, sup_f=r.sup_bound(), scale=s)]
+    return reports

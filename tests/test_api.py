@@ -23,6 +23,7 @@ REMOVED = (
     "Interval",
     "extremal_selections",
     "gamma_fn",
+    "SelectionCertificate",
 )
 
 

@@ -157,7 +157,7 @@ class TestVerify:
         out = tmp_path / "report.json"
         assert main(["verify", "--grid", "16", "--rho", "0.5", "--output", str(out)]) == 0
         reports = json.loads(out.read_text())
-        skipped = [r for r in reports if r["status"] == "skipped (requires rho>1)"]
+        skipped = [r for r in reports if r["status"] == "skipped (requires rho>=1)"]
         assert {r["theorem"] for r in skipped} == {"3.6"}
 
     def test_corrupted_fixture_file(self, tmp_path):
@@ -376,6 +376,14 @@ class TestBoundsAndSelections:
         assert abs(obj["bound_L0"] - 1.0 / gamma_fn(1.5)) < 1e-12
         assert abs(obj["bound_sup"] - 1.0 / (gamma_fn(1.5) * 1.5)) < 1e-12
 
+    def test_bounds_at_order_one(self, tmp_path):
+        """L0 = M is valid at rho = 1; below it, bound_L0 is left out."""
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--rho", "1", "--M", "3", "--b", "2", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["bound_L0"] == pytest.approx(3.0, rel=1e-15)
+        assert main(["bounds", "--rho", "0.999", "--M", "3", "--output", str(out)]) == 0
+        assert "bound_L0" not in json.loads(out.read_text())
+
     def test_bounds_invalid_parameters(self):
         assert main(["bounds", "--rho", "-1", "--M", "1"]) == 3
 
@@ -385,10 +393,10 @@ class TestBoundsAndSelections:
             ["selections", "--builtin", "sym_linear", "--rho", "1.5", "--grid", "16",
              "--output", str(out)]
         ) == 0
-        certs = json.loads(out.read_text())
-        kinds = {c["kind"] for c in certs}
-        assert kinds == {"lower-extremal", "upper-extremal", "midpoint"}
-        assert all(c["membership_checked"] for c in certs)
+        reports = json.loads(out.read_text())
+        assert [(r["fixture"], r["theorem"]) for r in reports] == [
+            (kind, theorem) for kind in ("lower", "upper", "midpoint") for theorem in ("3.5", "3.6")]
+        assert all(r["pass"] and r["status"] == "checked" for r in reports)
 
 
 class TestParameterRobustness:
@@ -791,7 +799,7 @@ COMMON_MODULES = {"svfrac", "svfrac.gridmap", "svfrac.rl"}
 COMMAND_MODULES = {
     "verify": COMMON_MODULES | {"svfrac.regularity", "svfrac.verify"},
     "integrate": COMMON_MODULES,
-    "selections": COMMON_MODULES | {"svfrac.regularity", "svfrac.selections"},
+    "selections": COMMON_MODULES | {"svfrac.regularity", "svfrac.verify"},
     "bounds": COMMON_MODULES,
     "inclusion": COMMON_MODULES | {"svfrac.inclusion"},
 }
@@ -1307,7 +1315,7 @@ class TestExitCodeProperty:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejecting the arguments
                 code = exc.code
-        # Exit 1 is verify's alone.
+        # Exit 1 is a FAIL. selections checks a valid builtin map here, where a FAIL would be false.
         allowed = {0, 1, 2, 3} if argv[0] == "verify" else {0, 2, 3}
         assert code in allowed, (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()

@@ -31,8 +31,9 @@ from svfrac import (
     rl_setvalued,
     total_variation,
 )
-from svfrac import gridmap, regularity, rl, selections, verify
+from svfrac import gridmap, regularity, rl, verify
 from svfrac.gridmap import _BUILTIN_KINDS
+from svfrac.cli import main
 from svfrac.verify import continuity_pairs, fixture_catalog, run_verification
 
 RNG = np.random.default_rng(1)
@@ -101,9 +102,12 @@ class TestBounds:
         g = rl_setvalued(f, 2.0)
         assert lipschitz_constant(g) <= bound_l0(2.0, f.sup_bound(), 0.0, 3.0) + 1e-9
 
-    def test_bound_l0_requires_rho_above_one(self):
+    def test_bound_l0_requires_rho_at_least_one(self):
+        """At rho = 1, L0 is M itself."""
+        assert bound_l0(1.0, 1.0, 0.0, 1.0) == 1.0
+        assert bound_l0(1.0, 3.0, 0.0, 5.0) == pytest.approx(3.0, rel=1e-15)
         with pytest.raises(ValueError):
-            bound_l0(1.0, 1.0, 0.0, 1.0)
+            bound_l0(0.999, 1.0, 0.0, 1.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -625,10 +629,11 @@ class TestTheoremSuites:
             assert vg >= max(va, vb) - 1e-12, name
 
     def test_skipped_entries_below_order_one(self):
-        reports = run_verification(rhos=(0.5,), n_segments=16)
+        """3.6 is skipped on each fixture at rho = 0.5, and checked at rho = 1."""
+        reports = run_verification(rhos=(0.5, 1.0), n_segments=16)
         skipped = [r for r in reports if r.status.startswith("skipped")]
-        assert skipped
-        assert {r.theorem for r in skipped} == {"3.6"}
+        assert len(skipped) == 6
+        assert {(r.theorem, r.rho) for r in skipped} == {("3.6", 0.5)}
 
     def test_one_integral_per_fixture_and_order(self, monkeypatch):
         calls = []
@@ -638,13 +643,12 @@ class TestTheoremSuites:
         assert len(calls) == 24 == len(reports) // 8
 
     def test_one_measure_per_integral(self, monkeypatch):
-        """A default run certifies no selection. Each fixture's variation
-        masses are taken once, a variation each of F, lo and hi, and 3.5
-        and 3.7/3.8 measure the variations of each integral and its two
-        extremal selections: 3 * 6 + 3 * 24. 3.6 measures the Lipschitz
-        constant of each of the 12 integrals of order > 1 once. Each
-        fixture's sup bound is taken once, each integral's once (3.3):
-        6 + 24."""
+        """Each fixture's variation masses are taken once, a variation each
+        of F, lo and hi, and 3.5 and 3.7/3.8 measure the variations of each
+        integral and its two extremal selections: 3 * 6 + 3 * 24. 3.6
+        measures the Lipschitz constant of each of the 18 integrals of
+        order >= 1 once. Each fixture's sup bound is taken once, each
+        integral's once (3.3): 6 + 24."""
         calls = {}
 
         def count(owner, name, modules=()):
@@ -658,12 +662,11 @@ class TestTheoremSuites:
                 if vars(holder).get(name) is real:
                     monkeypatch.setattr(holder, name, counting)
 
-        count(selections, "certify_extremals", (verify,))
         for name in ("total_variation", "lipschitz_constant"):
-            count(regularity, name, (selections, verify))
+            count(regularity, name, (verify,))
         count(GridMap, "sup_bound")
         run_verification()
-        assert calls == {"total_variation": 90, "lipschitz_constant": 12, "sup_bound": 30}
+        assert calls == {"total_variation": 90, "lipschitz_constant": 18, "sup_bound": 30}
 
     def test_overflowing_width_is_one_overflow_error(self):
         """A finite map whose width hi - lo overflows: the operator rejects
@@ -872,7 +875,7 @@ class TestVerificationPass:
     def test_report_has_no_dict_and_the_same_json(self):
         """A report is slotted; to_json is its fields, `passed` as "pass"
         last, details only when not empty; a skipped report (3.6 at rho
-        <= 1) among them."""
+        < 1) among them."""
         reports = run_verification(n_segments=16)
         assert any(r.status.startswith("skipped") for r in reports)
         for r in reports:
@@ -934,13 +937,15 @@ class TestScaleRelativeSlack:
         assert verdicts(reports) == verdicts(run_verification(n_segments=n))
 
     @pytest.mark.parametrize("mutant", ["weights x1.02", "order x1.05", "kernel[N // 2] negated"])
-    def test_wrong_fft_weights_fail_at_every_scale(self, monkeypatch, mutant):
+    def test_wrong_fft_weights_fail_at_every_scale(self, monkeypatch, tmp_path, mutant):
         """Each defect of the FFT path's weights gives a FAIL at every
         scale c, tiny maps included: 3.2 and the endpoint identity compare
         the FFT with dot products of the node-N row, to a slack relative
         to S. Weights x1.02 also fail 3.5 and 3.7/3.8 on the constant map
-        at every order: its V(G), and each extremal selection's, attains
-        the bound from F.
+        at every order, and 3.6 at rho = 1: its V(G), and each extremal
+        selection's, attains the bound from F, and at rho = 1 its Lipschitz
+        constant attains L0 = M. So `selections` exits 1 on it at every
+        order: its lower and upper selections attain their bounds too.
 
         Not caught, at any scale: column 0 dropped from every row
         (_row_moments with `left` zeroed). _row_moments feeds the FFT's
@@ -950,12 +955,20 @@ class TestScaleRelativeSlack:
         exactness check that shares no code with the quadrature would be
         needed to see it."""
         monkeypatch.setattr(rl, "quadrature_weights", mutated_weights(mutant))
-        bounds = ("3.5", "3.7/3.8") if mutant == "weights x1.02" else ()
+        scaled = mutant == "weights x1.02"
+        bounds = ("3.5", "3.7/3.8") if scaled else ()
+        path = tmp_path / "constant.json"
         for c in (1e-12, 1.0, 1e12):
             reports = run_verification(fixtures=moved_catalog(64, c))
             assert not all(r.passed for r in reports), c
             failed = {(r.theorem, r.fixture, r.rho) for r in reports if not r.passed}
             assert {(t, "constant", rho) for t in bounds for rho in verify.DEFAULT_RHOS} <= failed, c
+            if scaled:
+                assert ("3.6", "constant", 1.0) in failed, c
+                path.write_text(json.dumps(moved_catalog(64, c)["constant"].to_json()))
+                for rho in verify.DEFAULT_RHOS:
+                    argv = ["selections", "--input", str(path), "--rho", str(rho), "--output", str(tmp_path / "out")]
+                    assert main(argv) == 1, (c, rho)
 
     def test_bound_fields(self):
         """3.3's bound is S, computed once per pair; 3.1, 3.2, 3.4 and the

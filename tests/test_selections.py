@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svfrac import (
     GridMap,
@@ -11,12 +13,18 @@ from svfrac import (
     rl_setvalued,
     total_variation,
 )
-from svfrac import selections
-from svfrac.selections import certify_extremals, certify_midpoint
+from svfrac import verify
+from svfrac.cli import main
+from svfrac.verify import selection_reports
 
 
 def integral_of_canonical(rho=1.0, n=64):
     return rl_setvalued(GridMap.from_builtin("sym_linear", 0, 1, n), rho)
+
+
+def reports_of(f, rho):
+    """selection_reports(f, rho) by (theorem, selection kind)."""
+    return {(r.theorem, r.fixture): r for r in selection_reports(f, rho)}
 
 
 class TestExtremalSelections:
@@ -52,23 +60,29 @@ class TestExtremalSelections:
 
 class TestRegularSelection:
     def test_canonical_witness(self):
-        cert = certify_extremals(integral_of_canonical())[0]
-        assert cert.kind == "lower-extremal"
-        assert cert.membership_checked
-        assert abs(cert.variation - 0.5) < 1e-12
-        assert abs(cert.parent_variation - 0.5) < 1e-12
+        """The canonical map's lower selection -u integrates at rho = 1 to
+        -u^2/2: V = 0.5 against (|r(a)| + V(r)) (b - a) = 1."""
+        r = reports_of(GridMap.from_builtin("sym_linear", 0, 1, 64), 1.0)[("3.5", "lower")]
+        assert r.passed and r.status == "checked"
+        assert abs(r.measured - 0.5) < 1e-12
+        assert abs(r.bound - 1.0) < 1e-15
 
     def test_degenerate_variation_equality(self):
-        g = GridMap(0, 1, [0, 1, 0], [0, 1, 0])
-        cert = certify_extremals(g)[0]
-        assert cert.variation == cert.parent_variation
+        """A point-valued map's three selections are the map: each reads the
+        variation of its integral."""
+        f = GridMap(0, 1, [0, 1, 0], [0, 1, 0])
+        reports = reports_of(f, 1.5)
+        for kind in ("lower", "upper", "midpoint"):
+            assert reports[("3.5", kind)].measured == total_variation(rl_setvalued(f, 1.5))
 
     def test_zero_witness_of_constant_map(self):
+        """[0, 1] at rho = 2: the lower selection 0 reads V <= 1e-15 against
+        bound 0, the upper one u^2/2 reads 0.5 against bound 0.5."""
         f = GridMap.from_builtin("constant", 0, 1, 32, lo=0.0, hi=1.0)
-        cert = certify_extremals(rl_setvalued(f, 2.0))[0]
-        assert np.allclose(cert.selection.values, 0.0, atol=1e-15)
-        assert cert.variation <= 1e-15
-        assert abs(cert.parent_variation - 0.5) < 1e-13
+        reports = reports_of(f, 2.0)
+        lower, upper = reports[("3.5", "lower")], reports[("3.5", "upper")]
+        assert lower.passed and lower.measured <= 1e-15 and lower.bound == 0.0
+        assert upper.passed and abs(upper.measured - 0.5) < 1e-13 and abs(upper.bound - 0.5) < 1e-15
 
 
 class TestMidpointSelection:
@@ -101,35 +115,53 @@ class TestConvexCombination:
 
 
 class TestCertificates:
-    def test_json_carries_12_significant_digits(self):
-        f = GridMap.from_builtin("sym_linear", 0, 1, 32)
-        g = rl_setvalued(f, 1.5)
-        lo_cert, hi_cert = certify_extremals(g)
-        obj = json.loads(json.dumps(hi_cert.to_json(), sort_keys=True))
-        assert abs(obj["variation"] - hi_cert.variation) < 1e-12 * max(1, hi_cert.variation)
-        assert obj["membership_checked"] is True
-        assert obj["kind"] == "upper-extremal"
+    def test_json_carries_12_significant_digits(self, tmp_path):
+        out = tmp_path / "reports.json"
+        assert main(["selections", "--builtin", "sym_linear", "--rho", "1.5", "--grid", "32",
+                     "--output", str(out)]) == 0
+        obj = next(o for o in json.loads(out.read_text()) if (o["theorem"], o["fixture"]) == ("3.5", "upper"))
+        variation = total_variation(rl_setvalued(GridMap.from_builtin("sym_linear", 0, 1, 32), 1.5).extremal_upper())
+        assert abs(obj["measured"] - variation) < 1e-12 * max(1, variation)
+        assert obj["pass"] is True
 
     def test_midpoint_certificate(self):
         g = integral_of_canonical(rho=1.5)
-        cert = certify_midpoint(g)
-        assert cert.kind == "midpoint"
-        assert cert.membership_checked
-        assert cert.variation <= cert.parent_variation + 1e-12
+        r = reports_of(GridMap.from_builtin("sym_linear", 0, 1, 64), 1.5)[("3.5", "midpoint")]
+        assert r.passed
+        assert r.measured <= total_variation(g) + 1e-12
 
 
-def test_parent_regularity_is_measured_once_per_call(monkeypatch):
-    """certify_extremals measures the map's variation and Lipschitz constant
-    once for both certificates: three of each per call, not four."""
-    g = integral_of_canonical(1.5, 32)
+def test_each_selection_is_measured_once_per_call(monkeypatch):
+    """selection_reports measures the variation of each selection of F (its
+    mass) and of G, and at rho >= 1 the Lipschitz constant of each selection
+    of G: never F or G themselves."""
+    f = GridMap.from_builtin("sym_linear", 0, 1, 32)
     calls = []
     for name in ("total_variation", "lipschitz_constant"):
-        real = getattr(selections, name)
-        monkeypatch.setattr(selections, name, lambda f, _real=real, _name=name: calls.append((_name, f)) or _real(f))
-    certs = certify_extremals(g)
-    assert sorted(name for name, _ in calls) == ["lipschitz_constant"] * 3 + ["total_variation"] * 3
-    assert sum(f is g for _, f in calls) == 2
-    assert all(c.parent_variation == total_variation(g) and c.parent_lipschitz == lipschitz_constant(g) for c in certs)
-    calls.clear()
-    certify_midpoint(g)
-    assert len(calls) == 4
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda m, _real=real, _name=name: calls.append((_name, m)) or _real(m))
+    for rho, lipschitz in ((1.5, 3), (1.0, 3), (0.5, 0)):
+        calls.clear()
+        assert len(selection_reports(f, rho)) == 6
+        assert sorted(name for name, _ in calls) == ["lipschitz_constant"] * lipschitz + ["total_variation"] * 6
+        assert all(isinstance(m, Selection) for _, m in calls)
+
+
+def near_symmetric_map(n, c, seed):
+    """(-c x, c x + 1e-14 c noise) for x = |a random walk| and noise in [0, 1):
+    the midpoint selection, and its own bounds, are about 1e-14 of the map."""
+    rng = np.random.default_rng(seed)
+    x = np.abs(np.cumsum(rng.standard_normal(n + 1)))
+    return GridMap(0.0, 1.0, -c * x, c * x + 1e-14 * c * rng.random(n + 1))
+
+
+class TestSelectionReportsProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 1024), c=st.floats(-6, 6).map(lambda e: 10.0**e), seed=st.integers(0, 2**32 - 1))
+    def test_near_symmetric_random_maps_pass(self, n, c, seed):
+        """Every report passes. The slacks are of F's scale: slacks of the
+        midpoint's own bounds, which are about 0, fail valid maps here."""
+        f = near_symmetric_map(n, c, seed)
+        for rho in (*verify.DEFAULT_RHOS, 1.000001):
+            failed = [r.to_json() for r in selection_reports(f, rho) if not r.passed]
+            assert not failed, (n, c, seed, rho, failed)
