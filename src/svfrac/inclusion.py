@@ -40,6 +40,10 @@ class AffineField:
     hi: float = 0.0
     slope: float = 0.0
 
+    def __post_init__(self):
+        if not np.isfinite(self.p):
+            raise ValueError(f"p must be finite, got {self.p}")
+
     def __call__(self, t, u):
         base = self.p * u + self.slope * t
         return base + self.lo, base + self.hi
@@ -124,6 +128,9 @@ class CaputoProblem:
             values = {name: float(obj[name]) for name in ("alpha", "t0", "T", "u0", "u1")}
         except ValueError as exc:
             raise TypeError(str(exc)) from exc
+        unknown = sorted(params.keys() - inspect.signature(_RHS_BUILTINS[kind]).parameters.keys())
+        if unknown:
+            raise TypeError(f"rhs kind {kind!r} got unknown parameters {unknown}")
         return cls(**values, rhs=_RHS_BUILTINS[kind](**params))
 
 

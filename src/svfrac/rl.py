@@ -43,7 +43,10 @@ def _scaled_power(m: float, a: float, b: float, power: float, gamma_arg: float) 
     if m == 0.0:
         return 0.0
     try:
-        value = math.exp(math.log(m) + power * math.log(b - a) - math.lgamma(gamma_arg))
+        log_power, log_gamma = power * math.log(b - a), math.lgamma(gamma_arg)
+        if log_power - log_gamma == 0.0:
+            return m  # exp(log m) need not be m
+        value = math.exp(math.log(m) + log_power - log_gamma)
     except OverflowError:
         value = math.inf
     # exp(inf) is inf without an error: power * log(b - a) can overflow alone.

@@ -384,6 +384,13 @@ class TestBoundsAndSelections:
         assert main(["bounds", "--rho", "0.999", "--M", "3", "--output", str(out)]) == 0
         assert "bound_L0" not in json.loads(out.read_text())
 
+    def test_bounds_at_order_one_on_the_unit_interval_are_m(self, tmp_path):
+        """At rho = 1 on [0, 1] both bounds are M (b - a)^0 / Gamma(1) = M
+        exactly, not exp(log M), which misses 3.7 in the last bit."""
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--rho", "1", "--M", "3.7", "--output", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"bound_L0": 3.7, "bound_sup": 3.7}
+
     def test_bounds_invalid_parameters(self):
         assert main(["bounds", "--rho", "-1", "--M", "1"]) == 3
 
@@ -1402,6 +1409,29 @@ class TestProblemFileProperty:
             code = main(argv)
         assert code in {0, 2, 3}, (obj, argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+    def test_unknown_rhs_parameter_names_the_kind(self, tmp_path, capsys):
+        """An input error that names the rhs kind and the parameters it does
+        not take, as for a builtin map, not a keyword of a constructor."""
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0,
+                                    "rhs": {"kind": "affine", "params": {"q": 1.0}}}))
+        assert main(["inclusion", "--input", str(path), "--grid", "64"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: malformed problem spec: rhs kind 'affine' got unknown parameters ['q']\n")
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_p_is_a_parameter_error(self, tmp_path, capsys, p):
+        """A parameter error that names p, as for a non-finite t0 or T, not a
+        resolvent beyond the float range; AffineField checks it."""
+        with pytest.raises(ValueError, match=f"^p must be finite, got {p}$"):
+            inclusion.AffineField(p)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0,
+                                    "rhs": {"kind": "affine", "params": {"p": p}}}))
+        for mode in ([], ["--funnel"]):
+            assert main(["inclusion", "--input", str(path), "--grid", "64"] + mode) == 3
+            assert capsys.readouterr().err == f"parameter error: p must be finite, got {p}\n"
 
     def test_malformed_file_and_overflowing_iterates(self, tmp_path, capsys):
         """The explicit examples above, with their exact exit codes and messages."""
