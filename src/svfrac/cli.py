@@ -5,7 +5,8 @@ output that cannot be opened or written), 3 parameter error (including a
 result beyond the float range, and a grid too large for the memory). The
 output is opened only after the computation has succeeded, so no
 computation result is written on exit codes 2-3, apart from what reached an
-output before writing it failed.
+output before writing it failed. A stderr line that cannot be written is
+dropped: the exit code is the run's own.
 
 `inclusion` solves the builtin fields of a problem file directly, in one
 step (svfrac.inclusion): a solution beyond the float range, a singular
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import gc
 import itertools
 import json
@@ -83,18 +85,29 @@ def _load_map(args) -> GridMap:
 def _output(path: str | None):
     """The text stream a result is written to: the file `path`, opened here,
     or stdout, flushed at the end. An output that cannot be opened or
-    written, a closed pipe included, is an InputError."""
+    written, a closed pipe or a stdout closed at start-up (None) included,
+    is an InputError."""
     try:
         if path:
             with open(path, "w") as fh:
                 yield fh
         else:
+            if sys.stdout is None:
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             yield sys.stdout
             sys.stdout.flush()
     except OSError as exc:
         if not path:
             _discard_stdout()
         raise InputError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from exc
+
+
+def _print_err(line: str) -> None:
+    """`line` on stderr, or nowhere when stderr is None (closed at start-up;
+    print would write to stdout) or cannot be written."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
 
 
 def _discard_stdout() -> None:
@@ -143,10 +156,9 @@ def _report(path: str | None, reports) -> int:
     _write_json(path, reports, indent=1, default=lambda r: r.to_json())
     failed = [r for r in reports if not r.passed]
     for r in failed:
-        print(
+        _print_err(
             f"FAIL theorem {r.theorem} fixture {r.fixture} rho {r.rho:g}: "
-            f"measured {r.measured:.12g} bound {r.bound:.12g}",
-            file=sys.stderr,
+            f"measured {r.measured:.12g} bound {r.bound:.12g}"
         )
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
@@ -219,10 +231,7 @@ def cmd_inclusion(args) -> int:
         traj = solve_with_policy(problem, policy=args.policy, n=args.grid)
         with _output(args.output) as fh:
             traj.to_csv(fh)
-        print(
-            f"iterations_used={traj.iterations_used} residual={traj.residual:.12g}",
-            file=sys.stderr,
-        )
+        _print_err(f"iterations_used={traj.iterations_used} residual={traj.residual:.12g}")
     return EXIT_OK
 
 
@@ -289,16 +298,16 @@ def main(argv=None) -> int:
             raise ValueError(f"--grid must be >= 1, got {args.grid}")
         return args.func(args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _print_err(f"input error: {exc}")
         return EXIT_INPUT
     except ValueError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
+        _print_err(f"parameter error: {exc}")
         return EXIT_PARAM
     except OverflowError as exc:
-        print(f"parameter error: result beyond the float range ({exc})", file=sys.stderr)
+        _print_err(f"parameter error: result beyond the float range ({exc})")
         return EXIT_PARAM
     except MemoryError:
-        print(f"parameter error: not enough memory for {_grid_source(args)}", file=sys.stderr)
+        _print_err(f"parameter error: not enough memory for {_grid_source(args)}")
         return EXIT_PARAM
 
 
@@ -323,7 +332,7 @@ def console_main() -> NoReturn:
             sys.stdout.flush()
     except OSError as exc:
         _discard_stdout()
-        print(f"input error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        _print_err(f"input error: cannot write stdout: {exc.strerror or exc}")
         code = EXIT_INPUT
     with contextlib.suppress(AttributeError, OSError):
         sys.stderr.flush()

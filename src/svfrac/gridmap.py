@@ -19,6 +19,14 @@ _BUILTIN_KINDS = ("constant", "sym_linear", "affine", "abs_envelope", "sin_envel
 CSV_BLOCK = 512  # CSV rows formatted by one % and written by one write
 
 
+def _no_bool(value, name: str):
+    """value; a ValueError naming `name` when it is a bool, which float()
+    reads as 0 or 1 (JSON's false and true are not numbers)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _check_domain(a: float, b: float, n: int = 1) -> None:
     """ValueError unless a < b with a finite length b - a, which also makes a
     and b finite, and the float nodes of n segments strictly increase (a step
@@ -80,10 +88,10 @@ class GridMap:
         return float(np.abs(self.rows).max())
 
     def extremal_lower(self) -> "Selection":
-        return Selection(self.a, self.b, self.lo)
+        return Selection._of_rows(self.a, self.b, self.rows[:1])
 
     def extremal_upper(self) -> "Selection":
-        return Selection(self.a, self.b, self.hi)
+        return Selection._of_rows(self.a, self.b, self.rows[-1:])
 
     # -- construction helpers -------------------------------------------------
 
@@ -91,8 +99,11 @@ class GridMap:
     def from_builtin(
         cls, kind: str, a: float = 0.0, b: float = 1.0, n_segments: int = 256, **params
     ) -> "GridMap":
-        """The builtin map `kind` on [a, b]; an unknown parameter is a TypeError."""
+        """The builtin map `kind` on [a, b]; an unknown parameter is a TypeError,
+        a boolean one a ValueError."""
         _check_domain(a, b, n_segments)  # before the nodes, which an infinite b - a makes NaN
+        for name, value in params.items():
+            _no_bool(value, name)
         u = np.linspace(a, b, n_segments + 1)
         mid = 0.5 * a + 0.5 * b  # not 0.5 * (a + b), which overflows near the float limit
         if kind == "constant":
@@ -134,7 +145,8 @@ class GridMap:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GridMap":
-        a, b, n = float(obj["a"]), float(obj["b"]), obj["segments"]
+        a, b = (float(_no_bool(obj[key], key)) for key in ("a", "b"))
+        n = obj["segments"]
         # int() would silently truncate 2.5 to 2 and read true as 1.
         if isinstance(n, bool) or (isinstance(n, float) and not n.is_integer()):
             raise ValueError(f"segments must be an integer, got {n!r}")
@@ -156,9 +168,7 @@ class Selection(GridMap):
     one-row GridMap, whose lo and hi are one view, `values`."""
 
     def __init__(self, a: float, b: float, values: Sequence[float]):
-        values = np.asarray(values, dtype=float)
-        values.setflags(write=False)  # held as a view, so read-only like every map's rows
-        self._hold(a, b, values[None])
+        self._hold(a, b, np.array(values, dtype=float)[None])  # a copy, as in GridMap
 
     @property
     def values(self) -> np.ndarray:
@@ -175,7 +185,7 @@ class Selection(GridMap):
 
 def midpoint_selection(g: GridMap) -> Selection:
     """Midpoint selection, the default policy of the inclusion solver."""
-    return Selection(g.a, g.b, 0.5 * g.lo + 0.5 * g.hi)
+    return Selection._of_rows(g.a, g.b, (0.5 * g.lo + 0.5 * g.hi)[None])
 
 
 def _csv(header: str, *columns, out=None) -> str | None:

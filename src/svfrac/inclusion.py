@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gridmap import POLICIES, GridMap, _csv
+from .gridmap import POLICIES, GridMap, _csv, _no_bool
 from .rl import RLOperator, bound_sup, positive
 
 PROBE_NODES = 17  # times and states on the probe grid of rhs_monotone_in_u
@@ -113,10 +113,10 @@ class CaputoProblem:
     def from_json(cls, obj: dict) -> "CaputoProblem":
         """The problem of a problem-file object. The rhs params become floats
         here, so an ill-typed one fails on reading, not at the first sweep.
-        Text that is no number is a TypeError, like a value of another type;
-        a number out of range is a ValueError. Keys it does not read, such
-        as a declared Lipschitz constant, are ignored: every builtin is an
-        AffineField, solved directly."""
+        Text that is no number, or a boolean, is a TypeError, like a value of
+        another type; a number out of range is a ValueError. Keys it does not
+        read, such as a declared Lipschitz constant, are ignored: every
+        builtin is an AffineField, solved directly."""
         rhs_spec = obj["rhs"]
         kind = rhs_spec["kind"]
         if kind not in _RHS_BUILTINS:
@@ -124,8 +124,8 @@ class CaputoProblem:
                 f"unknown rhs kind {kind!r}; known: {sorted(_RHS_BUILTINS)}"
             )
         try:
-            params = {name: float(x) for name, x in rhs_spec.get("params", {}).items()}
-            values = {name: float(obj[name]) for name in ("alpha", "t0", "T", "u0", "u1")}
+            params = {name: float(_no_bool(x, name)) for name, x in rhs_spec.get("params", {}).items()}
+            values = {name: float(_no_bool(obj[name], name)) for name in ("alpha", "t0", "T", "u0", "u1")}
         except ValueError as exc:
             raise TypeError(str(exc)) from exc
         unknown = sorted(params.keys() - inspect.signature(_RHS_BUILTINS[kind]).parameters.keys())

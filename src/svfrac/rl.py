@@ -15,6 +15,7 @@ same shape, and is built from W's weights in O(N log N) time.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 
@@ -55,10 +56,24 @@ def _scaled_power(m: float, a: float, b: float, power: float, gamma_arg: float) 
     return value
 
 
+def _bound(m: float, a: float, b: float, power: float, gamma_arg: float) -> float:
+    """_scaled_power(m, a, b, power, gamma_arg), which checks the arguments and
+    the float range, but in closed form where each factor and the result are
+    finite normal floats, so that exact factors give the exact bound (4 /
+    Gamma(3) = 2, not exp's 2.0000000000000004)."""
+    value = _scaled_power(m, a, b, power, gamma_arg)
+    with contextlib.suppress(OverflowError):  # from ** or gamma beyond the float range
+        factors = (float(m), (b - a) ** power, math.gamma(gamma_arg))
+        exact = factors[0] * factors[1] / factors[2]
+        if all(sys.float_info.min <= x < math.inf for x in (*factors, exact)):
+            return exact
+    return value
+
+
 def bound_sup(rho: float, m: float, a: float, b: float) -> float:
     """Uniform bound M*(b-a)^rho / (Gamma(rho)*rho) on the integral map."""
     rho = positive("fractional order rho", rho)
-    return _scaled_power(m, a, b, rho, rho + 1.0)
+    return _bound(m, a, b, rho, rho + 1.0)
 
 
 def bound_l0(rho: float, m: float, a: float, b: float) -> float:
@@ -67,7 +82,7 @@ def bound_l0(rho: float, m: float, a: float, b: float) -> float:
     rho = positive("fractional order rho", rho)
     if rho < 1:
         raise ValueError(f"Lipschitz inheritance requires rho >= 1, got {rho}")
-    return _scaled_power(m, a, b, rho - 1.0, rho)
+    return _bound(m, a, b, rho - 1.0, rho)
 
 
 def _pow_diff(s0: np.ndarray, s1: np.ndarray, p: float) -> np.ndarray:

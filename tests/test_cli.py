@@ -26,6 +26,13 @@ from svfrac.cli import main
 SRC = Path(svfrac.__file__).resolve().parents[1]
 
 
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+try:
+    from fcntl import F_SETPIPE_SZ, fcntl
+except ImportError:  # a pipe's size is set on Linux alone
+    F_SETPIPE_SZ = None
+
+
 def run(tmp_path, *argv):
     return main(list(argv))
 
@@ -123,16 +130,26 @@ class TestIntegrate:
         assert "malformed map spec" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["integrate", "selections", "verify"])
-    @pytest.mark.parametrize("segments", [2.5, True])
-    def test_non_integral_segments_is_input_error(self, tmp_path, command, segments, capsys):
-        spec = {"a": 0, "b": 1, "segments": segments, "kind": "hat"}
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"segments": 2.5}, "segments must be an integer, got 2.5"),
+            ({"segments": True}, "segments must be an integer, got True"),
+            # JSON's false and true are no numbers, though float() reads them as 0 and 1
+            ({"a": False, "b": True}, "a must be a number, got False"),
+            ({"kind": "constant", "params": {"lo": False, "hi": True}}, "lo must be a number, got False"),
+        ],
+        ids=["2.5", "True", "boolean-domain", "boolean-param"],
+    )
+    def test_non_integral_segments_is_input_error(self, tmp_path, command, fields, message, capsys):
+        spec = {"a": 0, "b": 1, "segments": 4, "kind": "hat", **fields}
         path = tmp_path / "map.json"
         path.write_text(json.dumps({"fixture": spec} if command == "verify" else spec))
         out = tmp_path / "never.out"
         argv = [command, "--input", str(path), "--output", str(out)]
         assert main(argv + ([] if command == "verify" else ["--rho", "0.5"])) == 2
         assert not out.exists()
-        assert "segments must be an integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "g.json"
@@ -174,12 +191,23 @@ class TestVerify:
         assert not out.exists()
         assert "has no fixtures" in capsys.readouterr().err
 
-    def test_determinism_byte_identical(self, tmp_path):
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        args = ["verify", "--grid", "16", "--rho", "1.5", "--seed", "42"]
-        assert main(args + ["--output", str(out1)]) == 0
-        assert main(args + ["--output", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    @pytest.mark.parametrize(
+        "args, threads",
+        [
+            (["--grid", "16", "--rho", "1.5", "--seed", "42"], ("1", "1")),
+            # verify's dot products do not depend on the BLAS thread count, at the largest grid either
+            (["--grid", "65536"], ("1", "2")),
+        ],
+        ids=["seed-42", "blas-threads-65536"],
+    )
+    def test_determinism_byte_identical(self, tmp_path, args, threads):
+        """Two runs, under OPENBLAS_NUM_THREADS threads[0] and threads[1], write the same bytes."""
+        outs = [tmp_path / f"r{i}.json" for i in range(2)]
+        for n, out in zip(threads, outs):
+            proc = subprocess.run([sys.executable, "-m", "svfrac.cli", "verify", *args, "--output", str(out)],
+                                  capture_output=True, env={**cli_env(), "OPENBLAS_NUM_THREADS": n}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**63), str(2**64 + 3)])
     def test_seed_outside_the_range_is_parameter_error(self, tmp_path, seed, capsys):
@@ -197,14 +225,38 @@ class TestVerify:
 
 class TestVerifyReport:
     """verify writes its report one entry at a time, with the bytes of one
-    json.dump of the whole list."""
+    json.dump of the whole list. On valid maps it exits 0: every report
+    passes, and only 3.6 below order 1 is skipped."""
 
-    NEG = {"neg": {"a": -3, "b": 7, "segments": 37, "kind": "hat"}}
+    FILES = {
+        "neg.json": {"neg": {"a": -3, "b": 7, "segments": 37, "kind": "hat"}},
+        # Magnitude 1e-310, below the normal range: roundoff there is absolute, and
+        # the slack has a floor in units of 2^-1074.
+        "subnormal.json": {
+            "constant": {"a": 0, "b": 1, "segments": 64, "kind": "constant", "params": {"lo": -1e-310, "hi": 1e-310}},
+            "sym_linear": {"a": 0, "b": 1, "segments": 64, "kind": "sym_linear", "params": {"slope": 1e-310}},
+            "hat": {"a": 0, "b": 1, "segments": 64, "kind": "hat", "params": {"height": 1e-310}},
+            "sin_envelope": {"a": 0, "b": 1, "segments": 64, "kind": "sin_envelope",
+                             "params": {"amp": 1e-310, "off": 3e-311}},
+        },
+    }
 
-    @pytest.mark.parametrize("argv", [["--grid", "64"], ["--input", "neg.json"], ["--grid", "16", "--rho", "1.5"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--grid", "64"], ["--input", "neg.json"], ["--grid", "16", "--rho", "1.5"],
+            ["--grid", "64", "--seed", "5"],
+            # the north star's grids, and 1000, whose shrinking points off the nodes lie beyond the first segment
+            ["--grid", "1000"], ["--grid", "4096"], ["--grid", "65536"],
+            # 3.6's slope carries the node values' roundoff over the step
+            ["--grid", "65536", "--rho", "1.000001"],
+            ["--input", "subnormal.json"],
+        ],
+    )
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
     def test_streamed_text_is_the_whole_list_dump(self, tmp_path, monkeypatch, capsys, argv, to_file):
-        (tmp_path / "neg.json").write_text(json.dumps(self.NEG))
+        for name, fixtures in self.FILES.items():
+            (tmp_path / name).write_text(json.dumps(fixtures))
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         seen = []
         real = verify.run_verification
@@ -213,6 +265,7 @@ class TestVerifyReport:
         assert main(["verify", *argv, *(["--output", str(out)] if to_file else [])]) == 0
         text = out.read_text() if to_file else capsys.readouterr().out
         assert text == json.dumps([r.to_json() for r in seen[0]], sort_keys=True, indent=1) + "\n"
+        assert all(r.status == "checked" or (r.theorem == "3.6" and r.rho < 1) for r in seen[0])
 
     def test_output_phase_stays_small(self, tmp_path, monkeypatch):
         """Writing the 192 computed reports of grid 64 traces under 100 KB:
@@ -241,7 +294,7 @@ class TestVerifyReport:
                                     for kind in ("hat", "constant")}))
         assert main(["verify", "--input", str(path), "--rho", "200", "--output", str(out)]) == 0
         reports = json.loads(out.read_text())
-        assert len(reports) == 16 and all(r["pass"] for r in reports)
+        assert len(reports) == 16 and all(r["pass"] and r["status"] == "checked" for r in reports)
 
 
 class TestInclusion:
@@ -375,6 +428,12 @@ class TestBoundsAndSelections:
         obj = json.loads(out.read_text())
         assert abs(obj["bound_L0"] - 1.0 / gamma_fn(1.5)) < 1e-12
         assert abs(obj["bound_sup"] - 1.0 / (gamma_fn(1.5) * 1.5)) < 1e-12
+        # Where the closed form's factors and value are floats, the bound is that float:
+        # 4 / Gamma(3) = 2 and 2 / Gamma(2) = 2; 3.7 * 2 / Gamma(2) = 7.4 and 3.7 / Gamma(1) = 3.7.
+        for argv, exact in ((["--rho", "2", "--M", "1"], {"bound_L0": 2.0, "bound_sup": 2.0}),
+                            (["--rho", "1", "--M", "3.7"], {"bound_L0": 3.7, "bound_sup": 7.4})):
+            assert main(["bounds", *argv, "--b", "2", "--output", str(out)]) == 0
+            assert json.loads(out.read_text()) == exact
 
     def test_bounds_at_order_one(self, tmp_path):
         """L0 = M is valid at rho = 1; below it, bound_L0 is left out."""
@@ -394,16 +453,19 @@ class TestBoundsAndSelections:
     def test_bounds_invalid_parameters(self):
         assert main(["bounds", "--rho", "-1", "--M", "1"]) == 3
 
-    def test_selection_certificates(self, tmp_path):
+    @pytest.mark.parametrize("grid", ["16", "64", "1000"])
+    @pytest.mark.parametrize("builtin", ["constant", "sym_linear", "affine", "abs_envelope", "sin_envelope", "hat"])
+    def test_selection_certificates(self, tmp_path, builtin, grid):
+        """Each builtin's regular selections against their bounds from F: six
+        passing reports, 3.6 skipped only below order 1."""
         out = tmp_path / "certs.json"
-        assert main(
-            ["selections", "--builtin", "sym_linear", "--rho", "1.5", "--grid", "16",
-             "--output", str(out)]
-        ) == 0
-        reports = json.loads(out.read_text())
-        assert [(r["fixture"], r["theorem"]) for r in reports] == [
-            (kind, theorem) for kind in ("lower", "upper", "midpoint") for theorem in ("3.5", "3.6")]
-        assert all(r["pass"] and r["status"] == "checked" for r in reports)
+        for rho in ("0.5", "1", "1.5", "2.7"):
+            assert main(["selections", "--builtin", builtin, "--rho", rho, "--grid", grid, "--output", str(out)]) == 0
+            reports = json.loads(out.read_text())
+            assert [(r["fixture"], r["theorem"]) for r in reports] == [
+                (kind, theorem) for kind in ("lower", "upper", "midpoint") for theorem in ("3.5", "3.6")]
+            assert all(r["pass"] and (r["status"] == "checked" or r["theorem"] == "3.6" and r["rho"] < 1)
+                       for r in reports)
 
 
 class TestParameterRobustness:
@@ -540,17 +602,26 @@ class TestParameterRobustness:
             "params": {"c_lo": -1e308, "s_lo": 0, "c_hi": 0.8e308, "s_hi": 0}}
 
     @pytest.mark.parametrize(
-        "command, spec",
+        "command, spec, quantity",
         [
-            (["selections", "--rho", "1.5"], NEAR_LIMIT),
-            (["verify", "--rho", "1", "--rho", "1.5"], {"a": NEAR_LIMIT, "b": WIDE}),
+            (["selections", "--rho", "1.5"], NEAR_LIMIT, "the Lipschitz constant of the map on [0.0, 1.0]"),
+            (["verify", "--rho", "1", "--rho", "1.5"], {"a": NEAR_LIMIT, "b": WIDE},
+             "the Lipschitz constant of the map on [0.0, 1.0]"),
+            # a finite map whose width hi - lo overflows
+            (["verify", "--rho", "40"], {"h": {"a": 0, "b": 1, "segments": 2, "kind": "affine",
+                                               "params": {"c_lo": -1.5e308, "s_lo": 0, "c_hi": 1.5e308, "s_hi": 0}}},
+             "the integral of order 40.0 on [0.0, 1.0]"),
+            # verify checks each order's weight scale before its modulus: the scale is named
+            (["verify", "--rho", "1e6"], {"big": {"a": 0, "b": 1e308, "segments": 8, "kind": "sym_linear"}},
+             "the scale with exponent 1000000.0 on [0.0, 1e+308]"),
         ],
-        ids=["selections", "verify"],
+        ids=["selections", "verify", "verify-width", "verify-scale"],
     )
-    def test_lipschitz_constant_beyond_float_range(self, tmp_path, command, spec):
+    def test_lipschitz_constant_beyond_float_range(self, tmp_path, command, spec, quantity):
         """The integral of a constant near the float limit is finite, but its
         Lipschitz constant is not: exit 3 on the one line that names it, in
-        a fresh interpreter, with no numpy warning and no Infinity on stdout."""
+        a fresh interpreter, with no numpy warning and no Infinity on stdout.
+        Likewise for an integral or a weight scale beyond the float range."""
         path = tmp_path / "map.json"
         path.write_text(json.dumps(spec))
         proc = subprocess.run(
@@ -559,8 +630,7 @@ class TestParameterRobustness:
         )
         assert proc.returncode == 3
         assert proc.stdout == ""
-        assert proc.stderr == ("parameter error: result beyond the float range "
-                               "(the Lipschitz constant of the map on [0.0, 1.0] is not finite)\n")
+        assert proc.stderr == f"parameter error: result beyond the float range ({quantity} is not finite)\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -771,7 +841,18 @@ class TestRepeatedNodes:
 
 
 class TestUnreadableJson:
-    """A file that json cannot read, for any reason, is an input error."""
+    """A file that json cannot read, for any reason, is an input error; so
+    is one that holds JSON's true or false where a number is read."""
+
+    # A file of each command's kind with a boolean where a number is read, and its error line.
+    BOOLEAN = {
+        "integrate": ({"a": 0, "b": 1, "segments": 4, "kind": "sin_envelope", "params": {"freq": True}},
+                      "input error: malformed map spec: freq must be a number, got True\n"),
+        "verify": ({"f": {"a": 0, "b": True, "segments": 4, "kind": "hat"}},
+                   "input error: malformed fixture file: b must be a number, got True\n"),
+        "inclusion": ({"alpha": 1.5, "t0": False, "T": 1, "u0": True, "u1": 0, "rhs": {"kind": "affine"}},
+                      "input error: malformed problem spec: t0 must be a number, got False\n"),
+    }
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -779,15 +860,18 @@ class TestUnreadableJson:
         (path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)  # RecursionError
         (path / "latin1.json").write_bytes(b'{"a": "\xff"}')  # UnicodeDecodeError
         (path / "digits.json").write_text('{"a": ' + "1" * 5000 + "}")  # beyond int's digit limit
+        for command, (obj, _) in self.BOOLEAN.items():
+            (path / f"boolean-{command}.json").write_text(json.dumps(obj))
         return path
 
-    @pytest.mark.parametrize("name", ["deep.json", "latin1.json", "digits.json"])
+    @pytest.mark.parametrize("name", ["deep.json", "latin1.json", "digits.json", "boolean"])
     @pytest.mark.parametrize("command", [["integrate", "--rho", "0.5"], ["verify"], ["inclusion"]])
     def test_input_error(self, files, name, command, capsys):
-        path = files / name
+        boolean = name == "boolean"
+        path = files / (f"boolean-{command[0]}.json" if boolean else name)
         assert main(command + ["--input", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"input error: cannot read JSON from {path}: ")
+        assert err.startswith(self.BOOLEAN[command[0]][1] if boolean else f"input error: cannot read JSON from {path}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_deep_array_in_a_fresh_interpreter(self, files):
@@ -1109,6 +1193,8 @@ class TestOutput:
             ["integrate", "--builtin", "hat", "--rho", "1.5", "--grid", "64", "--format", "json"],
             ["verify", "--grid", "16"],
             ["inclusion", "--funnel", "--grid", "1100"],
+            # a hat whose a + b overflows still has a finite midpoint
+            ["integrate", "--builtin", "hat", "--a", "1e308", "--b", "1.7e308", "--rho", "0.5", "--grid", "4"],
         ],
     )
     def test_output_file_matches_stdout(self, tmp_path, problem_file, argv, capsys):
@@ -1173,7 +1259,7 @@ class TestOutput:
         assert main(["integrate", "--rho", "0.5", "--grid", "8"]) == 2
         assert capsys.readouterr().err == f"input error: cannot write stdout: {error.strerror}\n"
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @NEEDS_DEV_FULL
     def test_full_stdout_ends_without_traceback(self):
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
@@ -1183,18 +1269,34 @@ class TestOutput:
         assert proc.returncode == 2
         assert proc.stderr == "input error: cannot write stdout: No space left on device\n"
 
-    def test_closed_pipe_ends_without_traceback(self):
-        # 3.6 MB of CSV: far more than a pipe holds, so the writer is still
-        # writing when the reader goes away after the first line.
+    @pytest.mark.skipif(F_SETPIPE_SZ is None, reason="needs a pipe of a set size")
+    @pytest.mark.parametrize(
+        "argv, first, err",
+        [
+            (["integrate", "--rho", "0.5", "--grid", "65536"], b"u,lo,hi\n", b"input error: cannot write stdout: Broken pipe\n"),
+            (["integrate", "--rho", "0.5", "--grid", "65536"], b"u,lo,hi\n", None),
+            (["verify", "--grid", "1024"], b'[\n {\n  "bo', b"input error: cannot write stdout: Broken pipe\n"),
+            (["verify", "--grid", "1024"], b'[\n {\n  "bo', None),
+        ],
+        ids=["integrate", "integrate-2>&1", "verify", "verify-2>&1"],
+    )
+    def test_closed_pipe_ends_without_traceback(self, argv, first, err):
+        """stdout is a 4 KB pipe, far less than the 3.6 MB of CSV or the 35 KB
+        of reports, so the writer is still writing when the reader goes away
+        after the first bytes: exit 2 on the one input error line, which is
+        dropped where stderr is that pipe too (err None, as `2>&1 | head`)."""
+        read_end, write_end = os.pipe()
+        fcntl(write_end, F_SETPIPE_SZ, 4096)
         with subprocess.Popen(
-            [sys.executable, "-m", "svfrac.cli", "integrate", "--rho", "0.5", "--grid", "65536"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+            [sys.executable, "-m", "svfrac.cli", *argv],
+            stdout=write_end, stderr=subprocess.STDOUT if err is None else subprocess.PIPE, env=cli_env(),
         ) as proc:
-            assert proc.stdout.readline() == b"u,lo,hi\n"
-            proc.stdout.close()
-            err = proc.stderr.read().decode()
+            os.close(write_end)
+            with open(read_end, "rb", buffering=0) as reader:
+                assert reader.read(len(first)) == first
+            if err is not None:
+                assert proc.stderr.read() == err
         assert proc.returncode == 2
-        assert err == "input error: cannot write stdout: Broken pipe\n"
 
 
 class TestProcessExit:
@@ -1202,14 +1304,16 @@ class TestProcessExit:
     teardown: every byte of the result still reaches a pipe, and the exit
     codes and stderr are those of main()."""
 
-    def run_cli(self, *argv):
+    def run_cli(self, *argv, streams=""):
+        """`python -m svfrac.cli argv` under the shell redirections `streams`,
+        stdout and stderr read from pipes where those leave them."""
         # Without PYTHONUNBUFFERED, stdout on a pipe is block-buffered, so a
         # byte left in the buffer at the end would be lost.
         env = {k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"}
-        return subprocess.run(
-            [sys.executable, "-m", "svfrac.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120,
-        )
+        command = [sys.executable, "-m", "svfrac.cli", *argv]
+        if streams:
+            command = ["sh", "-c", f'exec "$@" {streams}', "sh", *command]
+        return subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1218,6 +1322,7 @@ class TestProcessExit:
             ["integrate", "--builtin", "sin_envelope", "--rho", "0.5", "--grid", "65536"],
             ["verify", "--grid", "16"],
             ["inclusion", "--funnel", "--grid", "2048"],
+            ["integrate", "--rho", "0.5", "--grid", "65536"],
         ],
     )
     def test_piped_stdout_matches_output_file(self, tmp_path, argv):
@@ -1235,23 +1340,40 @@ class TestProcessExit:
         assert piped.stderr == written.stderr
 
     @pytest.mark.parametrize(
-        "argv, expected",
+        "argv, streams, expected, err",
         [
-            (["integrate", "--rho", "0.5", "--output", "{tmp}/missing/x.csv"], 2),
-            (["integrate", "--rho", "0.5", "--b", "inf"], 3),
+            (["integrate", "--rho", "0.5", "--output", "{tmp}/missing/x.csv"], "", 2, "input error: cannot write "),
+            (["integrate", "--rho", "0.5", "--b", "inf"], "", 3, "parameter error: domain requires "),
             # Picard diverges here; the direct solve of the builtin does not.
-            (["inclusion", "--input", "{tmp}/diverge.json", "--grid", "32", "--output", "{tmp}/u.csv"], 0),
+            (["inclusion", "--input", "{tmp}/diverge.json", "--grid", "32", "--output", "{tmp}/u.csv"], "", 0,
+             "iterations_used=1 "),
+            # The oscillator over a horizon where Picard diverges: the probe's warning is the one line.
+            (["inclusion", "--input", "{tmp}/oscillator-40.json", "--funnel", "--grid", "65536", "--output",
+              "{tmp}/u.csv"], "", 0, "warning: rhs endpoints are not nondecreasing in u on the probe grid;"),
+            # A stream that cannot be written: a stderr line is dropped, the exit code is the run's own.
+            pytest.param(["verify", "--grid", "8"], ">/dev/full 2>&1", 2, "", marks=NEEDS_DEV_FULL),
+            (["integrate", "--rho", "0.5", "--grid", "8", "--b", "inf"], "2>&-", 3, ""),
+            (["integrate", "--rho", "0.5", "--grid", "8"], ">&-", 2, "input error: cannot write stdout: Bad file descriptor"),
+            (["bounds", "--rho", "1", "--M", "1"], ">&-", 2, "input error: cannot write stdout: Bad file descriptor"),
+            pytest.param(["inclusion", "--input", "{tmp}/oscillator.json", "--grid", "8", "--output", "{tmp}/u.csv"],
+                         "2>/dev/full", 0, "", marks=NEEDS_DEV_FULL),
         ],
-        ids=["missing-dir", "infinite-domain", "diverging"],
+        ids=["missing-dir", "infinite-domain", "diverging", "oscillator-40", "full-stdout-and-stderr",
+             "closed-stderr", "closed-stdout", "closed-stdout-bounds", "full-stderr"],
     )
-    def test_exit_codes_without_traceback(self, tmp_path, argv, expected):
+    def test_exit_codes_without_traceback(self, tmp_path, argv, streams, expected, err):
+        """The exit code, and stderr (its one line, or nothing where it is
+        redirected) starting with `err`."""
         (tmp_path / "diverge.json").write_text(json.dumps(DIVERGING))
+        (tmp_path / "oscillator.json").write_text(json.dumps(OSCILLATOR))
+        (tmp_path / "oscillator-40.json").write_text(json.dumps({**OSCILLATOR, "T": 40.0}))
         argv = [arg.format(tmp=tmp_path) for arg in argv]
-        proc = self.run_cli(*argv)
+        proc = self.run_cli(*argv, streams=streams)
         assert proc.returncode == expected
         assert proc.stdout == b""
-        assert b"Traceback" not in proc.stderr and proc.stderr.endswith(b"\n")
-        if argv[0] == "inclusion":
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.startswith(err.encode()) and proc.stderr.count(b"\n") == (1 if err else 0), proc.stderr
+        if str(tmp_path / "diverge.json") in argv:
             expected_u = diverging_solution(32)
             got = read_trajectory(tmp_path / "u.csv")
             assert np.abs(got - expected_u).max() <= 1e-11 * np.abs(expected_u).max()
@@ -1438,7 +1560,7 @@ class TestProblemFileProperty:
         path = tmp_path / "p.json"
         spec = {"alpha": 1.5, "t0": 0.0, "T": 1.0, "u0": 1.0, "u1": 0.0}
         for rhs in ({"kind": "symmetric", "params": {"bogus": 1}}, [1, 2],
-                    {"kind": "symmetric", "params": {"k": "x"}}):
+                    {"kind": "symmetric", "params": {"k": "x"}}, {"kind": "affine", "params": {"q_hi": True}}):
             path.write_text(json.dumps({**spec, "rhs": rhs}))
             assert main(["inclusion", "--input", str(path), "--grid", "64"]) == 2
             assert "malformed problem spec" in capsys.readouterr().err

@@ -234,12 +234,19 @@ class TestSelections:
         assert isinstance(lo, GridMap) and lo.lo is lo.hi is lo.values
 
     def test_extremals_view_the_maps_read_only_arrays(self):
-        """The extremal selections are lo and hi themselves, not copies."""
+        """The extremal selections are lo and hi themselves, not copies. A
+        selection of the caller's own array holds a copy, and leaves that
+        array writeable."""
         f = GridMap.from_builtin("sin_envelope", 0, 1, 16)
         for sel, ends in ((f.extremal_lower(), f.lo), (f.extremal_upper(), f.hi)):
             assert np.shares_memory(sel.values, ends)
             with pytest.raises(ValueError, match="read-only"):
                 sel.values[0] = 0.0
+        arr = np.linspace(0, 1, 5)
+        sel = Selection(0.0, 1.0, arr)
+        assert arr.flags.writeable and not np.shares_memory(sel.values, arr)
+        with pytest.raises(ValueError, match="read-only"):
+            sel.values[0] = 0.0
 
     def test_degenerate_extremals_coincide(self):
         f = GridMap(0, 1, [0, 1, 2], [0, 1, 2])
