@@ -181,34 +181,38 @@ def _growth(kernel: np.ndarray, p: float) -> float:
     toward a root z = -e^-t of the negative side, if there is one. There r
     alternates in sign and grows by e^t per step: the product rule is
     unstable at this step, and its solution is no approximation of the
-    inclusion. That is a ValueError once the growth over the grid, e^(t N),
-    exceeds e^ALTERNATING_LIMIT; below it, r is not weighted."""
+    inclusion: a ValueError where p kernel[0] > 1, for p < 0 once the growth
+    over the grid, e^(t N), exceeds e^ALTERNATING_LIMIT (below it, r is not
+    weighted), and where Newton's method does not settle in 100 steps."""
     n = kernel.size
-    if n < 2 or p * kernel[1] == 0.0:
-        return 0.0
-    first = (1.0 - p * kernel[0]) / (p * kernel[1])
-    sign = math.copysign(1.0, first)
-    if sign > 0.0 and not p * kernel.sum() > 1.0:
-        return 0.0
-    t = 0.0 if sign > 0.0 else -math.log(-first)
-    distance = np.arange(n, dtype=float)
-    for _ in range(100):
-        if not t >= 0.0:
+    t, sign = 0.0, math.copysign(1.0, 1.0 - p * kernel[0])
+    if n > 1 and p * kernel[1] != 0.0:
+        first = (1.0 - p * kernel[0]) / (p * kernel[1])
+        sign = math.copysign(1.0, first)
+        if sign > 0.0 and not p * kernel.sum() > 1.0:
             return 0.0
-        terms = np.exp(-t * distance)
-        terms *= kernel
-        terms[1::2] *= sign
-        step = (1.0 - p * terms.sum()) / (p * (terms @ distance))
-        t -= step
-        if abs(step) < 1e-3 / n:
-            break
-    else:
-        return 0.0
+        t = 0.0 if sign > 0.0 else -math.log(-first)
+        distance = np.arange(n, dtype=float)
+        for _ in range(100):
+            if not t >= 0.0:
+                t = 0.0
+                break
+            terms = np.exp(-t * distance)
+            terms *= kernel
+            terms[1::2] *= sign
+            step = (1.0 - p * terms.sum()) / (p * (terms @ distance))
+            t -= step
+            if abs(step) < 1e-3 / n:
+                break
+        else:
+            raise ValueError(f"the grid is too coarse for p = {p}: with b_0 = {kernel[0]:.6g}, Newton's method "
+                             "finds no growth rate of the discrete equations in 100 steps; refine the grid")
     if sign > 0.0:
         return t
-    if t * n > ALTERNATING_LIMIT:
+    if t * n > ALTERNATING_LIMIT or p > 0.0:
+        growth = f" and grows {math.exp(t):.3g}-fold per step" if t else ""
         raise ValueError(f"the grid is too coarse for p = {p}: the solution of the discrete equations "
-                         f"alternates in sign and grows {math.exp(t):.3g}-fold per step; refine the grid")
+                         f"alternates in sign{growth}; refine the grid")
     return 0.0
 
 

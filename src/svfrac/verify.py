@@ -141,14 +141,13 @@ def check_lipschitz(f: GridMap, name: str, rho: float, *, g: GridMap, sup_f: flo
 
 
 def check_selections(f: GridMap, name: str, rho: float, *, g: GridMap, bounds: list[float]):
-    """Thms 3.7/3.8: G's extremal selections, the integrals of F's, are members, and the
-    variation of each is within its bound from F's, bounds[1:] (variation_masses): the
+    """Thms 3.7/3.8: the variation of each of G's extremal selections, G's rows and the
+    integrals of F's, is within its bound from F's, bounds[1:] (variation_masses): the
     largest excess, at least 0, vs the slack of the larger bound."""
     sels = g.extremal_lower(), g.extremal_upper()
     worst = max(0.0, *(total_variation(sel) - bound for sel, bound in zip(sels, bounds[1:])))
     slack = _slack(f, rho, max(bounds[1:]))
-    ok = worst <= slack and all(sel.is_selection_of(g) for sel in sels)
-    return RegularityReport("3.7/3.8", name, rho, worst, slack, ok)
+    return RegularityReport("3.7/3.8", name, rho, worst, slack, worst <= slack)
 
 
 def check_endpoint_identity(f: GridMap, name: str, rho: float, *, g: GridMap, vals: tuple[float, ...], scale: float):

@@ -4,17 +4,16 @@ Mittag-Leffler function as its mpmath series, the
 weight scale (b - a)^rho / Gamma(rho) in its own log form, the
 continuity modulus with every segment clipped for each pair, the modulus in
 mpmath, the random-selection integrals at one node, the RL integral
-of a selection at one node, the chattering demo on two-point values, CSV
-text formatted one value at a time, the SplitMix64 draws in Python ints,
-the variation and Lipschitz constant written with np.diff, and the other
-measures and the set-valued integral in two-endpoint form: the Hausdorff
-distance as np.maximum(|Δlo|, |Δhi|), the sup bound, the modulus's
-envelope, and the integral by two applies.
+of a selection at one node, CSV text formatted one value at a time, the
+SplitMix64 draws in Python ints, the variation and Lipschitz constant
+written with np.diff, and the other measures and the set-valued integral in
+two-endpoint form: the Hausdorff distance as np.maximum(|Δlo|, |Δhi|), the
+sup bound, the modulus's envelope, and the integral by two applies.
 None of them is used by the package; each is an independent construction
-that its fast counterpart is checked against. Three test-only conveniences
+that its fast counterpart is checked against. Four test-only conveniences
 sit with them: the interval value of a map at a point, one random
-selection of a map, and the Monte-Carlo oracle of a node's selection
-integrals."""
+selection of a map, the Monte-Carlo oracle of a node's selection
+integrals, and the +1/-1 node pattern of the chattering demo."""
 
 import math
 from math import gamma as gamma_fn
@@ -24,7 +23,7 @@ import numpy as np
 
 from svfrac import GridMap, RLOperator, Selection
 from svfrac.gridmap import SEED_LIMIT, _check_seed, selection_draws
-from svfrac.rl import _hat_moments, _pow_diff, integral_set
+from svfrac.rl import _hat_moments, integral_set
 
 
 def kernel_hat_weights(c: float, rho: float, ts: np.ndarray) -> np.ndarray:
@@ -271,21 +270,8 @@ def modulus_mpmath(f, rho, pairs, dps=30):
         return out
 
 
-def rl_piecewise_constant(
-    seg_values: np.ndarray, a: float, b: float, rho: float, c: float
-) -> float:
-    """(1/Gamma(rho)) * integral of (c - t)^(rho-1) against a piecewise-constant
-    function with one value per uniform segment of [a, b]; c >= b."""
-    seg_values = np.asarray(seg_values, dtype=float)
-    ts = np.linspace(a, b, seg_values.size + 1)
-    s0 = c - ts[:-1]
-    s1 = np.maximum(c - ts[1:], 0.0)
-    m0 = _pow_diff(s0, s1, rho) / rho
-    return float((m0 @ seg_values) / gamma_fn(rho))
-
-
 def _duty_cycle(on_count: int, n: int) -> np.ndarray:
-    """+1/-1 pattern with `on_count` +1 segments spread evenly across n slots."""
+    """+1/-1 pattern with `on_count` +1 entries spread evenly across n slots."""
     pattern = -np.ones(n)
     if on_count > 0:
         idx = np.floor(np.arange(on_count) * n / on_count).astype(int)

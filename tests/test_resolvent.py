@@ -86,6 +86,21 @@ def test_alternating_growth_is_refused():
     assert np.isfinite(solve_with_policy(affine_problem(p, T), "upper", n=256).us).all()
 
 
+def test_tolerated_alternating_growth_is_solved(monkeypatch):
+    """D^1.5 u in -u at N = 8 on [0, 10] alternates in sign and grows e^0.97
+    over the grid, below e^ALTERNATING_LIMIT: admitted and solved as it is,
+    and refused with a limit below that growth."""
+    n, T = 8, 10.0
+    problem = affine_problem(-1.0, T, u1=0.0, q_lo=0.0, q_hi=0.0)
+    traj = solve_with_policy(problem, "upper", n=n)
+    expected = forward_substitution(dense(n, T), -1.0, np.ones(n + 1), np.zeros(n + 1))
+    assert np.abs(traj.us - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert max(abs(u - mittag_leffler(ALPHA, 1.0, -t**ALPHA)) for t, u in zip(traj.ts, traj.us)) <= 0.054
+    monkeypatch.setattr(rl, "ALTERNATING_LIMIT", 0.96)
+    with pytest.raises(ValueError, match="too coarse for p = -1.0: .* 1.13-fold per step"):
+        solve_with_policy(problem, "upper", n=n)
+
+
 def test_singular_step_is_value_error():
     """1 - p b_0 = 0 exactly: the first node's equation has no solution."""
     n, T = 64, 1.0
@@ -100,12 +115,20 @@ def test_singular_step_is_value_error():
 
 @pytest.mark.parametrize("mode", [[], ["--funnel"]])
 def test_singular_and_coarse_steps_are_parameter_errors(tmp_path, capsys, mode):
-    """Exit 3 on one stderr line, no output file, no traceback."""
+    """Exit 3 on one stderr line, no output file, no traceback. For p > 0 so is
+    every p b_0 > 1 (13.3 at p = 1000, N = 8), and a growth Newton does not settle."""
     b0 = quadrature_weights(0.0, 1.0, 64, ALPHA)[0][0]
     singular = next(float(c) for c in (1.0 / b0, np.nextafter(1.0 / b0, 0.0), np.nextafter(1.0 / b0, np.inf))
                     if 1.0 - c * b0 == 0.0)
+    bang = {"u1": 0.0, "q_lo": -1.0, "q_hi": 1.0}
     for spec, grid, message in ((affine_spec(singular, 1.0), "64", "singular step: 1 - p b_0 = 0"),
-                                (affine_spec(10.0, 40.0), "64", "the grid is too coarse for p = 10.0")):
+                                (affine_spec(10.0, 40.0), "64", "the grid is too coarse for p = 10.0"),
+                                (affine_spec(1000.0, 1.0, **bang), "8", "the grid is too coarse for p = 1000.0"),
+                                (affine_spec(1e20, 1.0, **bang), "8", "the grid is too coarse for p = 1e+20"),
+                                ({**affine_spec(-1e8, 0.001, **bang), "alpha": 1.8}, "5",
+                                 "the grid is too coarse for p = -100000000.0: with b_0 = 4.68053e-08"),
+                                ({**affine_spec(100.0, 10.0, **bang), "alpha": 1.8}, "5",
+                                 "the grid is too coarse for p = 100.0: with b_0 = 0.741814")):
         path, out = tmp_path / "problem.json", tmp_path / "never.csv"
         path.write_text(json.dumps(spec))
         assert main(["inclusion", "--input", str(path), "--grid", grid, "--output", str(out)] + mode) == 3
