@@ -231,6 +231,16 @@ class TestSelectionOracle:
 
 
 class TestChatteringDemo:
+    def test_hull_approaches_convexified_interval(self):
+        # the bang-bang node selections of [-1, 1] reach both ends of +-1/Gamma(rho+1), for each order
+        n = 64
+        for rho in RHOS:
+            row = RLOperator(0.0, 1.0, n, rho).row(n)
+            vals = [float(row @ _duty_cycle(k, n + 1)) for k in range(n + 2)]
+            target = 1.0 / gamma_fn(rho + 1.0)
+            assert abs(max(vals) - target) <= 0.05 * target
+            assert abs(min(vals) + target) <= 0.05 * target
+
     def test_interior_points_are_dense(self):
         # the bang-bang node selections of [-1, 1] fill the interior, not just the endpoints
         rho, n = 0.8, 64
